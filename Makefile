@@ -1,6 +1,7 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-sarif vetcheck test-invariants bench bench-smoke bench-compare
+.PHONY: build test race vet lint lint-sarif vetcheck test-invariants bench bench-smoke bench-compare \
+	benchmark-smoke benchmark-selfcheck
 
 build:
 	$(GO) build ./...
@@ -94,3 +95,19 @@ ALLOW ?= -allow superstep/bc-channel:allocs/op:0.55 \
 bench-compare:
 	$(GO) run ./cmd/bench -label compare-head -samples $(SAMPLES) -out bench-compare.json \
 		-compare $(BASE) $(if $(BASELABEL),-baselabel $(BASELABEL)) -threshold $(THRESHOLD) $(ALLOW)
+
+# benchmark-smoke runs the repo benchmark (benchmark/, BENCHMARK.json) at
+# test size on its two control-plane workloads: pr-transitions (checkpoint,
+# confined recovery, scale-out and scale-in) and sssp-grid-steps (a thousand
+# barriers). Every job is checked against a sequential oracle, so this
+# proves the transition protocol end to end; the numbers are not a
+# measurement.
+benchmark-smoke:
+	$(GO) run ./benchmark -tiny -seconds 1 -workload pr-transitions
+	$(GO) run ./benchmark -tiny -seconds 1 -workload sssp-grid-steps
+
+# benchmark-selfcheck runs every workload twice in fresh processes at real
+# size and checks the spread against BENCHMARK.json's bounds and the exact
+# counts for equality (several minutes).
+benchmark-selfcheck:
+	$(GO) run ./benchmark -selfcheck

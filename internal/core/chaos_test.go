@@ -89,7 +89,7 @@ func TestManagerDropsStaleAndDuplicateCheckins(t *testing.T) {
 	spec := ckptSpec(g, 3, 0)
 	spec.Queues = cloud.NewQueueService()
 	stale, _ := json.Marshal(barrierMsg{Worker: 1, Superstep: 999})
-	ack, _ := json.Marshal(barrierMsg{Worker: 0, Superstep: 0, Restored: true})
+	ack, _ := json.Marshal(barrierMsg{Kind: kindRestore, Worker: 0, Superstep: 0})
 	spec.Queues.Queue("barrier").Put(stale)
 	spec.Queues.Queue("barrier").Put(ack)
 	res, err := Run(spec)

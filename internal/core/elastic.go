@@ -108,6 +108,9 @@ type jobState struct {
 	steps []StepStats
 	// recoveries counts checkpoint rollbacks (bounded by MaxRecoveries).
 	recoveries int
+	// dupsDropped counts at-least-once leftovers the restore, migration and
+	// replay collections dropped; barrier drops live in StepStats.
+	dupsDropped int64
 	// epoch is the data-plane generation stamped on outgoing batches. It is
 	// bumped by every rollback AND every live resize, so receivers in the
 	// new generation drop anything stamped in an old one. Strictly

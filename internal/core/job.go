@@ -110,12 +110,6 @@ type JobSpec[M any] struct {
 	// cluster costs more than re-executing it). Default: half the workers,
 	// minimum 1.
 	ConfinedMaxFailed int
-	// RestoreAckTimeout bounds how long the manager waits for restore acks
-	// during a rollback (default: BarrierTimeout).
-	RestoreAckTimeout time.Duration
-	// MigrateAckTimeout bounds how long the manager waits for migration acks
-	// during a live resize (default: BarrierTimeout).
-	MigrateAckTimeout time.Duration
 	// FailureInjector is a test/chaos hook: if non-nil it is consulted once
 	// per worker per superstep (after the superstep's work completes); a
 	// non-nil error simulates that worker's VM failing, triggering recovery.
@@ -134,10 +128,12 @@ type JobSpec[M any] struct {
 	// (default 30s). Raise it if supersteps are expected to outlive it —
 	// an expired lease means the message is redelivered to someone else.
 	QueueVisibility time.Duration
-	// BarrierTimeout bounds how long the manager waits for all workers at a
-	// barrier and how long a worker waits for peer sentinels (default 60s).
-	// A worker that misses the deadline is treated as failed (straggler
-	// detection) and triggers checkpoint rollback instead of hanging the job.
+	// BarrierTimeout bounds every manager collection of worker check-ins —
+	// superstep barriers, restore acks, replay rounds, and migration acks —
+	// and how long a worker waits for peer sentinels (default 60s). A worker
+	// that misses a barrier deadline is treated as failed (straggler
+	// detection) and triggers checkpoint rollback instead of hanging the job;
+	// a missed transition deadline fails that transition.
 	BarrierTimeout time.Duration
 	// Tracer, when non-nil, receives structured trace events from every layer
 	// of the run: superstep and barrier spans, swath decisions, checkpoint and
@@ -326,12 +322,6 @@ func (s *JobSpec[M]) withDefaults() (JobSpec[M], error) {
 			spec.ConfinedMaxFailed = 1
 		}
 	}
-	if spec.RestoreAckTimeout <= 0 {
-		spec.RestoreAckTimeout = spec.BarrierTimeout
-	}
-	if spec.MigrateAckTimeout <= 0 {
-		spec.MigrateAckTimeout = spec.BarrierTimeout
-	}
 	if spec.BarrierPreempt != nil || spec.Resume != nil {
 		// Suspension state (migration blobs) lives in the checkpoint store; a
 		// resumed run overrides this with the store the blobs were written to.
@@ -405,8 +395,8 @@ type StepStats struct {
 	// bills for even though the logical result is unchanged.
 	Retries int64
 	// DuplicatesDropped counts duplicate or stale control-plane messages
-	// (barrier check-ins, restore acks) the manager tolerated while
-	// collecting this superstep's barrier.
+	// (redelivered or late check-ins and acks of any kind) the manager
+	// tolerated while collecting this superstep's barrier.
 	DuplicatesDropped int64
 }
 
@@ -478,7 +468,9 @@ type JobResult[M any] struct {
 	// Retries is the total transient-fault retries across all supersteps.
 	Retries int64
 	// DuplicatesDropped is the total duplicate/stale control-plane messages
-	// tolerated by the manager.
+	// tolerated by the manager: every barrier's StepStats.DuplicatesDropped
+	// plus those dropped while collecting restore, replay, and migration
+	// acks.
 	DuplicatesDropped int64
 	// VMRestarts counts fabric-initiated VM restarts during the job.
 	VMRestarts int

@@ -24,9 +24,6 @@ type manager[M any] struct {
 	fabric   *cloud.Fabric
 	aggOps   map[string]AggOp
 	ins      *jobInstruments
-	// dupsDropped counts duplicate/stale control-plane messages tolerated
-	// (at-least-once queue delivery makes them normal, not errors).
-	dupsDropped int64
 }
 
 func (m *manager[M]) aggOp(name string) AggOp {
@@ -93,9 +90,7 @@ func (m *manager[M]) run(js *jobState) (*resizeRequest, error) {
 				m.halt()
 				return nil, &runError{0, fmt.Errorf("no initial activation: set ActivateAll or a Scheduler")}
 			}
-		} else if len(injections) == 0 &&
-			js.prev.ActiveAfter == 0 && js.prev.TotalSent() == 0 &&
-			(m.spec.Scheduler == nil || m.spec.Scheduler.Done()) {
+		} else if len(injections) == 0 && m.halting(js.prev) {
 			m.halt()
 			return nil, nil
 		}
@@ -217,33 +212,32 @@ func (m *manager[M]) run(js *jobState) (*resizeRequest, error) {
 			m.spec.OnStep(stats.StepStats)
 		}
 
-		// Live elastic consult: with the barrier complete and the superstep
-		// priced, ask the controller whether the next superstep should run
-		// at a different worker count.
-		if m.spec.ElasticController != nil {
-			req, elErr := m.maybeResize(js)
-			if elErr != nil {
-				m.halt()
-				return nil, &runError{superstep, elErr}
-			}
-			if req != nil {
-				return req, nil
-			}
+		// Live elastic consult, then preemption consult, at the same
+		// consistent BSP cut: with the barrier complete and the superstep
+		// priced, a resize or a suspension ends this segment. (A barrier that
+		// resized starts the next segment; the preemption hook is asked again
+		// at that segment's first barrier.)
+		req, terr := m.maybeResize(js)
+		if terr == nil && req == nil {
+			req, terr = m.maybeSuspend(js)
 		}
-		// Preemption consult: same consistent BSP cut, after any resize
-		// decision (a barrier that resized starts the next segment; the
-		// preemption hook is asked again at that segment's first barrier).
-		if m.spec.BarrierPreempt != nil {
-			req, perr := m.maybeSuspend(js)
-			if perr != nil {
-				m.halt()
-				return nil, &runError{superstep, perr}
-			}
-			if req != nil {
-				return req, nil
-			}
+		if terr != nil {
+			m.halt()
+			return nil, &runError{superstep, terr}
+		}
+		if req != nil {
+			return req, nil
 		}
 	}
+}
+
+// halting reports whether the job would halt before running the superstep
+// after prev (given no injections): nothing active, nothing in flight,
+// nothing left to schedule. A nil prev (a rollback to superstep 0) never
+// halts.
+func (m *manager[M]) halting(prev *StepStats) bool {
+	return prev != nil && prev.ActiveAfter == 0 && prev.TotalSent() == 0 &&
+		(m.spec.Scheduler == nil || m.spec.Scheduler.Done())
 }
 
 // rollback rolls every worker back to the last checkpoint and rewinds the
@@ -260,15 +254,8 @@ func (m *manager[M]) rollback(js *jobState, superstep int, failed []int, cause e
 	if js.recoveries >= m.spec.MaxRecoveries {
 		return fmt.Errorf("giving up after %d recoveries: %w", js.recoveries, cause)
 	}
-	js.recoveries++
-	// Bump the job-wide data-plane epoch (shared with live resizes, so it
-	// is strictly monotonic across rollbacks and rebuilds alike): workers
-	// adopt it for outgoing batches and use it to drop duplicate deliveries
-	// of this restore token.
-	js.epoch++
-	target := js.lastCheckpoint
-	m.ins.rollbacks.Inc()
-	span := m.ins.tracer.Start(observe.KindRollback, observe.ManagerWorker, superstep)
+	ev, span := m.beginRecovery(js, superstep, failed, false)
+	target := ev.Checkpoint
 	defer func() {
 		if span.Active() {
 			span.End(observe.Str("mode", "global"),
@@ -277,33 +264,31 @@ func (m *manager[M]) rollback(js *jobState, superstep int, failed []int, cause e
 				observe.Str("cause", cause.Error()))
 		}
 	}()
-	everyone := make([]bool, m.spec.NumWorkers)
-	for i := range everyone {
-		everyone[i] = true
-	}
-	for w := 0; w < m.spec.NumWorkers; w++ {
-		body, merr := json.Marshal(stepToken{RestoreTo: &target, Epoch: js.epoch})
-		if merr != nil {
-			return merr
-		}
-		m.stepQs[w].Put(body)
-	}
-	if aerr := m.collectRestoreAcks(target, js.epoch, everyone); aerr != nil {
+	if aerr := m.restoreWorkers(js, nil, target); aerr != nil {
 		return fmt.Errorf("recovery to superstep %d failed: %w (original: %v)", target, aerr, cause)
 	}
 	// Record the recovery and leave it open: the main loop accrues each
 	// re-executed superstep's duplicated cost into the event until the
 	// cursor passes the failure point again.
-	js.recoveryEvents = append(js.recoveryEvents, RecoveryEvent{
-		AtSuperstep:   superstep,
-		Checkpoint:    target,
-		Confined:      false,
-		FailedWorkers: append([]int(nil), failed...),
-	})
+	js.recoveryEvents = append(js.recoveryEvents, ev)
 	js.openRecoveries = append(js.openRecoveries, len(js.recoveryEvents)-1)
 	js.superstep = target
 	js.prev = restorePrev(js.statsBySuperstep, target)
 	return nil
+}
+
+// beginRecovery opens a recovery of the failed barrier at superstep from
+// the last checkpoint: it bumps the job-wide data-plane epoch (shared with
+// live resizes, so it is strictly monotonic across rollbacks and rebuilds
+// alike) — workers adopt it for outgoing batches and use it to drop
+// duplicate deliveries of the restore token — and starts the rollback span.
+func (m *manager[M]) beginRecovery(js *jobState, superstep int, failed []int, confined bool) (RecoveryEvent, observe.Span) {
+	js.recoveries++
+	js.epoch++
+	m.ins.rollbacks.Inc()
+	ev := RecoveryEvent{AtSuperstep: superstep, Checkpoint: js.lastCheckpoint, Confined: confined,
+		FailedWorkers: append([]int(nil), failed...)}
+	return ev, m.ins.tracer.Start(observe.KindRollback, observe.ManagerWorker, superstep)
 }
 
 // confinedRecover attempts Pregel-style confined recovery for a failed
@@ -325,18 +310,9 @@ func (m *manager[M]) confinedRecover(js *jobState, superstep int, ckpt bool, sta
 		js.recoveries >= m.spec.MaxRecoveries {
 		return false
 	}
-	js.recoveries++
-	js.epoch++
-	target := js.lastCheckpoint
-	m.ins.rollbacks.Inc()
 	m.ins.confined.Inc()
-	ev := RecoveryEvent{
-		AtSuperstep:   superstep,
-		Checkpoint:    target,
-		Confined:      true,
-		FailedWorkers: append([]int(nil), failed...),
-	}
-	span := m.ins.tracer.Start(observe.KindRollback, observe.ManagerWorker, superstep)
+	ev, span := m.beginRecovery(js, superstep, failed, true)
+	target := ev.Checkpoint
 	err := m.runConfined(js, superstep, ckpt, stats, &ev)
 	if span.Active() {
 		attrs := []observe.Attr{
@@ -372,142 +348,92 @@ func (m *manager[M]) confinedRecover(js *jobState, superstep int, ckpt bool, sta
 // to the event. Any error aborts the attempt — survivors were never rolled
 // back, so the caller's global fallback remains sound.
 func (m *manager[M]) runConfined(js *jobState, superstep int, ckpt bool, stats *collected, ev *RecoveryEvent) error {
-	n := m.spec.NumWorkers
 	target := ev.Checkpoint
-	failedSet := make([]bool, n)
+	failedSet := make([]bool, m.spec.NumWorkers)
 	for _, w := range ev.FailedWorkers {
 		failedSet[w] = true
 	}
-	for _, w := range ev.FailedWorkers {
-		body, merr := json.Marshal(stepToken{RestoreTo: &target, Epoch: js.epoch})
-		if merr != nil {
-			return merr
-		}
-		m.stepQs[w].Put(body)
-	}
-	if err := m.collectRestoreAcks(target, js.epoch, failedSet); err != nil {
+	if err := m.restoreWorkers(js, failedSet, target); err != nil {
 		return err
 	}
 	for s := target; s <= superstep; s++ {
-		// Re-route the recorded scheduler decisions for the failed workers;
-		// survivors already consumed theirs in the original execution.
-		perWorker := make([][]graph.VertexID, n)
-		for _, v := range js.injectionLog[s] {
-			wID := m.spec.Assignment[v]
-			if failedSet[wID] {
-				perWorker[wID] = append(perWorker[wID], v)
-			}
-		}
-		for w := 0; w < n; w++ {
-			tok := stepToken{
-				Superstep: s, Replay: true, Failed: ev.FailedWorkers,
-				Epoch: js.epoch, LastCkpt: target,
-				// Only the failure superstep's checkpoint needs rewriting (a
-				// snapshot at `target` already exists, and no checkpoint
-				// committed in between — `target` would have moved); survivors'
-				// snapshots for it were written before they checked in cleanly.
-				Checkpoint: ckpt && s == superstep && failedSet[w],
-			}
-			if failedSet[w] {
-				tok.Injections = perWorker[w]
-				tok.Aggregates = js.aggLog[s]
-			}
-			body, merr := json.Marshal(tok)
-			if merr != nil {
-				return merr
-			}
-			m.stepQs[w].Put(body)
-		}
 		m.ins.supersteps.Inc()
 		replaySpan := m.ins.tracer.Start(observe.KindSuperstep, observe.ManagerWorker, s)
-		final := stats
-		if s < superstep {
-			final = nil
-		}
-		usages, err := m.collectReplay(s, js.epoch, failedSet, ev, final)
-		if err != nil {
-			if replaySpan.Active() {
-				replaySpan.End(observe.Str("mode", "replay"), observe.Str("err", err.Error()))
-			}
-			return err
-		}
-		rec, rerr := m.spec.CostModel.RecoverySeconds(usages)
-		if rerr != nil {
-			if replaySpan.Active() {
-				replaySpan.End(observe.Str("mode", "replay"), observe.Str("err", rerr.Error()))
-			}
-			return rerr
-		}
-		ev.RecoverySeconds += rec
-		if s < superstep {
-			total, _, serr := m.spec.CostModel.SuperstepSeconds(usages)
-			if serr != nil {
-				if replaySpan.Active() {
-					replaySpan.End(observe.Str("mode", "replay"), observe.Str("err", serr.Error()))
-				}
-				return serr
-			}
-			m.fabric.Advance(total)
-			ev.SimSeconds += total
-		}
+		rec, err := m.replayRound(js, s, superstep, ckpt, failedSet, stats, ev)
 		if replaySpan.Active() {
-			replaySpan.End(
-				observe.Str("mode", "replay"),
-				observe.Int("replayed_msgs", ev.ReplayedMsgs),
-				observe.Float("recovery_seconds", rec))
+			if err != nil {
+				replaySpan.End(observe.Str("mode", "replay"), observe.Str("err", err.Error()))
+			} else {
+				replaySpan.End(observe.Str("mode", "replay"),
+					observe.Int("replayed_msgs", ev.ReplayedMsgs),
+					observe.Float("recovery_seconds", rec))
+			}
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// collectReplay collects one replay round's n check-ins: a full
-// re-execution check-in from each failed worker and a Replayed ack
-// (carrying replayed message/byte counts) from each survivor, all under the
-// recovery epoch. It returns the round's per-worker usage — failed workers'
-// full usage, survivors' replay traffic only — and, when final is non-nil
-// (the failure superstep itself), merges the failed workers' fresh
-// statistics into it alongside the survivors' originals.
-func (m *manager[M]) collectReplay(s, epoch int, failedSet []bool, ev *RecoveryEvent, final *collected) ([]cloud.WorkerStepUsage, error) {
+// replayRound runs confined-recovery replay round s of a failure at
+// superstep and returns the duplicated work it billed. Failed workers
+// re-execute s and check in with full statistics; survivors ack with the
+// replayed message/byte counts. The round's usage is the failed workers'
+// full usage plus survivors' replay traffic; the final round (s ==
+// superstep) also merges the failed workers' fresh statistics into stats.
+func (m *manager[M]) replayRound(js *jobState, s, superstep int, ckpt bool, failedSet []bool,
+	stats *collected, ev *RecoveryEvent) (float64, error) {
 	n := m.spec.NumWorkers
-	usages := make([]cloud.WorkerStepUsage, n)
-	seen := make([]bool, n)
-	deadline := time.Now().Add(m.spec.BarrierTimeout)
-	for got := 0; got < n; {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return nil, fmt.Errorf("replay superstep %d: timeout (%d/%d checked in): missing workers %v",
-				s, got, n, missingWorkers(nil, seen))
+	// Re-route the recorded scheduler decisions for the failed workers;
+	// survivors already consumed theirs in the original execution.
+	perWorker := make([][]graph.VertexID, n)
+	for _, v := range js.injectionLog[s] {
+		if wID := m.spec.Assignment[v]; failedSet[wID] {
+			perWorker[wID] = append(perWorker[wID], v)
 		}
-		lease := m.barrierQ.GetWait(m.spec.QueueVisibility, remaining)
-		if lease == nil {
-			return nil, fmt.Errorf("replay superstep %d: timeout (%d/%d checked in): missing workers %v",
-				s, got, n, missingWorkers(nil, seen))
+	}
+	for w := 0; w < n; w++ {
+		tok := stepToken{
+			Kind: kindReplay, Superstep: s, Failed: ev.FailedWorkers,
+			Epoch: js.epoch, LastCkpt: ev.Checkpoint,
+			// Only the failure superstep's checkpoint needs rewriting (a
+			// snapshot at the target already exists, and no checkpoint
+			// committed in between — the target would have moved); survivors'
+			// snapshots for it were written before they checked in cleanly.
+			Checkpoint: ckpt && s == superstep && failedSet[w],
 		}
-		var msg barrierMsg
-		err := json.Unmarshal(lease.Body, &msg)
-		_ = m.barrierQ.Delete(lease.ID)
-		if err != nil {
-			return nil, fmt.Errorf("bad replay check-in: %v", err)
-		}
-		if msg.Worker < 0 || msg.Worker >= n {
-			return nil, fmt.Errorf("replay check-in from unknown worker %d", msg.Worker)
-		}
-		// A failed worker checks in with full re-execution stats (Replayed
-		// false); a survivor with a Replayed ack. Anything else — stale
-		// pre-recovery check-ins, redelivered acks from earlier rounds,
-		// re-acks for duplicated replay tokens — is at-least-once leftover.
-		if msg.Superstep != s || msg.Epoch != epoch || seen[msg.Worker] ||
-			msg.Restored || msg.Migrated || msg.Replayed == failedSet[msg.Worker] {
-			m.dupsDropped++
-			continue
-		}
-		if msg.Err != "" {
-			return nil, fmt.Errorf("worker %d: %s", msg.Worker, msg.Err)
-		}
-		seen[msg.Worker] = true
-		got++
-		w := msg.Worker
 		if failedSet[w] {
+			tok.Injections = perWorker[w]
+			tok.Aggregates = js.aggLog[s]
+		}
+		body, err := json.Marshal(tok)
+		if err != nil {
+			return 0, err
+		}
+		m.stepQs[w].Put(body)
+	}
+	usages := make([]cloud.WorkerStepUsage, n)
+	dropped, _, err := m.collect("replay check-ins", s, js.epoch, nil,
+		func(w int) kind {
+			if failedSet[w] {
+				return kindStep
+			}
+			return kindReplay
+		},
+		func(msg barrierMsg) error {
+			if err := msg.err(); err != nil {
+				return err
+			}
+			w := msg.Worker
+			if !failedSet[w] {
+				ev.ReplayedMsgs += msg.SentRemote
+				ev.ReplayedBytes += msg.BytesOut
+				if msg.BytesOut > 0 {
+					usages[w] = cloud.WorkerStepUsage{RemoteBytesOut: msg.BytesOut, Peers: len(ev.FailedWorkers)}
+				}
+				return nil
+			}
 			usages[w] = cloud.WorkerStepUsage{
 				ComputeOps:      msg.ComputeOps,
 				RemoteBytesOut:  msg.BytesOut,
@@ -515,22 +441,30 @@ func (m *manager[M]) collectReplay(s, epoch int, failedSet []bool, ev *RecoveryE
 				PeakMemoryBytes: msg.PeakMemory,
 				Peers:           msg.Peers,
 			}
-			if final != nil {
-				final.Retries += msg.Retries
-				m.mergeCheckIn(final, msg)
+			if s == superstep {
+				stats.Retries += msg.Retries
+				m.mergeCheckIn(stats, msg)
 			}
-		} else {
-			ev.ReplayedMsgs += msg.SentRemote
-			ev.ReplayedBytes += msg.BytesOut
-			if msg.BytesOut > 0 {
-				usages[w] = cloud.WorkerStepUsage{
-					RemoteBytesOut: msg.BytesOut,
-					Peers:          len(ev.FailedWorkers),
-				}
-			}
-		}
+			return nil
+		})
+	js.dupsDropped += dropped
+	if err != nil {
+		return 0, err
 	}
-	return usages, nil
+	rec, err := m.spec.CostModel.RecoverySeconds(usages)
+	if err != nil {
+		return 0, err
+	}
+	ev.RecoverySeconds += rec
+	if s < superstep {
+		total, _, err := m.spec.CostModel.SuperstepSeconds(usages)
+		if err != nil {
+			return 0, err
+		}
+		m.fabric.Advance(total)
+		ev.SimSeconds += total
+	}
+	return rec, nil
 }
 
 // accrueOpenRecoveries charges a re-executed superstep to every global
@@ -598,71 +532,58 @@ func (m *manager[M]) gcCheckpoints(js *jobState, superstep int) {
 	js.ckptGens = append(js.ckptGens, ckptGen{step: superstep, workers: m.spec.NumWorkers})
 }
 
-// missingWorkers lists the wanted workers not yet seen (want nil = all).
-func missingWorkers(want, seen []bool) []int {
-	missing := []int{}
-	for w := range seen {
-		if (want == nil || want[w]) && !seen[w] {
-			missing = append(missing, w)
-		}
-	}
-	return missing
-}
-
 // maybeResize consults the elastic controller with the just-completed
-// superstep's stats. When the (clamped) target differs from the current
-// worker count it runs the barrier-resize protocol: migrate tokens to
-// every worker, one migration ack each, then halt the segment and hand the
-// resize request to Run. A failed migration (e.g. a VM restart scripted
-// mid-resize) is absorbed by ordinary checkpoint rollback — the segment
-// continues at the old count and the controller is asked again at the next
-// barrier.
+// superstep's stats and, when the (clamped) target differs from the current
+// worker count, writes the state out for the new count (see migrateOut).
 func (m *manager[M]) maybeResize(js *jobState) (*resizeRequest, error) {
-	prev := js.prev
-	// Don't resize a job that is about to halt: the next loop iteration
-	// would stop before running a superstep at the new count, paying
-	// migration for nothing.
-	if prev.ActiveAfter == 0 && prev.TotalSent() == 0 &&
-		(m.spec.Scheduler == nil || m.spec.Scheduler.Done()) {
+	// Don't resize a job that is about to halt: the next loop iteration would
+	// stop before running a superstep at the new count, paying migration for
+	// nothing.
+	if m.spec.ElasticController == nil || m.halting(js.prev) {
 		return nil, nil
 	}
 	target := clampWorkerTarget(
-		m.spec.ElasticController.Workers(prev, m.spec.NumWorkers),
+		m.spec.ElasticController.Workers(js.prev, m.spec.NumWorkers),
 		m.spec.Graph.NumVertices())
-	if target == m.spec.NumWorkers {
-		return nil, nil
+	switch {
+	case target > m.spec.NumWorkers:
+		return m.migrateOut(js, observe.KindScaleOut, m.ins.scaleOuts, target, false)
+	case target < m.spec.NumWorkers:
+		return m.migrateOut(js, observe.KindScaleIn, m.ins.scaleIns, target, false)
 	}
+	return nil, nil
+}
+
+// migrateOut is the state write-out shared by live resize and barrier
+// preemption: a migrate token to every worker, one migration ack each
+// (carrying the blob size movedStateBytes prices the cross-owner share
+// from), then the segment halts and Run gets the request. A failed
+// write-out (e.g. a VM restart scripted mid-migration) is absorbed by
+// ordinary checkpoint rollback — the segment continues unchanged and the
+// trigger is consulted again at the next barrier.
+func (m *manager[M]) migrateOut(js *jobState, spanKind observe.Kind, counter *observe.Counter,
+	target int, suspend bool) (*resizeRequest, error) {
 	resume := js.superstep
-	kind := observe.KindScaleOut
-	counter := m.ins.scaleOuts
-	if target < m.spec.NumWorkers {
-		kind = observe.KindScaleIn
-		counter = m.ins.scaleIns
+	span := m.ins.tracer.Start(spanKind, observe.ManagerWorker, resume)
+	perWorker := make([]int64, m.spec.NumWorkers)
+	var migrated int64
+	err := m.post(stepToken{Kind: kindMigrate, Superstep: resume}, nil)
+	if err == nil {
+		var dropped int64
+		dropped, _, err = m.collect("migration acks", resume, js.epoch, nil,
+			func(int) kind { return kindMigrate },
+			func(msg barrierMsg) error {
+				perWorker[msg.Worker] = msg.MigratedBytes
+				migrated += msg.MigratedBytes
+				return msg.err()
+			})
+		js.dupsDropped += dropped
 	}
-	span := m.ins.tracer.Start(kind, observe.ManagerWorker, resume)
-	body, merr := json.Marshal(stepToken{Migrate: true, Superstep: resume})
-	if merr != nil {
-		span.End(observe.Str("err", merr.Error()))
-		return nil, merr
-	}
-	for w := 0; w < m.spec.NumWorkers; w++ {
-		m.stepQs[w].Put(body)
-	}
-	perWorker, err := m.collectMigrateAcks(resume, js.epoch)
 	if err != nil {
 		if span.Active() {
 			span.End(observe.Str("err", err.Error()))
 		}
-		// The migration failed: recover like any worker failure and stay at
-		// the current count.
-		if rerr := m.rollback(js, resume, nil, err); rerr != nil {
-			return nil, rerr
-		}
-		return nil, nil
-	}
-	var migrated int64
-	for _, b := range perWorker {
-		migrated += b
+		return nil, m.rollback(js, resume, nil, err)
 	}
 	counter.Inc()
 	if span.Active() {
@@ -678,56 +599,8 @@ func (m *manager[M]) maybeResize(js *jobState) (*resizeRequest, error) {
 		resumeStep:        resume,
 		migratedBytes:     migrated,
 		migratedPerWorker: perWorker,
+		suspend:           suspend,
 	}, nil
-}
-
-// collectMigrateAcks waits for every worker to confirm writing its
-// migration blob for the resume superstep, returning the per-worker bytes
-// written (indexed by worker; movedStateBytes prices the cross-owner share
-// from these). Stale superstep check-ins, acks from an abandoned resize
-// attempt before a recovery (wrong epoch), and duplicated acks are drained
-// and ignored, mirroring collectRestoreAcks. The deadline comes from
-// JobSpec.MigrateAckTimeout and the timeout error names the silent workers.
-func (m *manager[M]) collectMigrateAcks(resume, epoch int) ([]int64, error) {
-	n := m.spec.NumWorkers
-	seen := make([]bool, n)
-	perWorker := make([]int64, n)
-	deadline := time.Now().Add(m.spec.MigrateAckTimeout)
-	for got := 0; got < n; {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return nil, fmt.Errorf("timeout waiting for migration acks (%d/%d): missing workers %v",
-				got, n, missingWorkers(nil, seen))
-		}
-		lease := m.barrierQ.GetWait(m.spec.QueueVisibility, remaining)
-		if lease == nil {
-			return nil, fmt.Errorf("timeout waiting for migration acks (%d/%d): missing workers %v",
-				got, n, missingWorkers(nil, seen))
-		}
-		var msg barrierMsg
-		err := json.Unmarshal(lease.Body, &msg)
-		_ = m.barrierQ.Delete(lease.ID)
-		if err != nil {
-			return nil, fmt.Errorf("bad migration ack: %v", err)
-		}
-		if msg.Worker < 0 || msg.Worker >= n {
-			return nil, fmt.Errorf("migration ack from unknown worker %d", msg.Worker)
-		}
-		if !msg.Migrated || msg.Superstep != resume || msg.Epoch != epoch || seen[msg.Worker] {
-			// Stale check-ins from the just-completed execution, restore
-			// acks from an earlier recovery, or duplicated migration acks:
-			// at-least-once leftovers, drained and ignored.
-			m.dupsDropped++
-			continue
-		}
-		if msg.Err != "" {
-			return nil, fmt.Errorf("worker %d migration failed: %s", msg.Worker, msg.Err)
-		}
-		seen[msg.Worker] = true
-		got++
-		perWorker[msg.Worker] = msg.MigratedBytes
-	}
-	return perWorker, nil
 }
 
 // restorePrev returns the stats preceding the checkpointed superstep, for
@@ -742,57 +615,77 @@ func restorePrev(bySuper map[int]StepStats, checkpoint int) *StepStats {
 	return nil
 }
 
-// collectRestoreAcks waits for each wanted worker to confirm a rollback to
-// target under the given recovery epoch. The barrier queue may still hold
-// duplicates and stale check-ins from the aborted execution (at-least-once
-// delivery, straggler check-ins arriving after the rollback decision) and
-// acks from earlier recoveries to the same target; all of those fail the
-// epoch filter and are drained silently. Only a failed restore or running
-// out of time (JobSpec.RestoreAckTimeout) fails the recovery; the timeout
-// error names the workers that never acked.
-func (m *manager[M]) collectRestoreAcks(target, epoch int, want []bool) error {
-	n := 0
-	for _, w := range want {
-		if w {
-			n++
+// restoreWorkers rolls the wanted workers (nil = all) back to the checkpoint
+// taken before target under the job's current epoch, and waits for their
+// acks. Only a failed restore or the deadline fails it.
+func (m *manager[M]) restoreWorkers(js *jobState, want []bool, target int) error {
+	if err := m.post(stepToken{Kind: kindRestore, Superstep: target, Epoch: js.epoch}, want); err != nil {
+		return err
+	}
+	dropped, _, err := m.collect("restore acks", target, js.epoch, want,
+		func(int) kind { return kindRestore }, barrierMsg.err)
+	js.dupsDropped += dropped
+	return err
+}
+
+// collect drains the barrier queue until every wanted worker (nil = all)
+// has checked in once for (superstep, epoch) with the kind expect names for
+// it, handing each such check-in to on; a non-nil error from on aborts the
+// collection. It is the one consumer of the barrier queue. The control
+// plane is at-least-once, so duplicates, stale check-ins from an aborted
+// execution or epoch, and acks of other kinds (late restore/replay acks,
+// migration acks from a resize that was rolled back) are expected: they are
+// deleted, counted in dropped, and otherwise ignored. The whole collection
+// must finish within BarrierTimeout; on timeout, missing lists the silent
+// workers (straggler detection) and the error names them.
+func (m *manager[M]) collect(what string, superstep, epoch int, want []bool,
+	expect func(w int) kind, on func(barrierMsg) error) (dropped int64, missing []int, err error) {
+	n := m.spec.NumWorkers
+	need := n
+	if want != nil {
+		need = 0
+		for _, ok := range want {
+			if ok {
+				need++
+			}
 		}
 	}
-	seen := make([]bool, len(want))
-	deadline := time.Now().Add(m.spec.RestoreAckTimeout)
-	for got := 0; got < n; {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return fmt.Errorf("timeout waiting for restore acks (%d/%d): missing workers %v",
-				got, n, missingWorkers(want, seen))
+	seen := make([]bool, n)
+	deadline := time.Now().Add(m.spec.BarrierTimeout)
+	for got := 0; got < need; {
+		var lease *cloud.QueueMessage
+		if remaining := time.Until(deadline); remaining > 0 {
+			waitStart := time.Now()
+			lease = m.barrierQ.GetWait(m.spec.QueueVisibility, remaining)
+			m.ins.barrier.Observe(time.Since(waitStart).Seconds())
 		}
-		lease := m.barrierQ.GetWait(m.spec.QueueVisibility, remaining)
 		if lease == nil {
-			return fmt.Errorf("timeout waiting for restore acks (%d/%d): missing workers %v",
-				got, n, missingWorkers(want, seen))
+			for w := range seen {
+				if (want == nil || want[w]) && !seen[w] {
+					missing = append(missing, w)
+				}
+			}
+			return dropped, missing, fmt.Errorf("timeout waiting for %s at superstep %d (%d/%d): missing workers %v",
+				what, superstep, got, need, missing)
 		}
-		var msg barrierMsg
-		err := json.Unmarshal(lease.Body, &msg)
+		msg, derr := decodeCheckIn(lease.Body, n)
 		_ = m.barrierQ.Delete(lease.ID)
-		if err != nil {
-			return fmt.Errorf("bad restore ack: %v", err)
+		if derr != nil {
+			return dropped, nil, fmt.Errorf("%s: %w", what, derr)
 		}
-		if msg.Worker < 0 || msg.Worker >= len(want) {
-			return fmt.Errorf("restore ack from unknown worker %d", msg.Worker)
-		}
-		if !msg.Restored || msg.Superstep != target || msg.Epoch != epoch ||
-			!want[msg.Worker] || seen[msg.Worker] {
-			// Stale superstep check-ins from the aborted execution, duplicated
-			// acks, and acks from an older recovery: ignore.
-			m.dupsDropped++
+		w := msg.Worker
+		if msg.Kind != expect(w) || msg.Superstep != superstep || msg.Epoch != epoch ||
+			(want != nil && !want[w]) || seen[w] {
+			dropped++
 			continue
 		}
-		if msg.Err != "" {
-			return fmt.Errorf("worker %d: %s", msg.Worker, msg.Err)
-		}
-		seen[msg.Worker] = true
+		seen[w] = true
 		got++
+		if err := on(msg); err != nil {
+			return dropped, nil, err
+		}
 	}
-	return nil
+	return dropped, nil, nil
 }
 
 // collected extends StepStats with manager-internal per-worker columns.
@@ -809,6 +702,10 @@ type collected struct {
 	failedWorkers []int
 }
 
+// collectBarrier collects one step check-in per worker. A worker reporting
+// an error is recorded as failed and the collection keeps draining, so the
+// queue is clean for a recovery attempt; a worker missing the deadline is
+// failed too.
 func (m *manager[M]) collectBarrier(superstep, epoch int) (collected, error) {
 	span := m.ins.tracer.Start(observe.KindBarrierCollect, observe.ManagerWorker, superstep)
 	defer span.End()
@@ -826,66 +723,27 @@ func (m *manager[M]) collectBarrier(superstep, epoch int) (collected, error) {
 		BytesInPerWorker:    make([]int64, n),
 		PeersPerWorker:      make([]int, n),
 	}
-	seen := make([]bool, n)
 	var workerErr error
-	// Straggler detection: the whole barrier must complete within
-	// BarrierTimeout. A worker that misses the deadline is treated as failed
-	// — the caller rolls back to the last checkpoint — instead of blocking
-	// the job on an open-ended wait.
-	deadline := time.Now().Add(m.spec.BarrierTimeout)
-	for got := 0; got < n; {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			c.failedWorkers = append(c.failedWorkers, missingWorkers(nil, seen)...)
-			sort.Ints(c.failedWorkers)
-			return c, fmt.Errorf("barrier timeout: straggler at superstep %d (%d/%d checked in within %v)",
-				superstep, got, n, m.spec.BarrierTimeout)
-		}
-		waitStart := time.Now()
-		lease := m.barrierQ.GetWait(m.spec.QueueVisibility, remaining)
-		m.ins.barrier.Observe(time.Since(waitStart).Seconds())
-		if lease == nil {
-			c.failedWorkers = append(c.failedWorkers, missingWorkers(nil, seen)...)
-			sort.Ints(c.failedWorkers)
-			return c, fmt.Errorf("barrier timeout: straggler at superstep %d (%d/%d checked in within %v)",
-				superstep, got, n, m.spec.BarrierTimeout)
-		}
-		var msg barrierMsg
-		err := json.Unmarshal(lease.Body, &msg)
-		_ = m.barrierQ.Delete(lease.ID)
-		if err != nil {
-			return c, fmt.Errorf("bad barrier message: %v", err)
-		}
-		if msg.Worker < 0 || msg.Worker >= n {
-			return c, fmt.Errorf("barrier message from unknown worker %d", msg.Worker)
-		}
-		if msg.Restored || msg.Migrated || msg.Replayed ||
-			msg.Superstep != superstep || msg.Epoch != epoch || seen[msg.Worker] {
-			// At-least-once control plane: duplicate check-ins (redelivered
-			// barrier messages), stale check-ins from an aborted pre-recovery
-			// execution or epoch, late restore/replay acks, and migration
-			// acks from a resize attempt that was rolled back are all
-			// expected under faults. Dedupe by (worker, superstep, epoch)
-			// and drop the rest.
-			m.dupsDropped++
-			c.DuplicatesDropped++
-			continue
-		}
-		seen[msg.Worker] = true
-		got++
-		c.Retries += msg.Retries
-		if msg.Err != "" {
-			// Keep draining the remaining check-ins so the queue is clean
-			// for a recovery attempt, then report the failure.
-			if workerErr == nil {
-				workerErr = fmt.Errorf("worker %d failed: %s", msg.Worker, msg.Err)
+	dropped, missing, err := m.collect("barrier check-ins", superstep, epoch, nil,
+		func(int) kind { return kindStep },
+		func(msg barrierMsg) error {
+			c.Retries += msg.Retries
+			if werr := msg.err(); werr != nil {
+				if workerErr == nil {
+					workerErr = werr
+				}
+				c.failedWorkers = append(c.failedWorkers, msg.Worker)
+			} else {
+				m.mergeCheckIn(&c, msg)
 			}
-			c.failedWorkers = append(c.failedWorkers, msg.Worker)
-			continue
-		}
-		m.mergeCheckIn(&c, msg)
-	}
+			return nil
+		})
+	c.DuplicatesDropped = dropped
+	c.failedWorkers = append(c.failedWorkers, missing...)
 	sort.Ints(c.failedWorkers)
+	if err != nil {
+		return c, err
+	}
 	return c, workerErr
 }
 
@@ -924,10 +782,21 @@ func (m *manager[M]) mergeCheckIn(c *collected, msg barrierMsg) {
 	}
 }
 
+// post sends tok to the wanted workers' step queues (nil = all).
+func (m *manager[M]) post(tok stepToken, want []bool) error {
+	body, err := json.Marshal(tok)
+	if err != nil {
+		return err
+	}
+	for w, q := range m.stepQs {
+		if want == nil || want[w] {
+			q.Put(body)
+		}
+	}
+	return nil
+}
+
 // halt sends halt tokens so every worker exits cleanly.
 func (m *manager[M]) halt() {
-	body, _ := json.Marshal(stepToken{Halt: true})
-	for _, q := range m.stepQs {
-		q.Put(body)
-	}
+	_ = m.post(stepToken{Kind: kindHalt}, nil)
 }

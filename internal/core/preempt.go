@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/json"
-
 	"pregelnet/internal/cloud"
 	"pregelnet/internal/observe"
 	"pregelnet/internal/partition"
@@ -59,61 +57,15 @@ func (s *Suspension) MigratedBytes() int64 { return s.migratedBytes }
 func (s *Suspension) CompletedSupersteps() int { return len(s.js.steps) }
 
 // maybeSuspend consults the preemption hook with the superstep the job
-// would execute next. When the hook fires it runs the migrate protocol
-// (identical to a live resize's state write-out) and halts the segment,
-// handing Run a suspend request. A failed migration is absorbed exactly
-// like a failed resize — checkpoint rollback when possible — and the job
-// keeps running; the hook is consulted again at the next barrier.
+// would execute next. When the hook fires it writes the state out exactly
+// as a live resize does (migrateOut) at the current worker count and hands
+// Run a suspend request.
 func (m *manager[M]) maybeSuspend(js *jobState) (*resizeRequest, error) {
-	prev := js.prev
 	// Don't suspend a job that is about to halt: the next loop iteration
 	// would finish it for free, and a suspension would strand a completed
 	// job in the preempted state.
-	if prev.ActiveAfter == 0 && prev.TotalSent() == 0 &&
-		(m.spec.Scheduler == nil || m.spec.Scheduler.Done()) {
+	if m.spec.BarrierPreempt == nil || m.halting(js.prev) || !m.spec.BarrierPreempt(js.superstep) {
 		return nil, nil
 	}
-	if !m.spec.BarrierPreempt(js.superstep) {
-		return nil, nil
-	}
-	resume := js.superstep
-	span := m.ins.tracer.Start(observe.KindPreempt, observe.ManagerWorker, resume)
-	body, merr := json.Marshal(stepToken{Migrate: true, Superstep: resume})
-	if merr != nil {
-		span.End(observe.Str("err", merr.Error()))
-		return nil, merr
-	}
-	for w := 0; w < m.spec.NumWorkers; w++ {
-		m.stepQs[w].Put(body)
-	}
-	perWorker, err := m.collectMigrateAcks(resume, js.epoch)
-	if err != nil {
-		if span.Active() {
-			span.End(observe.Str("err", err.Error()))
-		}
-		// The write-out failed (e.g. a VM restart scripted for the resume
-		// superstep): recover like any worker failure and keep running.
-		if rerr := m.rollback(js, resume, nil, err); rerr != nil {
-			return nil, rerr
-		}
-		return nil, nil
-	}
-	var migrated int64
-	for _, b := range perWorker {
-		migrated += b
-	}
-	m.ins.preempts.Inc()
-	if span.Active() {
-		span.End(observe.Int("superstep", int64(resume)),
-			observe.Int("bytes", migrated))
-	}
-	// Every worker's state is safely in the blob store; end the segment.
-	m.halt()
-	return &resizeRequest{
-		fromWorkers:   m.spec.NumWorkers,
-		toWorkers:     m.spec.NumWorkers,
-		resumeStep:    resume,
-		migratedBytes: migrated,
-		suspend:       true,
-	}, nil
+	return m.migrateOut(js, observe.KindPreempt, m.ins.preempts, m.spec.NumWorkers, true)
 }

@@ -245,6 +245,7 @@ func Run[M any](spec JobSpec[M]) (*JobResult[M], error) {
 		RecoveryEvents:    js.recoveryEvents,
 		Preemptions:       js.preemptions,
 		PreemptSeconds:    js.preemptSeconds,
+		DuplicatesDropped: js.dupsDropped,
 	}
 	if suspended != nil {
 		// Stamp the cumulative totals at suspension time so the resumed run

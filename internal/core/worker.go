@@ -23,36 +23,47 @@ const (
 	queueMaxWait = 10 * time.Minute
 )
 
-// stepToken is the manager→worker control message starting one superstep.
+// kind tags both control-plane messages with the protocol step they belong
+// to. A token of each kind is answered by a check-in of the same kind —
+// except a replay token, which a failed worker answers with a step check-in
+// (it re-executes the superstep) — and halt, which is never answered. The
+// zero value is the ordinary superstep, so step tokens and barrier check-ins
+// carry no kind on the wire.
+type kind uint8
+
+const (
+	kindStep kind = iota
+	// kindRestore rolls a worker back to the checkpoint taken before
+	// Superstep, adopting the token's Epoch.
+	kindRestore
+	// kindMigrate writes a vertex-granular migration blob of the state the
+	// worker would carry into Superstep (live resize and preemption). The
+	// worker neither computes nor mutates state, so it is idempotent under
+	// duplicate delivery.
+	kindMigrate
+	// kindReplay is a confined-recovery replay superstep: workers listed in
+	// Failed re-execute it, everyone else re-sends its logged outbound
+	// batches into the failed set and suppresses compute.
+	kindReplay
+	// kindHalt ends the worker loop.
+	kindHalt
+)
+
+// stepToken is the manager→worker control message.
 type stepToken struct {
+	Kind       kind               `json:"k,omitempty"`
 	Superstep  int                `json:"s"`
-	Halt       bool               `json:"halt,omitempty"`
 	Injections []graph.VertexID   `json:"inj,omitempty"`
 	Aggregates map[string]float64 `json:"agg,omitempty"`
 	// Checkpoint asks the worker to snapshot its state before computing.
 	Checkpoint bool `json:"ckpt,omitempty"`
-	// RestoreTo, when non-nil, asks the worker to roll back to the snapshot
-	// taken before the given superstep instead of computing.
-	RestoreTo *int `json:"restore,omitempty"`
-	// Epoch is the generation of a restore token: the job-wide data-plane
-	// epoch, bumped by every rollback and every live resize (strictly
-	// monotonic, starting at 1 for the first rollback). Workers adopt it as
-	// their batch epoch and skip restore tokens for an epoch they have
-	// already reached, so at-least-once token delivery (duplicates,
-	// re-leases arriving after replay started) cannot roll state back
-	// mid-job.
-	Epoch int `json:"epoch,omitempty"`
-	// Migrate asks the worker to write a vertex-granular migration blob of
-	// the state it would carry into Superstep (the live-resize protocol),
-	// ack it on the barrier queue, and keep serving tokens. The worker
-	// neither computes nor mutates state, so the request is idempotent
-	// under duplicate delivery.
-	Migrate bool `json:"mig,omitempty"`
-	// Replay marks a confined-recovery replay superstep: workers listed in
-	// Failed re-execute it (having restored from the checkpoint), everyone
-	// else replays its logged outbound batches into the failed set and
-	// suppresses compute.
-	Replay bool  `json:"replay,omitempty"`
+	// Epoch is the job-wide data-plane epoch of a restore or replay token,
+	// bumped by every rollback and every live resize (strictly monotonic).
+	// Workers adopt it as their batch epoch and skip restore tokens for an
+	// epoch they have already reached, so at-least-once token delivery
+	// (duplicates, re-leases arriving after replay started) cannot roll state
+	// back mid-job.
+	Epoch  int   `json:"epoch,omitempty"`
 	Failed []int `json:"failed,omitempty"`
 	// LastCkpt is the most recent committed checkpoint superstep; workers
 	// truncate their sender-side message logs below it (traffic older than
@@ -60,18 +71,19 @@ type stepToken struct {
 	LastCkpt int `json:"lc,omitempty"`
 }
 
-// barrierMsg is the worker→manager check-in ending one superstep. It carries
+// barrierMsg is the worker→manager check-in answering one token. It carries
 // the per-worker statistics the manager needs for halt detection, swath
 // heuristics, cost modelling, and the paper's per-worker plots.
 type barrierMsg struct {
+	Kind        kind               `json:"k,omitempty"`
 	Worker      int                `json:"w"`
 	Superstep   int                `json:"s"`
 	Active      int64              `json:"active"`
 	ActiveAfter int64              `json:"after"`
 	SentLocal   int64              `json:"sl"`
-	SentRemote  int64              `json:"sr"`
+	SentRemote  int64              `json:"sr"` // replay: messages re-sent
 	RecvRemote  int64              `json:"rr"`
-	BytesOut    int64              `json:"bo"`
+	BytesOut    int64              `json:"bo"` // replay: bytes re-sent
 	BytesIn     int64              `json:"bi"`
 	PeakMemory  int64              `json:"mem"`
 	ComputeOps  int64              `json:"ops"`
@@ -79,20 +91,49 @@ type barrierMsg struct {
 	Aggregates  map[string]float64 `json:"agg,omitempty"`
 	Retries     int64              `json:"rt,omitempty"`
 	Err         string             `json:"err,omitempty"`
-	Restored    bool               `json:"restored,omitempty"`
-	// Migrated marks this check-in as a live-resize migration ack for
-	// Superstep; MigratedBytes is the blob size written (for the resize
-	// cost model).
-	Migrated      bool  `json:"migrated,omitempty"`
+	// MigratedBytes is the migration blob size written (resize cost model).
 	MigratedBytes int64 `json:"migbytes,omitempty"`
-	// Replayed marks a confined-recovery replay ack from a survivor;
-	// SentRemote and BytesOut then carry the replayed message/byte counts.
-	Replayed bool `json:"replayed,omitempty"`
 	// Epoch is the worker's recovery epoch when it checked in. The manager
 	// drops check-ins from stale epochs, so a redelivered message from an
 	// aborted pre-recovery execution can never satisfy (or fail) a barrier
 	// being re-collected after the rollback.
 	Epoch int `json:"epoch,omitempty"`
+}
+
+// err reports a worker-side failure carried by the check-in, if any.
+func (msg barrierMsg) err() error {
+	if msg.Err == "" {
+		return nil
+	}
+	return fmt.Errorf("worker %d: %s", msg.Worker, msg.Err)
+}
+
+// decodeStepToken parses a step token, rejecting unknown kinds.
+func decodeStepToken(body []byte) (stepToken, error) {
+	var tok stepToken
+	if err := json.Unmarshal(body, &tok); err != nil {
+		return tok, fmt.Errorf("bad step token: %v", err)
+	}
+	if tok.Kind > kindHalt {
+		return tok, fmt.Errorf("bad step token: unknown kind %d", tok.Kind)
+	}
+	return tok, nil
+}
+
+// decodeCheckIn parses a check-in from one of n workers, rejecting unknown
+// kinds and worker IDs.
+func decodeCheckIn(body []byte, n int) (barrierMsg, error) {
+	var msg barrierMsg
+	if err := json.Unmarshal(body, &msg); err != nil {
+		return msg, fmt.Errorf("bad check-in: %v", err)
+	}
+	if msg.Kind > kindHalt {
+		return msg, fmt.Errorf("check-in of unknown kind %d", msg.Kind)
+	}
+	if msg.Worker < 0 || msg.Worker >= n {
+		return msg, fmt.Errorf("check-in from unknown worker %d", msg.Worker)
+	}
+	return msg, nil
 }
 
 // outboxItem is one unit of sender work: a batch to ship (epoch stamped at
@@ -383,79 +424,79 @@ func (w *worker[M]) run() {
 		if lease == nil {
 			return // queues closed: job torn down
 		}
-		var tok stepToken
-		err := json.Unmarshal(lease.Body, &tok)
+		tok, err := decodeStepToken(lease.Body)
 		_ = w.stepQ.Delete(lease.ID) // may fail if the lease expired; dedupe below absorbs redelivery
 		if err != nil {
-			w.checkIn(barrierMsg{Worker: w.id, Err: fmt.Sprintf("bad step token: %v", err)})
+			w.checkIn(barrierMsg{Worker: w.id, Err: err.Error()})
 			return
 		}
-		if tok.Halt {
+		switch tok.Kind {
+		case kindHalt:
 			// Release the message log (pooled buffers and spill blobs) before
 			// exiting: a segment teardown or job end must not leak either.
 			w.msglog.Reset(0)
 			w.endpoint.Close()
 			return
-		}
-		if tok.RestoreTo != nil {
-			if int32(tok.Epoch) <= w.epoch.Load() {
-				// Duplicate restore token (queue duplicate or expired lease
-				// redelivered after replay began) for a rollback this worker
-				// already performed: restoring again would silently revert
-				// state mid-job, so it is dropped.
+		case kindRestore:
+			w.handleRestore(&tok)
+		case kindMigrate:
+			w.handleMigrate(&tok)
+		case kindReplay:
+			w.handleReplay(&tok)
+		default: // kindStep
+			if tok.Superstep <= w.doneThrough {
+				// Duplicate delivery of a step token already executed (queue
+				// at-least-once semantics: a re-leased or duplicated message).
+				// Re-executing would double-send messages and double check in,
+				// so the duplicate is acknowledged and dropped.
 				continue
 			}
-			// The ack carries the token's epoch explicitly (checkIn preserves
-			// it): on a FAILED restore the worker never adopted the new epoch,
-			// but the manager's restore-ack collector filters on it.
-			msg := barrierMsg{Worker: w.id, Superstep: *tok.RestoreTo, Restored: true, Epoch: tok.Epoch}
-			if err := w.restore(w.ckptStore, *tok.RestoreTo, int32(tok.Epoch)); err != nil {
-				msg.Err = err.Error()
-			} else {
-				// Replayed supersteps start at RestoreTo; tokens for them must
-				// execute even though they were executed before the rollback.
-				w.doneThrough = *tok.RestoreTo - 1
-			}
-			w.checkIn(msg)
-			continue
+			w.runSuperstep(&tok)
+			w.doneThrough = tok.Superstep
 		}
-		if tok.Migrate {
-			// Live resize: snapshot the partition, vertex by vertex, for the
-			// new layout. The chaos hook is consulted first — a VM restart
-			// scripted for the resume superstep kills the migration, which
-			// the manager absorbs by rolling back to the last checkpoint and
-			// retrying the resize at a later barrier.
-			msg := barrierMsg{Worker: w.id, Superstep: tok.Superstep, Migrated: true}
-			if w.failInject != nil {
-				if err := w.failInject(w.id, tok.Superstep); err != nil {
-					msg.Err = err.Error()
-					w.checkIn(msg)
-					continue
-				}
-			}
-			n, err := w.writeMigration(w.ckptStore, tok.Superstep)
-			if err != nil {
-				msg.Err = err.Error()
-			} else {
-				msg.MigratedBytes = n
-			}
-			w.checkIn(msg)
-			continue
-		}
-		if tok.Replay {
-			w.handleReplay(&tok)
-			continue
-		}
-		if tok.Superstep <= w.doneThrough {
-			// Duplicate delivery of a step token already executed (queue
-			// at-least-once semantics: a re-leased or duplicated message).
-			// Re-executing would double-send messages and double check in, so
-			// the duplicate is acknowledged and dropped.
-			continue
-		}
-		w.runSuperstep(&tok)
-		w.doneThrough = tok.Superstep
 	}
+}
+
+// handleRestore rolls back to the snapshot taken before tok.Superstep. A
+// token for an epoch this worker already reached is a duplicate (queue
+// duplicate or expired lease redelivered after replay began) of a rollback
+// it already performed: restoring again would silently revert state
+// mid-job, so it is dropped.
+func (w *worker[M]) handleRestore(tok *stepToken) {
+	if int32(tok.Epoch) <= w.epoch.Load() {
+		return
+	}
+	// The ack carries the token's epoch explicitly (checkIn preserves it): on
+	// a FAILED restore the worker never adopted the new epoch, but the
+	// collector filters on it.
+	msg := barrierMsg{Kind: kindRestore, Worker: w.id, Superstep: tok.Superstep, Epoch: tok.Epoch}
+	if err := w.restore(w.ckptStore, tok.Superstep, int32(tok.Epoch)); err != nil {
+		msg.Err = err.Error()
+	} else {
+		// Replayed supersteps start at the restore target; tokens for them
+		// must execute even though they were executed before the rollback.
+		w.doneThrough = tok.Superstep - 1
+	}
+	w.checkIn(msg)
+}
+
+// handleMigrate snapshots the partition, vertex by vertex, for a new layout.
+// The chaos hook is consulted first — a VM restart scripted for the resume
+// superstep kills the migration, which the manager absorbs by rolling back
+// to the last checkpoint.
+func (w *worker[M]) handleMigrate(tok *stepToken) {
+	msg := barrierMsg{Kind: kindMigrate, Worker: w.id, Superstep: tok.Superstep}
+	var err error
+	if w.failInject != nil {
+		err = w.failInject(w.id, tok.Superstep)
+	}
+	if err == nil {
+		msg.MigratedBytes, err = w.writeMigration(w.ckptStore, tok.Superstep)
+	}
+	if err != nil {
+		msg.Err = err.Error()
+	}
+	w.checkIn(msg)
 }
 
 // handleReplay executes one confined-recovery replay superstep. A worker in
@@ -474,7 +515,7 @@ func (w *worker[M]) handleReplay(tok *stepToken) {
 		return
 	}
 	if int32(tok.Epoch) == w.replayEpoch && tok.Superstep <= w.replayHandled {
-		w.checkIn(barrierMsg{Worker: w.id, Superstep: tok.Superstep, Replayed: true})
+		w.checkIn(barrierMsg{Kind: kindReplay, Worker: w.id, Superstep: tok.Superstep})
 		return
 	}
 	failed := make([]bool, w.numWorkers)
@@ -507,7 +548,7 @@ func (w *worker[M]) handleReplay(tok *stepToken) {
 		w.epoch.Store(int32(tok.Epoch))
 	}
 	span := w.tracer.Start(observe.KindReplay, w.id, tok.Superstep)
-	msg := barrierMsg{Worker: w.id, Superstep: tok.Superstep, Replayed: true}
+	msg := barrierMsg{Kind: kindReplay, Worker: w.id, Superstep: tok.Superstep}
 	var replayMsgs, replayBytes int64
 	err := w.msglog.Replay(tok.Superstep,
 		func(dest int) bool { return failed[dest] && dest != w.id },
@@ -609,12 +650,12 @@ func (w *worker[M]) runSuperstep(tok *stepToken) {
 	}
 	w.hasInjected = len(tok.Injections) > 0
 	for _, v := range tok.Injections {
-		li := w.globalToLocal[v]
-		if li < 0 {
+		if int(v) >= len(w.globalToLocal) || w.globalToLocal[v] < 0 {
 			w.checkIn(barrierMsg{Worker: w.id, Superstep: w.superstep,
 				Err: fmt.Sprintf("injection %d not owned by worker %d", v, w.id)})
 			return
 		}
+		li := w.globalToLocal[v]
 		w.injectedBits[li>>6] |= 1 << uint(li&63)
 	}
 	active := w.activeBuf[:0]
@@ -1237,7 +1278,10 @@ func (w *worker[M]) checkIn(msg barrierMsg) {
 	}
 	body, err := json.Marshal(msg)
 	if err != nil {
-		body = []byte(fmt.Sprintf(`{"w":%d,"s":%d,"err":"marshal: %v"}`, msg.Worker, msg.Superstep, err))
+		// Only a non-finite aggregate fails to marshal; report it as a failed
+		// check-in the collector can still match by kind and epoch.
+		body, _ = json.Marshal(barrierMsg{Kind: msg.Kind, Worker: msg.Worker,
+			Superstep: msg.Superstep, Epoch: msg.Epoch, Err: "marshal: " + err.Error()})
 	}
 	w.barrierQ.Put(body)
 }
