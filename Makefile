@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: build test race vet lint lint-sarif vetcheck test-invariants bench bench-smoke bench-compare \
-	benchmark-smoke benchmark-selfcheck
+	benchmark-smoke benchmark-selfcheck profile
 
 build:
 	$(GO) build ./...
@@ -52,7 +52,8 @@ vetcheck: bin/pregelvet
 	$(GO) vet -vettool=$(CURDIR)/bin/pregelvet ./...
 
 # test-invariants compiles in the runtime assertions (double-put canaries in
-# the transport pool, receive-stream ordering checks) and runs the suite
+# the transport pool, receive-stream ordering checks, a dense recount of every
+# superstep's frontier) and runs the suite
 # under the race detector — the configuration the chaos soak is meant to
 # shake bugs out of.
 test-invariants:
@@ -111,3 +112,14 @@ benchmark-smoke:
 # counts for equality (several minutes).
 benchmark-selfcheck:
 	$(GO) run ./benchmark -selfcheck
+
+# profile is the "no optimisation without a profile" step as one command: run
+# one repo-benchmark workload for 4 s, CPU-profile the extra untimed jobs it
+# runs after the timed reps, and print the top 25 functions. The profile, the
+# generated input and the reports go to PROFILE_DIR, outside the repository.
+PROFILE_DIR ?= $(or $(TMPDIR),/tmp)/pregelnet-profile
+profile:
+	@test -n "$(WORKLOAD)" || { echo "usage: make profile WORKLOAD=<name from BENCHMARK.json>"; exit 2; }
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) run ./benchmark -workload $(WORKLOAD) -seconds 4 -out $(PROFILE_DIR) -cpuprofile $(PROFILE_DIR)/$(WORKLOAD).cpu
+	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/$(WORKLOAD).cpu

@@ -83,6 +83,17 @@ func TestKCoreMatchesSequential(t *testing.T) {
 					t.Fatalf("vertex %d: coreness %d, want %d", v, got[v], want[v])
 				}
 			}
+			// The running StateBytes counter equals the sum it replaced.
+			for w, prog := range res.Programs {
+				p := prog.(*kcoreProgram)
+				var sum int64
+				for li := range p.nbrEst {
+					sum += 4 + int64(16*len(p.nbrEst[li]))
+				}
+				if got := p.StateBytes(); got != sum {
+					t.Errorf("worker %d: StateBytes = %d, recomputed %d", w, got, sum)
+				}
+			}
 		})
 	}
 }

@@ -3,6 +3,7 @@ package algorithms
 import (
 	"encoding/binary"
 	"sort"
+	"sync/atomic"
 
 	"pregelnet/internal/core"
 	"pregelnet/internal/graph"
@@ -47,6 +48,9 @@ type kcoreProgram struct {
 	est      []uint32            // current estimate per local vertex
 	nbrEst   []map[uint32]uint32 // latest neighbor estimates
 	nbrCount []int
+	// stateBytes is the running StateBytes total: 4 per vertex plus 16 per
+	// neighbor estimate held. Compute slots insert concurrently, hence atomic.
+	stateBytes atomic.Int64
 }
 
 // KCore builds the coreness-decomposition job.
@@ -65,6 +69,7 @@ func KCore(g *graph.Graph, workers int) core.JobSpec[KCoreMsg] {
 				p.est[li] = uint32(gg.OutDegree(v))
 				p.nbrCount[li] = gg.OutDegree(v)
 			}
+			p.stateBytes.Store(4 * int64(len(owned)))
 			return p
 		},
 		ActivateAll: true,
@@ -86,6 +91,9 @@ func (p *kcoreProgram) Compute(ctx *core.Context[KCoreMsg], msgs []KCoreMsg) {
 	for _, m := range msgs {
 		if prev, ok := p.nbrEst[li][m.From]; !ok || m.Est < prev {
 			p.nbrEst[li][m.From] = m.Est
+			if !ok {
+				p.stateBytes.Add(16)
+			}
 		}
 	}
 	// Recompute the h-index bound: largest k with >= k neighbors at >= k.
@@ -117,13 +125,7 @@ func (p *kcoreProgram) Compute(ctx *core.Context[KCoreMsg], msgs []KCoreMsg) {
 }
 
 // StateBytes implements core.StateReporter.
-func (p *kcoreProgram) StateBytes() int64 {
-	var total int64
-	for li := range p.nbrEst {
-		total += 4 + int64(16*len(p.nbrEst[li]))
-	}
-	return total
-}
+func (p *kcoreProgram) StateBytes() int64 { return p.stateBytes.Load() }
 
 // Coreness extracts each vertex's core number.
 func Coreness(res *core.JobResult[KCoreMsg], n int) []uint32 {

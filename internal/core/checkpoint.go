@@ -269,6 +269,9 @@ func (w *worker[M]) restore(store *cloud.BlobStore, superstep int, epoch int32) 
 	}
 	w.inboxCurBytes = int64(curBytes)
 	w.inboxNextByts.Store(0)
+	// Wake all: the restored flags and inboxes are the frontier now. Wakes
+	// the aborted execution left in wakeNext are merely stale.
+	w.wakeCur.fill(len(w.owned))
 	unlockStripes()
 	// Drop sentinel bookkeeping from the aborted execution.
 	w.sentinelMu.Lock()

@@ -57,3 +57,51 @@ func (inv *recvInvariants) checkStream(from, next int32, pending map[int32]*tran
 		}
 	}
 }
+
+// Frontier invariants: the wake-set active list and activeAfter equal what a
+// dense pass over the whole partition computes. Each check is that dense
+// pass, so it runs on the worker goroutine at the points the engine reads
+// the frontier, when nothing else writes halted flags or current inboxes.
+
+// checkFrontier panics unless active is exactly the dense scan's list.
+func checkFrontier[M any](w *worker[M], active []int32) {
+	j := 0
+	for i := range w.owned {
+		li := int32(i)
+		want := w.pendingMsgs(li) || !w.halted[li] || w.injectedThisStep(li)
+		got := j < len(active) && active[j] == li
+		if want != got {
+			panic(fmt.Sprintf("core: frontier invariant: worker %d superstep %d: vertex %d (local %d) active=%v in the dense scan, %v in the wake-set list",
+				w.id, w.superstep, w.owned[li], li, want, got))
+		}
+		if got {
+			j++
+		}
+	}
+	if j != len(active) {
+		panic(fmt.Sprintf("core: frontier invariant: worker %d superstep %d: wake-set list has %d entries, dense scan %d",
+			w.id, w.superstep, len(active), j))
+	}
+}
+
+func (s wakeSet) has(li int32) bool { return s[li>>6].Load()&(1<<uint(li&63)) != 0 }
+
+// checkActiveAfter panics unless n is the dense count of !halted vertices,
+// naming the first running vertex whose wake bit is missing.
+func checkActiveAfter[M any](w *worker[M], n int64) {
+	var dense int64
+	for i, h := range w.halted {
+		if h {
+			continue
+		}
+		if !w.wakeCur.has(int32(i)) {
+			panic(fmt.Sprintf("core: frontier invariant: worker %d superstep %d: vertex %d (local %d) is not halted but was never woken",
+				w.id, w.superstep, w.owned[i], i))
+		}
+		dense++
+	}
+	if dense != n {
+		panic(fmt.Sprintf("core: frontier invariant: worker %d superstep %d: activeAfter %d, dense count %d",
+			w.id, w.superstep, n, dense))
+	}
+}

@@ -301,7 +301,8 @@ func adoptMigrationBlob[M any](workers []*worker[M], data []byte) error {
 // adoptVertex installs one migrated vertex into this worker's freshly
 // constructed state: the halted flag, the pending inbox for the resume
 // superstep (combiner-aware, with the same byte accounting deliverLocal
-// uses), and the program's per-vertex state.
+// uses), and the program's per-vertex state. No wake is needed: a fresh
+// worker starts with every vertex woken (newWorker).
 func (w *worker[M]) adoptVertex(gid graph.VertexID, halted bool, encMsgs [][]byte, state []byte) error {
 	li := w.globalToLocal[gid]
 	if li < 0 {

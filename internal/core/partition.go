@@ -131,16 +131,22 @@ func (pc *PartitionContext[M]) VoteToHalt(li int32) { pc.w.halted[li] = true }
 // inbound messages — how a partition program keeps a sentinel vertex alive
 // across message-free phase-transition supersteps (e.g. BC waiting on a
 // global convergence aggregate).
-func (pc *PartitionContext[M]) Activate(li int32) { pc.w.halted[li] = false }
+func (pc *PartitionContext[M]) Activate(li int32) {
+	pc.w.halted[li] = false
+	pc.w.wakeNext.set(li)
+}
 
 // VoteAllToHalt marks every local vertex inactive: the normal epilogue of a
 // subgraph superstep, after which only inbound messages (or injections)
 // reactivate the partition.
 func (pc *PartitionContext[M]) VoteAllToHalt() {
+	// A vertex not halted now was either active this superstep (every
+	// !halted vertex is) or Activated during it, which woke it.
 	halted := pc.w.halted
-	for i := range halted {
-		halted[i] = true
+	for _, li := range pc.active {
+		halted[li] = true
 	}
+	pc.w.wakeNext.each(func(li int32) { halted[li] = true })
 }
 
 // AddComputeOps adds n abstract compute operations to the superstep's count,
@@ -220,8 +226,14 @@ func (w *worker[M]) computePartition(active []int32) {
 	// Every Messages view is dead once ComputePartition returns: recycle the
 	// consumed per-vertex slices through the stripe freelists (the inbox
 	// grouping path's pooling; combined-mode slots are cleared by swapInboxes).
-	if w.combiner == nil {
-		for _, li := range active {
+	// Active vertices the program left running wake for the next superstep;
+	// the rest of the partition was halted coming in and only Activate,
+	// which wakes, can change that.
+	for _, li := range active {
+		if !w.halted[li] {
+			w.wakeNext.set(li)
+		}
+		if w.combiner == nil {
 			if msgs := w.inboxCur[li]; msgs != nil {
 				w.inboxCur[li] = nil
 				w.recycleMsgs(li, msgs)

@@ -118,3 +118,34 @@ func TestVertexAdapterConfinedRecovery(t *testing.T) {
 		t.Errorf("recoveries = %d, want >= 1", res.Recoveries)
 	}
 }
+
+// relayProgram hands activity along the partition: each superstep it halts
+// everything and Activates the next local vertex, which is not in the active
+// list and has no messages, so only Activate's wake can make it run.
+type relayProgram struct{}
+
+func (relayProgram) ComputePartition(pc *PartitionContext[uint32]) {
+	pc.VoteAllToHalt()
+	if next := int32(pc.Superstep()); int(next) < pc.NumLocal() {
+		pc.Activate(next)
+	}
+}
+
+func TestPartitionActivateWakesHaltedVertex(t *testing.T) {
+	g := graph.Ring(8)
+	res, err := Run(JobSpec[uint32]{Graph: g, NumWorkers: 1, Codec: Uint32Codec{}, ActivateAll: true,
+		NewPartitionProgram: func(int, *graph.Graph, []graph.VertexID) PartitionProgram[uint32] {
+			return relayProgram{}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Steps) != 9 {
+		t.Fatalf("ran %d supersteps, want 9 (one per relayed vertex, plus superstep 0)", len(res.Steps))
+	}
+	for _, s := range res.Steps[1:] {
+		if s.ActiveVertices != 1 {
+			t.Errorf("superstep %d: %d active, want the one Activated vertex", s.Superstep, s.ActiveVertices)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -169,6 +170,41 @@ type recvStream struct {
 	pending map[int32]*transport.Batch
 }
 
+// wakeSet is a bitset over a worker's local vertex indices that compute slots
+// and the receive loop may set concurrently. Stripes are li % 64, so one word
+// spans every stripe lock; atomic Or is what makes concurrent setters safe.
+type wakeSet []atomic.Uint64
+
+func newWakeSet(n int) wakeSet { return make(wakeSet, (n+63)/64) }
+
+// set marks li. The load first keeps an already-set bit from costing a
+// locked read-modify-write.
+func (s wakeSet) set(li int32) {
+	word, bit := &s[li>>6], uint64(1)<<uint(li&63)
+	if word.Load()&bit == 0 {
+		word.Or(bit)
+	}
+}
+
+// fill sets exactly the bits of local indices 0..n-1 (wake all).
+func (s wakeSet) fill(n int) {
+	for i := range s {
+		s[i].Store(^uint64(0))
+	}
+	if tail := n & 63; tail != 0 {
+		s[len(s)-1].Store(1<<uint(tail) - 1)
+	}
+}
+
+// each calls fn for every set bit in ascending order.
+func (s wakeSet) each(fn func(li int32)) {
+	for wi := range s {
+		for x := s[wi].Load(); x != 0; x &= x - 1 {
+			fn(int32(wi<<6 + bits.TrailingZeros64(x)))
+		}
+	}
+}
+
 type worker[M any] struct {
 	id         int
 	numWorkers int
@@ -213,6 +249,18 @@ type worker[M any] struct {
 	// locks as the inboxes; read at migrate time, after the sentinel wait's
 	// happens-before edge, so no extra synchronization is needed.
 	vertexTraffic []int64
+
+	// Frontier. Invariant: when a superstep starts, every vertex with pending
+	// messages or !halted has its bit set in wakeCur; a set bit may be stale
+	// (the vertex halted, or its wake was for nothing), so the active list is
+	// the set bits filtered by the exact activity predicate. During the step,
+	// setters write wakeNext only: deliverLocal on a vertex's first
+	// next-step delivery, the compute phase for every computed vertex left
+	// !halted, and PartitionContext.Activate. swapInboxes rotates the two
+	// with the inboxes. Construction and restore wake every vertex, which is
+	// the only dense pass.
+	wakeCur  wakeSet
+	wakeNext wakeSet
 
 	endpoint transport.Endpoint
 	stepQ    *cloud.Queue
@@ -328,7 +376,12 @@ func newWorker[M any](spec *JobSpec[M], id int, owned []graph.VertexID,
 		recvStreams:    make([]recvStream, spec.NumWorkers),
 		injectedBits:   make([]uint64, (len(owned)+63)/64),
 		vertexTraffic:  make([]int64, len(owned)),
+		wakeCur:        newWakeSet(len(owned)),
+		wakeNext:       newWakeSet(len(owned)),
 	}
+	// Wake all: the first superstep (fresh job, or a segment adopting
+	// migrated vertices) takes the one dense pass.
+	w.wakeCur.fill(len(owned))
 	for i := range w.recvStreams {
 		w.recvStreams[i].next = 1 // senders stamp from 1 within each epoch
 	}
@@ -642,9 +695,7 @@ func (w *worker[M]) runSuperstep(tok *stepToken) {
 		return
 	}
 
-	// Determine the active set: vertices with pending messages, vertices
-	// that did not vote to halt, and scheduler injections. The injection set
-	// is a reusable bitset; the active list a reusable slice.
+	// Scheduler injections join the active set through a reusable bitset.
 	if w.hasInjected {
 		clear(w.injectedBits)
 	}
@@ -658,14 +709,7 @@ func (w *worker[M]) runSuperstep(tok *stepToken) {
 		li := w.globalToLocal[v]
 		w.injectedBits[li>>6] |= 1 << uint(li&63)
 	}
-	active := w.activeBuf[:0]
-	for i := range w.owned {
-		li := int32(i)
-		if w.pendingMsgs(li) || !w.halted[li] || w.injectedThisStep(li) {
-			active = append(active, li)
-		}
-	}
-	w.activeBuf = active
+	active := w.frontier()
 
 	// Compute phase. Vertex-centric programs run in parallel across cores;
 	// subgraph-centric programs run one sequential pass over the whole
@@ -728,14 +772,9 @@ func (w *worker[M]) runSuperstep(tok *stepToken) {
 	peakMem := w.inboxCurBytes + w.inboxNextByts.Load() + w.programStateBytes()
 
 	// Swap inboxes for the next superstep.
-	w.swapInboxes()
+	w.swapInboxes(active)
+	activeAfter := w.activeAfter()
 
-	var activeAfter int64
-	for i := range w.halted {
-		if !w.halted[i] {
-			activeAfter++
-		}
-	}
 	peers := 0
 	for i := range w.peersContacted {
 		if w.peersContacted[i].Load() {
@@ -779,6 +818,46 @@ func (w *worker[M]) runSuperstep(tok *stepToken) {
 	})
 }
 
+// frontier returns this superstep's active list — vertices with pending
+// messages, vertices that did not vote to halt, and scheduler injections —
+// in ascending local index, the order a dense scan would produce. It visits
+// only the wake bits and injections, consuming wakeCur (nothing sets it
+// during the step), so it costs O(owned/64 + woken) instead of O(owned).
+func (w *worker[M]) frontier() []int32 {
+	active := w.activeBuf[:0]
+	for wi := range w.wakeCur {
+		x := w.wakeCur[wi].Load()
+		if x != 0 {
+			w.wakeCur[wi].Store(0)
+		}
+		if w.hasInjected {
+			x |= w.injectedBits[wi]
+		}
+		for ; x != 0; x &= x - 1 {
+			li := int32(wi<<6 + bits.TrailingZeros64(x))
+			if w.pendingMsgs(li) || !w.halted[li] || w.injectedThisStep(li) {
+				active = append(active, li)
+			}
+		}
+	}
+	w.activeBuf = active
+	checkFrontier(w, active)
+	return active
+}
+
+// activeAfter counts the vertices left !halted for the next superstep. Every
+// one of them has its bit in the freshly rotated wakeCur.
+func (w *worker[M]) activeAfter() int64 {
+	var n int64
+	w.wakeCur.each(func(li int32) {
+		if !w.halted[li] {
+			n++
+		}
+	})
+	checkActiveAfter(w, n)
+	return n
+}
+
 // pendingMsgs reports whether local vertex li has messages for this step.
 func (w *worker[M]) pendingMsgs(li int32) bool {
 	if w.combiner != nil {
@@ -787,21 +866,27 @@ func (w *worker[M]) pendingMsgs(li int32) bool {
 	return len(w.inboxCur[li]) > 0
 }
 
-// swapInboxes rotates next-step inboxes into place and clears the buffers
-// that will receive the following step's messages, reusing every backing
-// array.
-func (w *worker[M]) swapInboxes() {
+// swapInboxes rotates next-step inboxes and wake sets into place and clears
+// the buffers that will receive the following step's messages, reusing every
+// backing array. Only the step's active vertices can hold current-step
+// messages (a vertex with pending messages is always active), so only their
+// slots need clearing.
+func (w *worker[M]) swapInboxes(active []int32) {
 	if w.combiner != nil {
 		w.inboxOneCur, w.inboxOneNext = w.inboxOneNext, w.inboxOneCur
 		w.inboxHasCur, w.inboxHasNext = w.inboxHasNext, w.inboxHasCur
-		clear(w.inboxOneNext) // zero values: no stale references survive
-		clear(w.inboxHasNext)
+		var zero M // zero values: no stale references survive
+		for _, li := range active {
+			w.inboxOneNext[li] = zero
+			w.inboxHasNext[li] = false
+		}
 	} else {
-		for i := range w.inboxCur {
-			w.inboxCur[i] = nil
+		for _, li := range active {
+			w.inboxCur[li] = nil
 		}
 		w.inboxCur, w.inboxNext = w.inboxNext, w.inboxCur
 	}
+	w.wakeCur, w.wakeNext = w.wakeNext, w.wakeCur
 	w.inboxCurBytes = w.inboxNextByts.Load()
 	w.inboxNextByts.Store(0)
 }
@@ -858,6 +943,9 @@ func (w *worker[M]) computeSlice(ctx *Context[M], vertices []int32) {
 		ctx.computeOps += int64(1 + len(msgs))
 		w.program.Compute(ctx, msgs)
 		w.halted[li] = ctx.halted
+		if !ctx.halted {
+			w.wakeNext.set(li)
+		}
 		if !combined && msgs != nil {
 			w.recycleMsgs(li, msgs)
 		}
@@ -909,8 +997,9 @@ func (w *worker[M]) injectedThisStep(li int32) bool {
 	return w.hasInjected && w.injectedBits[li>>6]&(1<<uint(li&63)) != 0
 }
 
-// deliverLocal appends a message to a co-located vertex's next-step inbox.
-// Called concurrently from compute goroutines and the receive loop.
+// deliverLocal appends a message to a co-located vertex's next-step inbox,
+// waking the vertex on its first delivery of the step. Called concurrently
+// from compute goroutines and the receive loop.
 func (w *worker[M]) deliverLocal(li int32, m M, size int64) {
 	stripe := int(li) % inboxStripes
 	lock := &w.inboxLocks[stripe]
@@ -923,11 +1012,15 @@ func (w *worker[M]) deliverLocal(li int32, m M, size int64) {
 			w.inboxOneNext[li] = m
 			w.inboxHasNext[li] = true
 			w.inboxNextByts.Add(size)
+			w.wakeNext.set(li)
 		}
 		lock.Unlock()
 		return
 	}
 	next := w.inboxNext[li]
+	if len(next) == 0 {
+		w.wakeNext.set(li)
+	}
 	if next == nil {
 		if fl := w.msgFree[stripe]; len(fl) > 0 {
 			next = fl[len(fl)-1]
