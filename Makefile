@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: build test race vet lint lint-sarif vetcheck test-invariants bench bench-smoke bench-compare \
-	benchmark-smoke benchmark-selfcheck profile
+	benchmark-smoke benchmark-selfcheck profile fuzz
 
 build:
 	$(GO) build ./...
@@ -123,3 +123,13 @@ profile:
 	@mkdir -p $(PROFILE_DIR)
 	$(GO) run ./benchmark -workload $(WORKLOAD) -seconds 4 -out $(PROFILE_DIR) -cpuprofile $(PROFILE_DIR)/$(WORKLOAD).cpu
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/$(WORKLOAD).cpu
+
+# fuzz runs each decoder fuzz target for FUZZTIME: the control-plane
+# messages, the state blob (checkpoint restore and migration adopt), and
+# every built-in program's per-vertex state codec. go test fuzzes one
+# target per invocation.
+FUZZTIME ?= 20s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzControlMessages$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzStateBlob$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzReadVertex$$' -fuzztime $(FUZZTIME) ./internal/algorithms

@@ -34,8 +34,8 @@ type (
 // the policy is consulted at every superstep barrier with a profile grown
 // from the run's own per-superstep stats, and its choice (clamped to the
 // low/high pair) becomes the worker count for the next superstep. Set the
-// result on JobSpec.ElasticController; the vertex program must implement
-// core.Migratable (all built-in algorithms do).
+// result on JobSpec.ElasticController; the program must implement
+// core.StateCodec (all built-in algorithms do).
 func LiveScaling(low, high int, policy ScalingPolicy) (ElasticController, error) {
 	return elastic.NewLiveController(low, high, policy)
 }

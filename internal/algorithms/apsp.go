@@ -46,6 +46,7 @@ func (APSPCodec) Size(APSPMsg) int { return 8 }
 type apspProgram struct {
 	dists      []map[uint32]int32
 	stateBytes atomic.Int64
+	roots      []uint32 // AppendVertex scratch
 }
 
 // APSP builds the all-pairs-shortest-paths job over the scheduler's roots.

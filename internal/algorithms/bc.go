@@ -94,6 +94,7 @@ type bcProgram struct {
 	scores     []float64
 	states     []map[uint32]*bcRootState
 	stateBytes atomic.Int64
+	roots      []uint32 // AppendVertex scratch
 }
 
 // BC builds the betweenness-centrality job over the given source roots.

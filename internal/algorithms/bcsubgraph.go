@@ -310,11 +310,7 @@ func (p *bcSubgraph) applyBack(li int32, root, from uint32, val float64) bool {
 // sortedRoots fills p.roots with li's root keys in ascending order, keeping
 // every map iteration in this file deterministic.
 func (p *bcSubgraph) sortedRoots(li int32) []uint32 {
-	p.roots = p.roots[:0]
-	for root := range p.states[li] {
-		p.roots = append(p.roots, root)
-	}
-	sort.Slice(p.roots, func(a, b int) bool { return p.roots[a] < p.roots[b] })
+	p.roots = sortedRoots(p.roots, p.states[li])
 	return p.roots
 }
 

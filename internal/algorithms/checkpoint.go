@@ -1,355 +1,249 @@
 package algorithms
 
 import (
-	"bufio"
 	"encoding/binary"
-	"io"
+	"fmt"
 	"math"
+	"slices"
 
 	"pregelnet/internal/core"
 )
 
-// Checkpoint and migration support for every built-in vertex program. Each
-// program serializes per vertex (core.Migratable: SnapshotVertex /
-// RestoreVertex, used by live elastic resizes to repartition state onto a
-// new worker layout), and the whole-partition Snapshot/Restore pair
-// (core.Checkpointable, used by fault recovery) is the concatenation of the
-// per-vertex records — one format, two granularities.
+// Per-vertex state codecs (core.StateCodec) for every built-in vertex
+// program: the state section of the engine's one checkpoint/migration
+// record. Every field is a little-endian u64 slot (int32 and uint32 values
+// widened, float64 values by bit pattern), and per-root maps serialize in
+// ascending root order, so each state has exactly one encoding. Readers
+// accept only that encoding: counts are bounded by the bytes left before
+// anything is allocated, 32-bit fields must fit in 32 bits, and roots must
+// be strictly ascending.
 
-func writeU64(w io.Writer, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, err := w.Write(b[:])
-	return err
+func appendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
+
+func appendF64(dst []byte, v float64) []byte { return appendU64(dst, math.Float64bits(v)) }
+
+func appendI32(dst []byte, v int32) []byte { return appendU64(dst, uint64(uint32(v))) }
+
+// stateReader parses one ReadVertex record. The first short or malformed
+// field latches err and every later read returns zero, so a parser checks
+// err once, before it commits anything.
+type stateReader struct {
+	src []byte
+	n   int // bytes consumed
+	err error
 }
 
-func readU64(r io.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
+func (r *stateReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
 	}
-	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
-func writeF64(w io.Writer, v float64) error { return writeU64(w, math.Float64bits(v)) }
-
-func readF64(r io.Reader) (float64, error) {
-	u, err := readU64(r)
-	return math.Float64frombits(u), err
-}
-
-// snapshotAll loops a per-vertex writer over the partition through one
-// buffered writer; restoreAll is its inverse.
-func snapshotAll(w io.Writer, n int, vertex func(li int32, w io.Writer) error) error {
-	bw := bufio.NewWriter(w)
-	for li := 0; li < n; li++ {
-		if err := vertex(int32(li), bw); err != nil {
-			return err
-		}
+func (r *stateReader) u64() uint64 {
+	if r.err != nil {
+		return 0
 	}
-	return bw.Flush()
-}
-
-func restoreAll(r io.Reader, n int, vertex func(li int32, r io.Reader) error) error {
-	br := bufio.NewReader(r)
-	for li := 0; li < n; li++ {
-		if err := vertex(int32(li), br); err != nil {
-			return err
-		}
+	if len(r.src)-r.n < 8 {
+		r.fail("state record truncated at byte %d of %d", r.n, len(r.src))
+		return 0
 	}
-	return nil
+	v := binary.LittleEndian.Uint64(r.src[r.n:])
+	r.n += 8
+	return v
 }
 
-// SnapshotVertex implements core.Migratable.
-func (p *pageRankProgram) SnapshotVertex(li int32, w io.Writer) error {
-	return writeF64(w, p.ranks[li])
-}
+func (r *stateReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
-// RestoreVertex implements core.Migratable.
-func (p *pageRankProgram) RestoreVertex(li int32, r io.Reader) error {
-	v, err := readF64(r)
-	if err != nil {
-		return err
+// u32 reads a 32-bit value from its u64 slot.
+func (r *stateReader) u32() uint32 {
+	v := r.u64()
+	if v > math.MaxUint32 {
+		r.fail("state field %#x overflows 32 bits", v)
+		return 0
 	}
-	p.ranks[li] = v
-	return nil
+	return uint32(v)
 }
 
-// Snapshot implements core.Checkpointable.
-func (p *pageRankProgram) Snapshot(w io.Writer) error {
-	return snapshotAll(w, len(p.ranks), p.SnapshotVertex)
-}
+func (r *stateReader) i32() int32 { return int32(r.u32()) }
 
-// Restore implements core.Checkpointable.
-func (p *pageRankProgram) Restore(r io.Reader) error {
-	return restoreAll(r, len(p.ranks), p.RestoreVertex)
-}
-
-// SnapshotVertex implements core.Migratable.
-func (p *ssspProgram) SnapshotVertex(li int32, w io.Writer) error {
-	return writeU64(w, uint64(uint32(p.dist[li])))
-}
-
-// RestoreVertex implements core.Migratable.
-func (p *ssspProgram) RestoreVertex(li int32, r io.Reader) error {
-	v, err := readU64(r)
-	if err != nil {
-		return err
+// count reads an element count and bounds it by the bytes left, at
+// elemSize bytes per element, so no hostile count can size an allocation.
+func (r *stateReader) count(elemSize int) int {
+	v := r.u64()
+	if left := (len(r.src) - r.n) / elemSize; v > uint64(left) {
+		r.fail("state count %d exceeds the %d elements the record can hold", v, left)
+		return 0
 	}
-	p.dist[li] = int32(uint32(v))
-	return nil
+	return int(v)
 }
 
-// Snapshot implements core.Checkpointable.
-func (p *ssspProgram) Snapshot(w io.Writer) error {
-	return snapshotAll(w, len(p.dist), p.SnapshotVertex)
-}
-
-// Restore implements core.Checkpointable.
-func (p *ssspProgram) Restore(r io.Reader) error {
-	return restoreAll(r, len(p.dist), p.RestoreVertex)
-}
-
-// SnapshotVertex implements core.Migratable.
-func (p *wccProgram) SnapshotVertex(li int32, w io.Writer) error {
-	return writeU64(w, uint64(uint32(p.label[li])))
-}
-
-// RestoreVertex implements core.Migratable.
-func (p *wccProgram) RestoreVertex(li int32, r io.Reader) error {
-	v, err := readU64(r)
-	if err != nil {
-		return err
+// root reads the j-th key of a per-root map, which must exceed the
+// previous key *prev.
+func (r *stateReader) root(j int, prev *uint32) uint32 {
+	k := r.u32()
+	if j > 0 && k <= *prev {
+		r.fail("root %d follows root %d: roots must ascend", k, *prev)
 	}
-	p.label[li] = int32(uint32(v))
-	return nil
+	*prev = k
+	return k
 }
 
-// Snapshot implements core.Checkpointable.
-func (p *wccProgram) Snapshot(w io.Writer) error {
-	return snapshotAll(w, len(p.label), p.SnapshotVertex)
-}
-
-// Restore implements core.Checkpointable.
-func (p *wccProgram) Restore(r io.Reader) error {
-	return restoreAll(r, len(p.label), p.RestoreVertex)
-}
-
-// SnapshotVertex implements core.Migratable.
-func (p *lpaProgram) SnapshotVertex(li int32, w io.Writer) error {
-	return writeU64(w, uint64(uint32(p.label[li])))
-}
-
-// RestoreVertex implements core.Migratable.
-func (p *lpaProgram) RestoreVertex(li int32, r io.Reader) error {
-	v, err := readU64(r)
-	if err != nil {
-		return err
+// sortedRoots returns m's keys in ascending order, in buf's storage.
+func sortedRoots[V any](buf []uint32, m map[uint32]V) []uint32 {
+	buf = buf[:0]
+	for k := range m {
+		buf = append(buf, k)
 	}
-	p.label[li] = int32(uint32(v))
-	return nil
+	slices.Sort(buf)
+	return buf
 }
 
-// Snapshot implements core.Checkpointable.
-func (p *lpaProgram) Snapshot(w io.Writer) error {
-	return snapshotAll(w, len(p.label), p.SnapshotVertex)
+// readI32 and readF64 are the whole ReadVertex of the single-field programs.
+func readI32(dst *int32, src []byte) (int, error) {
+	r := stateReader{src: src}
+	if v := r.i32(); r.err == nil {
+		*dst = v
+	}
+	return r.n, r.err
 }
 
-// Restore implements core.Checkpointable.
-func (p *lpaProgram) Restore(r io.Reader) error {
-	return restoreAll(r, len(p.label), p.RestoreVertex)
+func readF64(dst *float64, src []byte) (int, error) {
+	r := stateReader{src: src}
+	if v := r.f64(); r.err == nil {
+		*dst = v
+	}
+	return r.n, r.err
 }
 
-// SnapshotVertex implements core.Migratable.
-func (p *apspProgram) SnapshotVertex(li int32, w io.Writer) error {
+// AppendVertex implements core.StateCodec.
+func (p *pageRankProgram) AppendVertex(dst []byte, li int32) []byte {
+	return appendF64(dst, p.ranks[li])
+}
+
+// ReadVertex implements core.StateCodec.
+func (p *pageRankProgram) ReadVertex(li int32, src []byte) (int, error) {
+	return readF64(&p.ranks[li], src)
+}
+
+// AppendVertex implements core.StateCodec.
+func (p *ssspProgram) AppendVertex(dst []byte, li int32) []byte { return appendI32(dst, p.dist[li]) }
+
+// ReadVertex implements core.StateCodec.
+func (p *ssspProgram) ReadVertex(li int32, src []byte) (int, error) { return readI32(&p.dist[li], src) }
+
+// AppendVertex implements core.StateCodec.
+func (p *wccProgram) AppendVertex(dst []byte, li int32) []byte { return appendI32(dst, p.label[li]) }
+
+// ReadVertex implements core.StateCodec.
+func (p *wccProgram) ReadVertex(li int32, src []byte) (int, error) { return readI32(&p.label[li], src) }
+
+// AppendVertex implements core.StateCodec.
+func (p *lpaProgram) AppendVertex(dst []byte, li int32) []byte { return appendI32(dst, p.label[li]) }
+
+// ReadVertex implements core.StateCodec.
+func (p *lpaProgram) ReadVertex(li int32, src []byte) (int, error) { return readI32(&p.label[li], src) }
+
+// AppendVertex implements core.StateCodec: a root count, then (root,
+// distance) pairs.
+func (p *apspProgram) AppendVertex(dst []byte, li int32) []byte {
 	dists := p.dists[li]
-	if err := writeU64(w, uint64(len(dists))); err != nil {
-		return err
+	dst = appendU64(dst, uint64(len(dists)))
+	p.roots = sortedRoots(p.roots, dists)
+	for _, root := range p.roots {
+		dst = appendI32(appendU64(dst, uint64(root)), dists[root])
 	}
-	for root, d := range dists {
-		if err := writeU64(w, uint64(root)); err != nil {
-			return err
-		}
-		if err := writeU64(w, uint64(uint32(d))); err != nil {
-			return err
-		}
-	}
-	return nil
+	return dst
 }
 
-// RestoreVertex implements core.Migratable. The vertex's previous state (if
-// any) is replaced and the program's state-byte meter adjusted accordingly.
-func (p *apspProgram) RestoreVertex(li int32, r io.Reader) error {
-	n, err := readU64(r)
-	if err != nil {
-		return err
+// ReadVertex implements core.StateCodec.
+func (p *apspProgram) ReadVertex(li int32, src []byte) (int, error) {
+	r := stateReader{src: src}
+	n := r.count(16)
+	var dists map[uint32]int32
+	if n > 0 {
+		dists = make(map[uint32]int32, n)
 	}
-	if old := p.dists[li]; old != nil {
-		p.stateBytes.Add(-int64(16 * len(old)))
+	var prev uint32
+	for j := 0; j < n && r.err == nil; j++ {
+		root := r.root(j, &prev)
+		dists[root] = r.i32()
 	}
-	if n == 0 {
-		p.dists[li] = nil
-		return nil
+	if r.err != nil {
+		return 0, r.err
 	}
-	m := make(map[uint32]int32, n)
-	for j := uint64(0); j < n; j++ {
-		root, err := readU64(r)
-		if err != nil {
-			return err
-		}
-		d, err := readU64(r)
-		if err != nil {
-			return err
-		}
-		m[uint32(root)] = int32(uint32(d))
-	}
-	p.dists[li] = m
-	p.stateBytes.Add(int64(16 * n))
-	return nil
+	p.stateBytes.Add(int64(16 * (n - len(p.dists[li]))))
+	p.dists[li] = dists
+	return r.n, nil
 }
 
-// Snapshot implements core.Checkpointable.
-func (p *apspProgram) Snapshot(w io.Writer) error {
-	return snapshotAll(w, len(p.dists), p.SnapshotVertex)
-}
+// bcRootBytes is the smallest encoded bcRootState: root, dist, discovered,
+// succ, back, sigma, delta and the predecessor count.
+const bcRootBytes = 8 * 8
 
-// Restore implements core.Checkpointable.
-func (p *apspProgram) Restore(r io.Reader) error {
-	p.stateBytes.Store(0)
-	for li := range p.dists {
-		p.dists[li] = nil
-	}
-	return restoreAll(r, len(p.dists), p.RestoreVertex)
-}
-
-// SnapshotVertex implements core.Migratable. BC's per-vertex traversal
-// state (distance, sigma, delta, predecessor lists, ack/backward counters)
-// is fully serialized so an in-flight multi-root computation can resume.
-func (p *bcProgram) SnapshotVertex(li int32, w io.Writer) error {
-	if err := writeF64(w, p.scores[li]); err != nil {
-		return err
-	}
+// AppendVertex implements core.StateCodec. BC's per-vertex traversal state
+// (distance, sigma, delta, predecessor lists, ack/backward counters) is
+// fully serialized so an in-flight multi-root computation can resume.
+func (p *bcProgram) AppendVertex(dst []byte, li int32) []byte {
+	dst = appendF64(dst, p.scores[li])
 	states := p.states[li]
-	if err := writeU64(w, uint64(len(states))); err != nil {
-		return err
-	}
-	for root, st := range states {
-		if err := writeU64(w, uint64(root)); err != nil {
-			return err
+	dst = appendU64(dst, uint64(len(states)))
+	p.roots = sortedRoots(p.roots, states)
+	for _, root := range p.roots {
+		st := states[root]
+		dst = appendU64(dst, uint64(root))
+		for _, v := range [...]int32{st.dist, st.discovered, st.succ, st.back} {
+			dst = appendI32(dst, v)
 		}
-		for _, v := range []uint64{uint64(uint32(st.dist)), uint64(uint32(st.discovered)),
-			uint64(uint32(st.succ)), uint64(uint32(st.back))} {
-			if err := writeU64(w, v); err != nil {
-				return err
-			}
-		}
-		if err := writeF64(w, st.sigma); err != nil {
-			return err
-		}
-		if err := writeF64(w, st.delta); err != nil {
-			return err
-		}
-		if err := writeU64(w, uint64(len(st.preds))); err != nil {
-			return err
-		}
+		dst = appendF64(appendF64(dst, st.sigma), st.delta)
+		dst = appendU64(dst, uint64(len(st.preds)))
 		for _, pred := range st.preds {
-			if err := writeU64(w, uint64(pred)); err != nil {
-				return err
-			}
+			dst = appendU64(dst, uint64(pred))
 		}
 	}
-	return nil
+	return dst
 }
 
-// RestoreVertex implements core.Migratable.
-func (p *bcProgram) RestoreVertex(li int32, r io.Reader) error {
-	score, err := readF64(r)
-	if err != nil {
-		return err
+// ReadVertex implements core.StateCodec.
+func (p *bcProgram) ReadVertex(li int32, src []byte) (int, error) {
+	r := stateReader{src: src}
+	score := r.f64()
+	n := r.count(bcRootBytes)
+	var states map[uint32]*bcRootState
+	if n > 0 {
+		states = make(map[uint32]*bcRootState, n)
+	}
+	var added int64
+	var prev uint32
+	for j := 0; j < n && r.err == nil; j++ {
+		root := r.root(j, &prev)
+		st := &bcRootState{dist: r.i32(), discovered: r.i32(), succ: r.i32(), back: r.i32(),
+			sigma: r.f64(), delta: r.f64()}
+		st.preds = make([]uint32, r.count(8))
+		for k := range st.preds {
+			st.preds[k] = r.u32()
+		}
+		st.bytes = bcStateBaseBytes + int64(8*len(st.preds))
+		states[root] = st
+		added += st.bytes
+	}
+	if r.err != nil {
+		return 0, r.err
+	}
+	for _, st := range p.states[li] {
+		added -= st.bytes
 	}
 	p.scores[li] = score
-	n, err := readU64(r)
-	if err != nil {
-		return err
-	}
-	if old := p.states[li]; old != nil {
-		for _, st := range old {
-			p.stateBytes.Add(-st.bytes)
-		}
-	}
-	if n == 0 {
-		p.states[li] = nil
-		return nil
-	}
-	states := make(map[uint32]*bcRootState, n)
-	for j := uint64(0); j < n; j++ {
-		root, err := readU64(r)
-		if err != nil {
-			return err
-		}
-		var ints [4]uint64
-		for k := range ints {
-			if ints[k], err = readU64(r); err != nil {
-				return err
-			}
-		}
-		sigma, err := readF64(r)
-		if err != nil {
-			return err
-		}
-		delta, err := readF64(r)
-		if err != nil {
-			return err
-		}
-		nPreds, err := readU64(r)
-		if err != nil {
-			return err
-		}
-		st := &bcRootState{
-			dist:       int32(uint32(ints[0])),
-			discovered: int32(uint32(ints[1])),
-			succ:       int32(uint32(ints[2])),
-			back:       int32(uint32(ints[3])),
-			sigma:      sigma,
-			delta:      delta,
-			preds:      make([]uint32, nPreds),
-			bytes:      bcStateBaseBytes + int64(8*nPreds),
-		}
-		for k := range st.preds {
-			pred, err := readU64(r)
-			if err != nil {
-				return err
-			}
-			st.preds[k] = uint32(pred)
-		}
-		states[uint32(root)] = st
-		p.stateBytes.Add(st.bytes)
-	}
 	p.states[li] = states
-	return nil
+	p.stateBytes.Add(added)
+	return r.n, nil
 }
 
-// Snapshot implements core.Checkpointable.
-func (p *bcProgram) Snapshot(w io.Writer) error {
-	return snapshotAll(w, len(p.scores), p.SnapshotVertex)
-}
-
-// Restore implements core.Checkpointable.
-func (p *bcProgram) Restore(r io.Reader) error {
-	p.stateBytes.Store(0)
-	for li := range p.states {
-		p.states[li] = nil
-	}
-	return restoreAll(r, len(p.scores), p.RestoreVertex)
-}
-
-// Compile-time checks that every program stays migratable (which embeds
-// Checkpointable).
+// Compile-time checks that every program can be checkpointed and migrated.
 var (
-	_ core.Migratable = (*pageRankProgram)(nil)
-	_ core.Migratable = (*ssspProgram)(nil)
-	_ core.Migratable = (*wccProgram)(nil)
-	_ core.Migratable = (*lpaProgram)(nil)
-	_ core.Migratable = (*apspProgram)(nil)
-	_ core.Migratable = (*bcProgram)(nil)
+	_ core.StateCodec = (*pageRankProgram)(nil)
+	_ core.StateCodec = (*ssspProgram)(nil)
+	_ core.StateCodec = (*wccProgram)(nil)
+	_ core.StateCodec = (*lpaProgram)(nil)
+	_ core.StateCodec = (*apspProgram)(nil)
+	_ core.StateCodec = (*bcProgram)(nil)
 )

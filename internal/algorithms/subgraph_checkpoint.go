@@ -1,243 +1,116 @@
 package algorithms
 
 import (
-	"io"
-
 	"pregelnet/internal/core"
 )
 
-// Checkpoint and migration support for the subgraph-centric programs, in the
-// same per-vertex format family as the vertex programs (checkpoint.go): the
-// whole-partition pair is the concatenation of per-vertex records. All maps
-// serialize in sorted-root order and contribution lists are stored (and
-// restored) in their id-sorted order, so a restore is bit-identical — the
-// property confined recovery and elastic migration rely on when they replay
-// supersteps against restored partition-local state.
+// Per-vertex state codecs for the subgraph-centric programs, in the same
+// field encoding as the vertex programs (checkpoint.go). Roots serialize
+// in ascending order and contribution lists in their id-sorted order, so a
+// restore is bit-identical — the property confined recovery and elastic
+// migration rely on when they replay supersteps against restored
+// partition-local state.
 
-// SnapshotVertex implements core.Migratable.
-func (p *ssspSubgraph) SnapshotVertex(li int32, w io.Writer) error {
-	return writeU64(w, uint64(uint32(p.dist[li])))
+// AppendVertex implements core.StateCodec.
+func (p *ssspSubgraph) AppendVertex(dst []byte, li int32) []byte { return appendI32(dst, p.dist[li]) }
+
+// ReadVertex implements core.StateCodec.
+func (p *ssspSubgraph) ReadVertex(li int32, src []byte) (int, error) {
+	return readI32(&p.dist[li], src)
 }
 
-// RestoreVertex implements core.Migratable.
-func (p *ssspSubgraph) RestoreVertex(li int32, r io.Reader) error {
-	v, err := readU64(r)
-	if err != nil {
-		return err
-	}
-	p.dist[li] = int32(uint32(v))
-	return nil
+// AppendVertex implements core.StateCodec.
+func (p *wccSubgraph) AppendVertex(dst []byte, li int32) []byte { return appendI32(dst, p.label[li]) }
+
+// ReadVertex implements core.StateCodec.
+func (p *wccSubgraph) ReadVertex(li int32, src []byte) (int, error) {
+	return readI32(&p.label[li], src)
 }
 
-// Snapshot implements core.Checkpointable.
-func (p *ssspSubgraph) Snapshot(w io.Writer) error {
-	return snapshotAll(w, len(p.dist), p.SnapshotVertex)
+// AppendVertex implements core.StateCodec.
+func (p *wssspSubgraph) AppendVertex(dst []byte, li int32) []byte { return appendF64(dst, p.dist[li]) }
+
+// ReadVertex implements core.StateCodec.
+func (p *wssspSubgraph) ReadVertex(li int32, src []byte) (int, error) {
+	return readF64(&p.dist[li], src)
 }
 
-// Restore implements core.Checkpointable.
-func (p *ssspSubgraph) Restore(r io.Reader) error {
-	return restoreAll(r, len(p.dist), p.RestoreVertex)
-}
-
-// SnapshotVertex implements core.Migratable.
-func (p *wccSubgraph) SnapshotVertex(li int32, w io.Writer) error {
-	return writeU64(w, uint64(uint32(p.label[li])))
-}
-
-// RestoreVertex implements core.Migratable.
-func (p *wccSubgraph) RestoreVertex(li int32, r io.Reader) error {
-	v, err := readU64(r)
-	if err != nil {
-		return err
-	}
-	p.label[li] = int32(uint32(v))
-	return nil
-}
-
-// Snapshot implements core.Checkpointable.
-func (p *wccSubgraph) Snapshot(w io.Writer) error {
-	return snapshotAll(w, len(p.label), p.SnapshotVertex)
-}
-
-// Restore implements core.Checkpointable.
-func (p *wccSubgraph) Restore(r io.Reader) error {
-	return restoreAll(r, len(p.label), p.RestoreVertex)
-}
-
-// SnapshotVertex implements core.Migratable.
-func (p *wssspSubgraph) SnapshotVertex(li int32, w io.Writer) error {
-	return writeF64(w, p.dist[li])
-}
-
-// RestoreVertex implements core.Migratable.
-func (p *wssspSubgraph) RestoreVertex(li int32, r io.Reader) error {
-	v, err := readF64(r)
-	if err != nil {
-		return err
-	}
-	p.dist[li] = v
-	return nil
-}
-
-// Snapshot implements core.Checkpointable.
-func (p *wssspSubgraph) Snapshot(w io.Writer) error {
-	return snapshotAll(w, len(p.dist), p.SnapshotVertex)
-}
-
-// Restore implements core.Checkpointable.
-func (p *wssspSubgraph) Restore(r io.Reader) error {
-	return restoreAll(r, len(p.dist), p.RestoreVertex)
-}
-
-func writeContribs(w io.Writer, list []bcsContrib) error {
-	if err := writeU64(w, uint64(len(list))); err != nil {
-		return err
-	}
+func appendContribs(dst []byte, list []bcsContrib) []byte {
+	dst = appendU64(dst, uint64(len(list)))
 	for _, c := range list {
-		if err := writeU64(w, uint64(c.id)); err != nil {
-			return err
-		}
-		if err := writeF64(w, c.val); err != nil {
-			return err
-		}
+		dst = appendF64(appendU64(dst, uint64(c.id)), c.val)
 	}
-	return nil
+	return dst
 }
 
-func readContribs(r io.Reader) ([]bcsContrib, error) {
-	n, err := readU64(r)
-	if err != nil {
-		return nil, err
-	}
+func (r *stateReader) contribs() []bcsContrib {
+	n := r.count(16)
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	list := make([]bcsContrib, n)
 	for i := range list {
-		id, err := readU64(r)
-		if err != nil {
-			return nil, err
-		}
-		val, err := readF64(r)
-		if err != nil {
-			return nil, err
-		}
-		list[i] = bcsContrib{id: uint32(id), val: val}
+		list[i] = bcsContrib{id: r.u32(), val: r.f64()}
 	}
-	return list, nil
+	return list
 }
 
-// SnapshotVertex implements core.Migratable. Root states serialize in
-// ascending root order, contribution lists in their id-sorted order.
-func (p *bcSubgraph) SnapshotVertex(li int32, w io.Writer) error {
-	if err := writeF64(w, p.scores[li]); err != nil {
-		return err
-	}
+// bcsRootBytes is the smallest encoded bcsState: root, dist, sigma, delta
+// and the two contribution counts.
+const bcsRootBytes = 6 * 8
+
+// AppendVertex implements core.StateCodec.
+func (p *bcSubgraph) AppendVertex(dst []byte, li int32) []byte {
+	dst = appendF64(dst, p.scores[li])
 	states := p.states[li]
-	if err := writeU64(w, uint64(len(states))); err != nil {
-		return err
-	}
+	dst = appendU64(dst, uint64(len(states)))
 	for _, root := range p.sortedRoots(li) {
 		st := states[root]
-		if err := writeU64(w, uint64(root)); err != nil {
-			return err
-		}
-		if err := writeU64(w, uint64(uint32(st.dist))); err != nil {
-			return err
-		}
-		if err := writeF64(w, st.sigma); err != nil {
-			return err
-		}
-		if err := writeF64(w, st.delta); err != nil {
-			return err
-		}
-		if err := writeContribs(w, st.fwd); err != nil {
-			return err
-		}
-		if err := writeContribs(w, st.back); err != nil {
-			return err
-		}
+		dst = appendI32(appendU64(dst, uint64(root)), st.dist)
+		dst = appendF64(appendF64(dst, st.sigma), st.delta)
+		dst = appendContribs(appendContribs(dst, st.fwd), st.back)
 	}
-	return nil
+	return dst
 }
 
-// RestoreVertex implements core.Migratable.
-func (p *bcSubgraph) RestoreVertex(li int32, r io.Reader) error {
-	score, err := readF64(r)
-	if err != nil {
-		return err
+// ReadVertex implements core.StateCodec.
+func (p *bcSubgraph) ReadVertex(li int32, src []byte) (int, error) {
+	r := stateReader{src: src}
+	score := r.f64()
+	n := r.count(bcsRootBytes)
+	var states map[uint32]*bcsState
+	if n > 0 {
+		states = make(map[uint32]*bcsState, n)
+	}
+	var added int64
+	var prev uint32
+	for j := 0; j < n && r.err == nil; j++ {
+		root := r.root(j, &prev)
+		st := &bcsState{dist: r.i32(), sigma: r.f64(), delta: r.f64(), fwd: r.contribs(), back: r.contribs()}
+		states[root] = st
+		added += bcsStateBytes(st)
+	}
+	if r.err != nil {
+		return 0, r.err
+	}
+	for _, st := range p.states[li] {
+		added -= bcsStateBytes(st)
 	}
 	p.scores[li] = score
-	n, err := readU64(r)
-	if err != nil {
-		return err
-	}
-	if old := p.states[li]; old != nil {
-		for _, st := range old {
-			p.stateBytes -= bcsStateBaseBytes + int64(16*(len(st.fwd)+len(st.back)))
-		}
-	}
-	if n == 0 {
-		p.states[li] = nil
-		return nil
-	}
-	states := make(map[uint32]*bcsState, n)
-	for j := uint64(0); j < n; j++ {
-		root, err := readU64(r)
-		if err != nil {
-			return err
-		}
-		dist, err := readU64(r)
-		if err != nil {
-			return err
-		}
-		sigma, err := readF64(r)
-		if err != nil {
-			return err
-		}
-		delta, err := readF64(r)
-		if err != nil {
-			return err
-		}
-		fwd, err := readContribs(r)
-		if err != nil {
-			return err
-		}
-		back, err := readContribs(r)
-		if err != nil {
-			return err
-		}
-		states[uint32(root)] = &bcsState{
-			dist:  int32(uint32(dist)),
-			sigma: sigma,
-			delta: delta,
-			fwd:   fwd,
-			back:  back,
-		}
-		p.stateBytes += bcsStateBaseBytes + int64(16*(len(fwd)+len(back)))
-	}
 	p.states[li] = states
-	return nil
+	p.stateBytes += added
+	return r.n, nil
 }
 
-// Snapshot implements core.Checkpointable.
-func (p *bcSubgraph) Snapshot(w io.Writer) error {
-	return snapshotAll(w, len(p.scores), p.SnapshotVertex)
+func bcsStateBytes(st *bcsState) int64 {
+	return bcsStateBaseBytes + int64(16*(len(st.fwd)+len(st.back)))
 }
 
-// Restore implements core.Checkpointable.
-func (p *bcSubgraph) Restore(r io.Reader) error {
-	p.stateBytes = 0
-	for li := range p.states {
-		p.states[li] = nil
-	}
-	return restoreAll(r, len(p.scores), p.RestoreVertex)
-}
-
-// Compile-time checks that every subgraph program stays migratable.
+// Compile-time checks that every subgraph program can be checkpointed and
+// migrated.
 var (
-	_ core.Migratable = (*ssspSubgraph)(nil)
-	_ core.Migratable = (*wccSubgraph)(nil)
-	_ core.Migratable = (*wssspSubgraph)(nil)
-	_ core.Migratable = (*bcSubgraph)(nil)
+	_ core.StateCodec = (*ssspSubgraph)(nil)
+	_ core.StateCodec = (*wccSubgraph)(nil)
+	_ core.StateCodec = (*wssspSubgraph)(nil)
+	_ core.StateCodec = (*bcSubgraph)(nil)
 )

@@ -13,7 +13,8 @@ import (
 	"pregelnet/internal/graph"
 )
 
-// ckptBFSProgram is the test BFS program plus Checkpointable.
+// ckptBFSProgram is the test BFS program plus a StateCodec: each vertex's
+// distance as 4 little-endian bytes.
 type ckptBFSProgram struct {
 	bfsProgram
 }
@@ -26,27 +27,19 @@ func newCkptBFSProgram(_ int, _ *graph.Graph, owned []graph.VertexID) VertexProg
 	return p
 }
 
-func (p *ckptBFSProgram) Snapshot(w io.Writer) error {
-	for _, d := range p.dist {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], uint32(d))
-		if _, err := w.Write(b[:]); err != nil {
-			return err
-		}
-	}
-	return nil
+func (p *ckptBFSProgram) AppendVertex(dst []byte, li int32) []byte {
+	return binary.LittleEndian.AppendUint32(dst, uint32(p.dist[li]))
 }
 
-func (p *ckptBFSProgram) Restore(r io.Reader) error {
-	for i := range p.dist {
-		var b [4]byte
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return err
-		}
-		p.dist[i] = int32(binary.LittleEndian.Uint32(b[:]))
+func (p *ckptBFSProgram) ReadVertex(li int32, src []byte) (int, error) {
+	if len(src) < 4 {
+		return 0, io.ErrUnexpectedEOF
 	}
-	return nil
+	p.dist[li] = int32(binary.LittleEndian.Uint32(src))
+	return 4, nil
 }
+
+var _ StateCodec = (*ckptBFSProgram)(nil)
 
 func ckptSpec(g *graph.Graph, workers int, src graph.VertexID) JobSpec[uint32] {
 	spec := bfsSpec(g, workers, src)
@@ -230,11 +223,11 @@ func TestFailureWithoutCheckpointsIsFatal(t *testing.T) {
 
 func TestCheckpointRequiresCheckpointableProgram(t *testing.T) {
 	g := graph.Ring(8)
-	spec := bfsSpec(g, 2, 0) // plain bfsProgram: not Checkpointable
+	spec := bfsSpec(g, 2, 0) // plain bfsProgram: no StateCodec
 	spec.CheckpointEvery = 2
 	_, err := Run(spec)
-	if err == nil || !strings.Contains(err.Error(), "Checkpointable") {
-		t.Errorf("err = %v, want Checkpointable error", err)
+	if err == nil || !strings.Contains(err.Error(), "StateCodec") {
+		t.Errorf("err = %v, want StateCodec requirement error", err)
 	}
 }
 

@@ -171,7 +171,7 @@ func TestCollectRejectsMalformed(t *testing.T) {
 // the graph is a failed check-in, not an index panic in the worker.
 func TestWorkerRejectsForeignInjection(t *testing.T) {
 	g := graph.Ring(8)
-	spec := elasticBFSSpec(g, 2, 0)
+	spec := ckptSpec(g, 2, 0)
 	s, err := spec.withDefaults()
 	if err != nil {
 		t.Fatal(err)

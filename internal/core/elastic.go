@@ -26,7 +26,7 @@ import (
 // it) keeps the deployment unchanged. Implementations may keep state; the
 // manager calls Workers from a single goroutine.
 //
-// Live scaling requires the vertex program to implement Migratable and, if
+// Live scaling requires the program to implement StateCodec and, if
 // a custom Network is supplied, a NetworkFactory to rebuild it.
 type ElasticController interface {
 	Workers(prev *StepStats, current int) int
@@ -81,7 +81,10 @@ type ReshuffleDecider interface {
 // for resumeStep are written, the old workers have been halted, tear the
 // segment down and start the next one at toWorkers.
 type resizeRequest struct {
-	fromWorkers   int
+	fromWorkers int
+	// fromAssign is the layout that wrote the migration blobs: each old
+	// worker's blob holds its owned vertices in ascending global order.
+	fromAssign    partition.Assignment
 	toWorkers     int
 	resumeStep    int
 	migratedBytes int64

@@ -1,74 +1,16 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
-	"io"
 	"strings"
 	"sync/atomic"
 	"testing"
 
-	"pregelnet/internal/cloud"
 	"pregelnet/internal/graph"
 	"pregelnet/internal/observe"
 	"pregelnet/internal/partition"
 	"pregelnet/internal/transport"
 )
-
-// migBFSProgram extends the checkpointable test BFS program with the
-// per-vertex snapshot/restore hooks live migration needs.
-type migBFSProgram struct {
-	ckptBFSProgram
-}
-
-func newMigBFSProgram(_ int, _ *graph.Graph, owned []graph.VertexID) VertexProgram[uint32] {
-	p := &migBFSProgram{ckptBFSProgram{bfsProgram{dist: make([]int32, len(owned))}}}
-	for i := range p.dist {
-		p.dist[i] = -1
-	}
-	return p
-}
-
-func (p *migBFSProgram) SnapshotVertex(li int32, w io.Writer) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(p.dist[li]))
-	_, err := w.Write(b[:])
-	return err
-}
-
-func (p *migBFSProgram) RestoreVertex(li int32, r io.Reader) error {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return err
-	}
-	p.dist[li] = int32(binary.LittleEndian.Uint32(b[:]))
-	return nil
-}
-
-var _ Migratable = (*migBFSProgram)(nil)
-
-func migDistances(res *JobResult[uint32], n int) []int32 {
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	for w, prog := range res.Programs {
-		p := prog.(*migBFSProgram)
-		for li, v := range res.Owned[w] {
-			dist[v] = p.dist[li]
-		}
-	}
-	return dist
-}
-
-func elasticBFSSpec(g *graph.Graph, workers int, src graph.VertexID) JobSpec[uint32] {
-	spec := bfsSpec(g, workers, src)
-	spec.NewProgram = newMigBFSProgram
-	spec.CheckpointEvery = 2
-	spec.CheckpointStore = cloud.NewBlobStore()
-	return spec
-}
 
 // stepAtController switches to `to` workers once the given superstep has
 // completed, and holds the count there.
@@ -85,13 +27,13 @@ func TestLiveScaleOutPreservesResults(t *testing.T) {
 	g := graph.ErdosRenyi(300, 900, 5)
 	want := graph.BFS(g, 0)
 
-	spec := elasticBFSSpec(g, 2, 0)
+	spec := ckptSpec(g, 2, 0)
 	spec.ElasticController = stepAtController(1, 5)
 	res, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := migDistances(res, g.NumVertices())
+	got := ckptDistances(res, g.NumVertices())
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("vertex %d: dist %d after scale-out, want %d", v, got[v], want[v])
@@ -131,13 +73,13 @@ func TestLiveScaleInPreservesResults(t *testing.T) {
 	g := graph.ErdosRenyi(250, 800, 11)
 	want := graph.BFS(g, 0)
 
-	spec := elasticBFSSpec(g, 6, 0)
+	spec := ckptSpec(g, 6, 0)
 	spec.ElasticController = stepAtController(1, 2)
 	res, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := migDistances(res, g.NumVertices())
+	got := ckptDistances(res, g.NumVertices())
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("vertex %d: dist %d after scale-in, want %d", v, got[v], want[v])
@@ -153,7 +95,7 @@ func TestLiveResizeOscillation(t *testing.T) {
 	g := graph.ErdosRenyi(200, 700, 23)
 	want := graph.BFS(g, 0)
 
-	spec := elasticBFSSpec(g, 2, 0)
+	spec := ckptSpec(g, 2, 0)
 	spec.ElasticController = ElasticControllerFunc(func(prev *StepStats, current int) int {
 		if prev == nil {
 			return current
@@ -171,7 +113,7 @@ func TestLiveResizeOscillation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := migDistances(res, g.NumVertices())
+	got := ckptDistances(res, g.NumVertices())
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("vertex %d: dist %d, want %d", v, got[v], want[v])
@@ -187,7 +129,7 @@ func TestLiveResizeOscillation(t *testing.T) {
 
 func TestLiveResizeEmitsSpansAndMetrics(t *testing.T) {
 	g := graph.ErdosRenyi(200, 600, 7)
-	spec := elasticBFSSpec(g, 2, 0)
+	spec := ckptSpec(g, 2, 0)
 	spec.ElasticController = stepAtController(1, 4)
 	tracer, rec := observe.NewTraceRecorder(1 << 14)
 	spec.Tracer = tracer
@@ -219,7 +161,7 @@ func TestLiveResizeControllerClamped(t *testing.T) {
 	g := graph.Ring(24)
 	want := graph.BFS(g, 0)
 
-	spec := elasticBFSSpec(g, 2, 0)
+	spec := ckptSpec(g, 2, 0)
 	var asked atomic.Bool
 	spec.ElasticController = ElasticControllerFunc(func(prev *StepStats, current int) int {
 		if asked.Swap(true) {
@@ -231,7 +173,7 @@ func TestLiveResizeControllerClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := migDistances(res, g.NumVertices())
+	got := ckptDistances(res, g.NumVertices())
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("vertex %d: dist %d, want %d", v, got[v], want[v])
@@ -246,17 +188,17 @@ func TestLiveResizeControllerClamped(t *testing.T) {
 
 func TestLiveResizeRequiresMigratableProgram(t *testing.T) {
 	g := graph.Ring(16)
-	spec := ckptSpec(g, 2, 0) // Checkpointable but not Migratable
+	spec := bfsSpec(g, 2, 0) // plain bfsProgram: no StateCodec
 	spec.ElasticController = stepAtController(0, 4)
 	_, err := Run(spec)
-	if err == nil || !strings.Contains(err.Error(), "Migratable") {
-		t.Errorf("err = %v, want Migratable requirement error", err)
+	if err == nil || !strings.Contains(err.Error(), "StateCodec") {
+		t.Errorf("err = %v, want StateCodec requirement error", err)
 	}
 }
 
 func TestLiveResizeWithCustomNetworkRequiresFactory(t *testing.T) {
 	g := graph.Ring(16)
-	spec := elasticBFSSpec(g, 2, 0)
+	spec := ckptSpec(g, 2, 0)
 	spec.Network = transport.NewChannelNetwork(2, 64)
 	spec.ElasticController = stepAtController(0, 4)
 	_, err := Run(spec)
@@ -273,7 +215,7 @@ func TestLiveResizeSurvivesFaultDuringMigration(t *testing.T) {
 	g := graph.ErdosRenyi(250, 800, 31)
 	want := graph.BFS(g, 0)
 
-	spec := elasticBFSSpec(g, 2, 0)
+	spec := ckptSpec(g, 2, 0)
 	spec.ElasticController = stepAtController(2, 4)
 	var strikes atomic.Int32
 	spec.FailureInjector = func(worker, superstep int) error {
@@ -288,7 +230,7 @@ func TestLiveResizeSurvivesFaultDuringMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := migDistances(res, g.NumVertices())
+	got := ckptDistances(res, g.NumVertices())
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("vertex %d: dist %d, want %d", v, got[v], want[v])
@@ -307,47 +249,35 @@ func TestLiveResizeSurvivesFaultDuringMigration(t *testing.T) {
 	}
 }
 
-// TestMigrationBlobRoundTrip exercises the vertex-granular blob format
-// directly: corrupt blobs must be rejected with a useful error rather than
-// silently mis-restoring state.
+// TestMigrationBlobCorruptionDetected feeds the adopt path a truncated
+// state blob: it must be rejected with an error rather than silently
+// mis-restoring state.
 func TestMigrationBlobCorruptionDetected(t *testing.T) {
 	g := graph.Ring(8)
-	spec := elasticBFSSpec(g, 2, 0)
+	spec := ckptSpec(g, 2, 0)
+	spec.Assignment = partition.Assignment{0, 1, 0, 1, 0, 1, 0, 1}
 	s, err := spec.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A blob claiming one vertex but truncated mid-record.
-	var buf bytes.Buffer
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], 1)
-	buf.Write(b8[:]) // count = 1
-	binary.LittleEndian.PutUint64(b8[:], 3)
-	buf.Write(b8[:]) // global id = 3, then nothing
-	owned := [][]graph.VertexID{{0, 2, 4, 6}, {1, 3, 5, 7}}
-	idx := make([][]int32, 2)
-	for w := range idx {
-		idx[w] = make([]int32, 8)
-		for v := range idx[w] {
-			idx[w][v] = -1
-		}
-		for li, v := range owned[w] {
-			idx[w][int(v)] = int32(li)
-		}
-	}
+	owned := ownedLists(s.Assignment, 2)
+	workers := make([]*worker[uint32], 2)
 	net := transport.NewChannelNetwork(2, 64)
 	defer net.Close()
-	ins := newJobInstruments(nil, nil)
-	workers := make([]*worker[uint32], 2)
 	for w := range workers {
-		ep, err := net.Endpoint(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		workers[w] = newWorker(&s, w, owned[w], idx[w], ep, nil, ins)
+		workers[w] = testWorker(t, &s, net, w, owned)
 	}
-	if err := adoptMigrationBlob(workers, buf.Bytes()); err == nil {
-		t.Fatal("truncated migration blob accepted")
+	blob := workers[1].appendState(nil)
+	for cut := 0; cut < len(blob); cut++ {
+		if err := adoptState(workers, blob[:cut], owned[1]); err == nil {
+			t.Fatalf("migration blob truncated to %d of %d bytes accepted", cut, len(blob))
+		}
+	}
+	if err := adoptState(workers, append(blob, 0), owned[1]); err == nil {
+		t.Fatal("migration blob with a trailing byte accepted")
+	}
+	if err := adoptState(workers, blob, owned[1]); err != nil {
+		t.Fatalf("intact migration blob rejected: %v", err)
 	}
 }
 
@@ -390,7 +320,7 @@ func TestResizeRecordsStrategyAndCut(t *testing.T) {
 	// The default repartitioner is incremental: a resize must record the
 	// strategy, the delta size, and the cut on both sides of the event.
 	g := graph.ErdosRenyi(300, 900, 5)
-	spec := elasticBFSSpec(g, 2, 0)
+	spec := ckptSpec(g, 2, 0)
 	spec.ElasticController = stepAtController(1, 3)
 	res, err := Run(spec)
 	if err != nil {
@@ -411,7 +341,7 @@ func TestResizeRecordsStrategyAndCut(t *testing.T) {
 	}
 
 	// An explicit full-reshuffle repartitioner is tagged as such.
-	spec2 := elasticBFSSpec(g, 2, 0)
+	spec2 := ckptSpec(g, 2, 0)
 	spec2.ElasticController = stepAtController(1, 3)
 	spec2.Repartitioner = partition.Hash{}
 	res2, err := Run(spec2)
@@ -432,13 +362,13 @@ func (reshuffleAlways) FullReshuffle(fromWorkers, toWorkers, eventIndex int) boo
 func TestReshuffleDeciderForcesFull(t *testing.T) {
 	g := graph.ErdosRenyi(300, 900, 5)
 	want := graph.BFS(g, 0)
-	spec := elasticBFSSpec(g, 2, 0)
+	spec := ckptSpec(g, 2, 0)
 	spec.ElasticController = reshuffleAlways{stepAtController(1, 3)}
 	res, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := migDistances(res, g.NumVertices())
+	got := ckptDistances(res, g.NumVertices())
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("vertex %d: dist %d after forced reshuffle, want %d", v, got[v], want[v])

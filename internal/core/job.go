@@ -84,7 +84,7 @@ type JobSpec[M any] struct {
 	ComputeParallelism int
 	// CheckpointEvery enables fault recovery: every Nth superstep each
 	// worker snapshots its state to the checkpoint store before computing.
-	// Requires the vertex program to implement Checkpointable. 0 disables.
+	// Requires the program to implement StateCodec. 0 disables.
 	CheckpointEvery int
 	// CheckpointStore holds snapshots (nil allocates a private store).
 	CheckpointStore *cloud.BlobStore
@@ -157,8 +157,8 @@ type JobSpec[M any] struct {
 	// vertex state is migrated through the blob store to a re-partitioned
 	// layout, the data plane is rebuilt for the new count under a fresh
 	// epoch, and the job resumes, with provisioning latency and migration
-	// bytes charged to the simulated bill. Requires the vertex program to
-	// implement Migratable. Use elastic.NewLiveController (or the pregel
+	// bytes charged to the simulated bill. Requires the program to
+	// implement StateCodec. Use elastic.NewLiveController (or the pregel
 	// facade) to adapt a scaling policy.
 	ElasticController ElasticController
 	// NetworkFactory builds the data plane for a given worker count; live
@@ -173,10 +173,10 @@ type JobSpec[M any] struct {
 	// BarrierPreempt, when non-nil, makes the job preemptible: the manager
 	// consults it after every completed superstep barrier (after the elastic
 	// consult) with the superstep the job would execute next. Returning true
-	// suspends the job at that BSP cut: every worker writes a vertex-granular
-	// migration blob (the live-resize protocol), the segment halts, the VMs
-	// are released, and Run returns with JobResult.Suspended set. Requires
-	// the vertex program to implement Migratable. The hook is called from the
+	// suspends the job at that BSP cut: every worker writes a state blob to
+	// the migrations container (the live-resize protocol), the segment halts,
+	// the VMs are released, and Run returns with JobResult.Suspended set.
+	// Requires the program to implement StateCodec. The hook is called from the
 	// manager goroutine and must not block.
 	BarrierPreempt func(nextSuperstep int) bool
 	// Resume continues a previously suspended job: pass the Suspension from

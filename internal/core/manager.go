@@ -595,6 +595,7 @@ func (m *manager[M]) migrateOut(js *jobState, spanKind observe.Kind, counter *ob
 	m.halt()
 	return &resizeRequest{
 		fromWorkers:       m.spec.NumWorkers,
+		fromAssign:        m.spec.Assignment,
 		toWorkers:         target,
 		resumeStep:        resume,
 		migratedBytes:     migrated,

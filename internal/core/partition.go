@@ -38,7 +38,7 @@ import (
 // state that spans supersteps outside its per-vertex records — control state
 // such as a phase machine must be derived each superstep from aggregator
 // values (Agg), which the manager logs and replays on rollback, resume, and
-// preemption. Per-vertex state is captured by Checkpointable/Migratable
+// preemption. Per-vertex state is saved and reloaded through StateCodec
 // exactly as in the vertex model, so suspended partition-local state
 // checkpoints and restores bit-identically.
 type PartitionProgram[M any] interface {
@@ -254,20 +254,6 @@ func (w *worker[M]) programAny() any {
 		return w.partProg
 	}
 	return w.program
-}
-
-// asCheckpointable reports the program's fault-recovery capability across
-// both models.
-func (w *worker[M]) asCheckpointable() (Checkpointable, bool) {
-	c, ok := w.programAny().(Checkpointable)
-	return c, ok
-}
-
-// asMigratable reports the program's live-migration capability across both
-// models.
-func (w *worker[M]) asMigratable() (Migratable, bool) {
-	m, ok := w.programAny().(Migratable)
-	return m, ok
 }
 
 // programStateBytes returns the program's reported state footprint for

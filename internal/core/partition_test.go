@@ -67,21 +67,21 @@ func TestVertexAdapterMatchesDirectRun(t *testing.T) {
 	}
 }
 
-// TestVertexAdapterElasticScaleOut checks that Checkpointable/Migratable
-// capabilities of the wrapped program shine through the adapter: an elastic
-// resize mid-job requires per-vertex snapshot/restore.
+// TestVertexAdapterElasticScaleOut checks that the wrapped program's
+// StateCodec shines through the adapter: an elastic resize mid-job needs
+// per-vertex state save and reload.
 func TestVertexAdapterElasticScaleOut(t *testing.T) {
 	g := graph.ErdosRenyi(300, 900, 5)
 	want := graph.BFS(g, 0)
 
-	spec := elasticBFSSpec(g, 2, 0)
+	spec := ckptSpec(g, 2, 0)
 	UseVertexAdapter(&spec)
 	spec.ElasticController = stepAtController(1, 5)
 	res, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := migDistances(res, g.NumVertices())
+	got := ckptDistances(res, g.NumVertices())
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("vertex %d: dist %d after scale-out, want %d", v, got[v], want[v])
@@ -98,7 +98,7 @@ func TestVertexAdapterConfinedRecovery(t *testing.T) {
 	g := graph.ErdosRenyi(300, 900, 11)
 	want := graph.BFS(g, 0)
 
-	spec := elasticBFSSpec(g, 3, 0)
+	spec := ckptSpec(g, 3, 0)
 	UseVertexAdapter(&spec)
 	spec.Chaos = cloud.NewChaos(cloud.FaultPlan{
 		Seed:       99,
@@ -108,7 +108,7 @@ func TestVertexAdapterConfinedRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := migDistances(res, g.NumVertices())
+	got := ckptDistances(res, g.NumVertices())
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("vertex %d: dist %d after recovery, want %d", v, got[v], want[v])

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -44,12 +45,12 @@ func runToCompletion(t *testing.T, spec JobSpec[uint32]) (*JobResult[uint32], in
 func TestPreemptResumeBitIdentical(t *testing.T) {
 	g := graph.ErdosRenyi(300, 900, 7)
 
-	base, err := Run(elasticBFSSpec(g, 4, 0))
+	base, err := Run(ckptSpec(g, 4, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	spec := elasticBFSSpec(g, 4, 0)
+	spec := ckptSpec(g, 4, 0)
 	spec.BarrierPreempt = preemptOnceAt(3)
 	first, err := Run(spec)
 	if err != nil {
@@ -87,7 +88,7 @@ func TestPreemptResumeBitIdentical(t *testing.T) {
 	// The preemption overhead is reported separately (PreemptSeconds) and
 	// must not leak into SimSeconds.
 	want := graph.BFS(g, 0)
-	got := migDistances(res, g.NumVertices())
+	got := ckptDistances(res, g.NumVertices())
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("vertex %d: dist %d after preempt+resume, want %d", v, got[v], want[v])
@@ -126,7 +127,7 @@ func TestPreemptResumeBitIdentical(t *testing.T) {
 func TestPreemptEveryBarrierStillCompletes(t *testing.T) {
 	g := graph.ErdosRenyi(200, 600, 13)
 
-	base, err := Run(elasticBFSSpec(g, 3, 0))
+	base, err := Run(ckptSpec(g, 3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestPreemptEveryBarrierStillCompletes(t *testing.T) {
 	// A hook that always fires suspends the job at every barrier — except
 	// the last one, where the about-to-halt guard lets the job finish
 	// instead of stranding a completed job in the preempted state.
-	spec := elasticBFSSpec(g, 3, 0)
+	spec := ckptSpec(g, 3, 0)
 	spec.BarrierPreempt = func(int) bool { return true }
 	res, suspensions := runToCompletion(t, spec)
 
@@ -146,7 +147,7 @@ func TestPreemptEveryBarrierStillCompletes(t *testing.T) {
 			res.Preemptions, suspensions)
 	}
 	want := graph.BFS(g, 0)
-	got := migDistances(res, g.NumVertices())
+	got := ckptDistances(res, g.NumVertices())
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("vertex %d: dist %d, want %d", v, got[v], want[v])
@@ -162,9 +163,9 @@ func TestPreemptEveryBarrierStillCompletes(t *testing.T) {
 
 func TestPreemptRequiresMigratableProgram(t *testing.T) {
 	g := graph.Ring(16)
-	spec := bfsSpec(g, 2, 0) // plain BFS program: not Migratable
+	spec := bfsSpec(g, 2, 0) // plain BFS program: no StateCodec
 	spec.BarrierPreempt = func(int) bool { return false }
-	if _, err := Run(spec); err == nil {
-		t.Fatal("Run accepted BarrierPreempt with a non-Migratable program")
+	if _, err := Run(spec); err == nil || !strings.Contains(err.Error(), "StateCodec") {
+		t.Fatalf("err = %v, want StateCodec requirement error", err)
 	}
 }

@@ -57,8 +57,8 @@ func Run[M any](spec JobSpec[M]) (*JobResult[M], error) {
 		js.forceCheckpoint = s.CheckpointEvery > 0
 		priorWall, priorCost, priorVMSec = susp.wallSeconds, susp.costDollars, susp.vmSeconds
 		priorRestarts = susp.vmRestarts
-		pending = &resizeRequest{fromWorkers: susp.workers, toWorkers: susp.workers,
-			resumeStep: susp.resumeStep, migratedBytes: susp.migratedBytes}
+		pending = &resizeRequest{fromWorkers: susp.workers, fromAssign: susp.assignment,
+			toWorkers: susp.workers, resumeStep: susp.resumeStep, migratedBytes: susp.migratedBytes}
 	}
 
 	fabric := cloud.NewFabric()
@@ -339,26 +339,19 @@ func nextAssignment[M any](s *JobSpec[M], js *jobState, resize *resizeRequest) (
 // control-plane queues first so stuck workers unblock.
 func runSegment[M any](s *JobSpec[M], js *jobState, fabric *cloud.Fabric,
 	ins *jobInstruments, adopt *resizeRequest) (*resizeRequest, []*worker[M], error) {
-	// Build per-worker vertex lists and the global→local index.
+	// Build per-worker vertex lists and each worker's own global→local
+	// view: -1 for non-owned.
 	n := s.Graph.NumVertices()
-	owned := make([][]graph.VertexID, s.NumWorkers)
-	globalToLocal := make([]int32, n)
-	for v := 0; v < n; v++ {
-		w := s.Assignment[v]
-		globalToLocal[v] = int32(len(owned[w]))
-		owned[w] = append(owned[w], graph.VertexID(v))
-	}
-	// Each worker needs its own global→local view: -1 for non-owned.
+	owned := ownedLists(s.Assignment, s.NumWorkers)
 	perWorkerIndex := make([][]int32, s.NumWorkers)
 	for w := range perWorkerIndex {
 		perWorkerIndex[w] = make([]int32, n)
 		for v := range perWorkerIndex[w] {
 			perWorkerIndex[w][v] = -1
 		}
-	}
-	for v := 0; v < n; v++ {
-		w := s.Assignment[v]
-		perWorkerIndex[w][v] = globalToLocal[v]
+		for li, v := range owned[w] {
+			perWorkerIndex[w][v] = int32(li)
+		}
 	}
 
 	// The data plane: the caller's Network for the initial segment if one
@@ -404,17 +397,10 @@ func runSegment[M any](s *JobSpec[M], js *jobState, fabric *cloud.Fabric,
 		}
 		workers[w] = newWorker(s, w, owned[w], perWorkerIndex[w], ep, s.AggregatorOps, ins)
 	}
-	if s.CheckpointEvery > 0 {
-		if _, ok := workers[0].asCheckpointable(); !ok {
-			closeNet()
-			return nil, nil, fmt.Errorf("core: CheckpointEvery set but program %T does not implement Checkpointable", workers[0].programAny())
-		}
-	}
-	if s.ElasticController != nil || s.BarrierPreempt != nil {
-		if _, ok := workers[0].asMigratable(); !ok {
-			closeNet()
-			return nil, nil, fmt.Errorf("core: live migration enabled (ElasticController or BarrierPreempt) but program %T does not implement Migratable", workers[0].programAny())
-		}
+	if (s.CheckpointEvery > 0 || s.ElasticController != nil || s.BarrierPreempt != nil || adopt != nil) &&
+		workers[0].state == nil {
+		closeNet()
+		return nil, nil, fmt.Errorf("core: checkpointing, live resizes and preemption need a program implementing StateCodec; %T does not", workers[0].programAny())
 	}
 	if adopt != nil {
 		// Resumed segment: stamp the new epoch on every worker BEFORE any
@@ -425,7 +411,7 @@ func runSegment[M any](s *JobSpec[M], js *jobState, fabric *cloud.Fabric,
 			w.epoch.Store(int32(js.epoch))
 			w.doneThrough = adopt.resumeStep - 1
 		}
-		if err := adoptMigrations(workers, s.CheckpointStore, s.Retry, adopt.resumeStep, adopt.fromWorkers); err != nil {
+		if err := adoptMigrations(workers, s.CheckpointStore, s.Retry, adopt.resumeStep, adopt.fromAssign, adopt.fromWorkers); err != nil {
 			closeNet()
 			return nil, nil, fmt.Errorf("core: adopting migrated state: %w", err)
 		}
@@ -471,4 +457,15 @@ func runSegment[M any](s *JobSpec[M], js *jobState, fabric *cloud.Fabric,
 	wg.Wait()
 	closeNet()
 	return resize, workers, runErr
+}
+
+// ownedLists splits an assignment into each worker's owned vertices in
+// ascending global order: the local-index order of every per-worker array
+// and of every state blob the worker writes.
+func ownedLists(a partition.Assignment, workers int) [][]graph.VertexID {
+	owned := make([][]graph.VertexID, workers)
+	for v, w := range a {
+		owned[w] = append(owned[w], graph.VertexID(v))
+	}
+	return owned
 }

@@ -225,6 +225,11 @@ type worker[M any] struct {
 	// migration — is shared between the two models.
 	program  VertexProgram[M]
 	partProg PartitionProgram[M]
+	// state is the program's StateCodec (nil if it has none; runSegment
+	// rejects such a program when a feature needs it), and stateBuf the
+	// state-blob buffer reused across checkpoints and migrations.
+	state    StateCodec
+	stateBuf []byte
 
 	// Inboxes. With a combiner every vertex's pending messages collapse to a
 	// single combined slot, so the engine keeps one message + one present
@@ -442,6 +447,7 @@ func newWorker[M any](spec *JobSpec[M], id int, owned []graph.VertexID,
 	} else {
 		w.program = spec.NewProgram(id, spec.Graph, owned)
 	}
+	w.state, _ = w.programAny().(StateCodec)
 	return w
 }
 
@@ -533,10 +539,11 @@ func (w *worker[M]) handleRestore(tok *stepToken) {
 	w.checkIn(msg)
 }
 
-// handleMigrate snapshots the partition, vertex by vertex, for a new layout.
-// The chaos hook is consulted first — a VM restart scripted for the resume
-// superstep kills the migration, which the manager absorbs by rolling back
-// to the last checkpoint.
+// handleMigrate writes the state blob for the resume superstep to the
+// migrations container, plus the traffic sidecar. The chaos hook is
+// consulted first — a VM restart scripted for the resume superstep kills
+// the migration, which the manager absorbs by rolling back to the last
+// checkpoint.
 func (w *worker[M]) handleMigrate(tok *stepToken) {
 	msg := barrierMsg{Kind: kindMigrate, Worker: w.id, Superstep: tok.Superstep}
 	var err error
@@ -544,7 +551,11 @@ func (w *worker[M]) handleMigrate(tok *stepToken) {
 		err = w.failInject(w.id, tok.Superstep)
 	}
 	if err == nil {
-		msg.MigratedBytes, err = w.writeMigration(w.ckptStore, tok.Superstep)
+		msg.MigratedBytes, err = w.putState(observe.KindMigrate, migrationContainer,
+			migrationBlob(tok.Superstep, w.id), tok.Superstep)
+	}
+	if err == nil {
+		w.writeTrafficSidecar(w.ckptStore, tok.Superstep)
 	}
 	if err != nil {
 		msg.Err = err.Error()
@@ -683,7 +694,8 @@ func (w *worker[M]) runSuperstep(tok *stepToken) {
 		w.msglog.TruncateBelow(tok.LastCkpt)
 	}
 	if tok.Checkpoint {
-		if err := w.snapshot(w.ckptStore); err != nil {
+		if _, err := w.putState(observe.KindCheckpoint, checkpointContainer,
+			checkpointBlob(w.superstep, w.id), w.superstep); err != nil {
 			w.checkIn(barrierMsg{Worker: w.id, Superstep: w.superstep, Err: err.Error()})
 			return
 		}
