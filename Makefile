@@ -81,18 +81,21 @@ bench-smoke:
 # the previous PR's artifact; locally, record a baseline with `make bench
 # LABEL=baseline OUT=base.json` before a change and compare after it.
 #
-# ALLOW carries known, accepted costs against a frozen baseline: the BC
+# ALLOW carries known, accepted costs against a frozen baseline, each still
+# gated at its own ceiling (measured rows in BENCH_PR21.json). The BC
 # determinism fix (sorted root maps on the send path, so recovery replay is
-# bit-reproducible) landed after BENCH_PR8.json was recorded and costs ~48%
-# allocs/op on the BC benchmarks. Each entry is still gated, at its own
-# documented ceiling.
+# bit-reproducible) landed after BENCH_PR8.json was recorded; the lock-free
+# message path took its allocs/op cost from ~+49% to ~+16–20%. The model/*
+# vertex rows run four compute slots per worker on a 4,096-vertex grid, and
+# each slot's dense combine stages (one per destination it reaches, sized to
+# that destination's partition) cost ~+18–26% bytes/op there.
 BASE ?= BENCH_PR8.json
 BASELABEL ?=
 THRESHOLD ?= 0.10
-ALLOW ?= -allow superstep/bc-channel:allocs/op:0.55 \
-	-allow superstep/bc-channel:bytes/op:0.25 \
-	-allow e2e/bc-tcp:allocs/op:0.55 \
-	-allow e2e/bc-tcp:bytes/op:0.25
+ALLOW ?= -allow superstep/bc-channel:allocs/op:0.25 \
+	-allow e2e/bc-tcp:allocs/op:0.25 \
+	-allow model/sssp-vertex-metis:bytes/op:0.25 \
+	-allow model/wcc-vertex-metis:bytes/op:0.30
 bench-compare:
 	$(GO) run ./cmd/bench -label compare-head -samples $(SAMPLES) -out bench-compare.json \
 		-compare $(BASE) $(if $(BASELABEL),-baselabel $(BASELABEL)) -threshold $(THRESHOLD) $(ALLOW)
@@ -125,11 +128,13 @@ profile:
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/$(WORKLOAD).cpu
 
 # fuzz runs each decoder fuzz target for FUZZTIME: the control-plane
-# messages, the state blob (checkpoint restore and migration adopt), and
-# every built-in program's per-vertex state codec. go test fuzzes one
-# target per invocation.
+# messages, the data-plane batch payload (the receive path's decoder), the
+# state blob (checkpoint restore and migration adopt), and every built-in
+# program's per-vertex state codec. go test fuzzes one target per
+# invocation.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzControlMessages$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchPayload$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzStateBlob$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReadVertex$$' -fuzztime $(FUZZTIME) ./internal/algorithms

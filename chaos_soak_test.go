@@ -17,8 +17,9 @@ import (
 // every substrate layer in a single run — duplicated queue messages,
 // transient blob errors, early lease expiries, a scripted VM restart, a
 // dropped data-plane connection — and require results identical to a
-// failure-free run (small FP tolerance: message combine order is
-// arrival-order dependent even between two clean runs).
+// failure-free run (small FP tolerance: these jobs run four compute slots
+// per worker, whose batches to one peer interleave in a run-dependent
+// order; TestBitExactDelivery covers the exact single-slot case).
 
 func soakBCSpec(g *Graph, roots []VertexID) JobSpec[BCMessage] {
 	spec := BCSpec(g, 4, AllSourcesAtOnce(roots))

@@ -14,8 +14,9 @@ import (
 
 // Live elastic-scaling determinism tests: a job whose worker count changes
 // mid-run under a threshold controller must produce the same results as
-// fixed-worker runs at either count (small FP tolerance: combine order is
-// arrival-order dependent), on both the in-process channel data plane and
+// fixed-worker runs at either count (small FP tolerance: a resize changes
+// which messages are local, and so the combine order), on both the
+// in-process channel data plane and
 // real TCP sockets, and even with a VM restart scripted into the migration.
 
 func mustLiveThreshold(t *testing.T, low, high int) ElasticController {

@@ -38,7 +38,7 @@ import (
 //
 // Scores are deterministic across runs, worker counts, and transports (all
 // float accumulation iterates id-sorted lists), but only ULP-close to the
-// vertex-centric implementation, which sums in message arrival order.
+// vertex-centric implementation, which sums in the engine's delivery order.
 
 // bcsContrib is one neighbor's contribution, keyed by its vertex id.
 // Forward: val is the sender's sigma. Backward: val is (1+delta)/sigma.

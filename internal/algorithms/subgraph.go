@@ -22,7 +22,7 @@ import (
 //   - BC: deterministic across runs and transports (all float accumulation
 //     iterates contribution lists kept sorted by vertex id), but only
 //     ULP-equal to the vertex-centric implementation, whose per-superstep
-//     sums follow message arrival order.
+//     sums follow the engine's delivery order.
 
 // ssspSubgraph is the partition-centric unweighted SSSP/BFS program: each
 // superstep seeds a worklist from boundary messages (and the injected

@@ -160,9 +160,10 @@ func TestSubgraphBCMatchesVertexCentric(t *testing.T) {
 }
 
 func TestSubgraphBCDeterministicAcrossTransports(t *testing.T) {
-	// Unlike the vertex program (whose sums follow message arrival order),
-	// the subgraph port sorts all contribution lists by vertex id, so scores
-	// must be BIT-identical across transports and partitioners.
+	// Unlike the vertex program (whose sums follow the engine's delivery
+	// order, which depends on the assignment), the subgraph port sorts all
+	// contribution lists by vertex id, so scores must be BIT-identical across
+	// transports and partitioners.
 	g := graph.BarabasiAlbert(180, 3, 55)
 	roots := Sources(g, 20)
 	var base []float64

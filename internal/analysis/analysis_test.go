@@ -59,6 +59,10 @@ func TestMapIter(t *testing.T)         { runFixtureTest(t, MapIter, "mapiter") }
 func TestBlockingCompute(t *testing.T) { runFixtureTest(t, BlockingCompute, "blockingcompute") }
 func TestGoroLeak(t *testing.T)        { runFixtureTest(t, GoroLeak, "goroleak") }
 
+// TestMapIterEngineSendPath exercises the engine scope: the fixture loads as
+// "fixture/core", so its send-path methods are fenced too.
+func TestMapIterEngineSendPath(t *testing.T) { runFixtureTest(t, MapIter, "core") }
+
 func TestNonDeterminism(t *testing.T) {
 	runFixtureTest(t, NonDeterminism, "nondeterminism")
 }

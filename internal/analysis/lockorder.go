@@ -18,7 +18,7 @@ import (
 // reproduces once a month and a static graph finds in milliseconds.
 //
 // Lock identity is structural: the receiver's named type plus the selector
-// path with indexes erased (worker.inboxLocks means "some stripe"), so a
+// path with indexes erased (worker.locks[i] means "some stripe"), so a
 // self-edge on a striped lock array is reported only for genuinely nested
 // acquisition of the same field. Local *sync.Mutex variables resolve through
 // a single `v := &x.field` alias when one exists. Function literals are

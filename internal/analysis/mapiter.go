@@ -6,17 +6,23 @@ import (
 	"go/types"
 )
 
-// MapIter certifies determinism of map iteration in superstep compute paths.
-// Go randomizes map iteration order per range statement, so a Compute,
-// ComputePartition, or Combine body (or anything in an algorithms package)
-// that ranges over a map and, inside that loop, sends messages, updates an
-// aggregator, or accumulates floating-point state produces run-dependent
-// results: message order feeds combiners and float sums are not
-// associative, so the recovery replay and the original run diverge
-// bit-for-bit even with identical inputs. Flagged: a range over a map whose
+// MapIter certifies determinism of map iteration in superstep compute paths
+// and in the engine's message path. Go randomizes map iteration order per
+// range statement, so a Compute, ComputePartition, or Combine body (or
+// anything in an algorithms package) that ranges over a map and, inside
+// that loop, sends messages, updates an aggregator, or accumulates
+// floating-point state produces run-dependent results: message order feeds
+// combiners and float sums are not associative, so the recovery replay and
+// the original run diverge bit-for-bit even with identical inputs. The same
+// holds one layer down, in the core package's send path — Context.Send,
+// finishSlot, the barrier merge (deliver, install) and the receive-side
+// decode (processBatch, decodeBatch) — where a map range decides the wire
+// order and the order combiners fold in. Flagged: a range over a map whose
 // body reaches
 //
-//   - Context/PartitionContext.Send or SendToNeighbors (message order),
+//   - Context/PartitionContext.Send, SendToNeighbors or encodeRemote
+//     (message order),
+//   - a Combine or fold call (combine order),
 //   - Context/PartitionContext.Aggregate (aggregator fold order), or
 //   - a floating-point accumulation (x += v, x = x + v and friends).
 //
@@ -27,13 +33,13 @@ import (
 // with //pregelvet:ignore mapiter.
 var MapIter = &Analyzer{
 	Name: "mapiter",
-	Doc:  "map iteration order must not influence messages, aggregates, or float accumulation in compute paths",
+	Doc:  "map iteration order must not influence messages, combines, aggregates, or float accumulation in compute paths or the engine's send path",
 	Run:  runMapIter,
 }
 
 func runMapIter(pass *Pass) {
 	info := pass.TypesInfo
-	for _, fd := range computePathFuncs(pass) {
+	for _, fd := range append(computePathFuncs(pass), engineSendPathFuncs(pass)...) {
 		if hasAllow(fd.Doc, "mapiter") {
 			continue
 		}
@@ -59,6 +65,29 @@ func runMapIter(pass *Pass) {
 	}
 }
 
+// engineSendPath names the core package's message-path functions: where a
+// map range would decide the wire order or the order combiners fold in.
+var engineSendPath = map[string]bool{
+	"Send": true, "finishSlot": true, "deliver": true, "install": true,
+	"processBatch": true, "decodeBatch": true,
+}
+
+// engineSendPathFuncs yields the core package's message-path methods.
+func engineSendPathFuncs(pass *Pass) []*ast.FuncDecl {
+	if !pkgHasSuffix(pass.Pkg, "core") {
+		return nil
+	}
+	var out []*ast.FuncDecl
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && fd.Recv != nil && engineSendPath[fd.Name.Name] {
+				out = append(out, fd)
+			}
+		}
+	}
+	return out
+}
+
 // orderSensitiveWork scans a map-range body for work whose result depends on
 // iteration order, returning a label for the first kind found ("" if none).
 func orderSensitiveWork(info *types.Info, rs *ast.RangeStmt) string {
@@ -70,13 +99,16 @@ func orderSensitiveWork(info *types.Info, rs *ast.RangeStmt) string {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			fn := calleeFunc(info, n)
-			if fn == nil || !recvNamedContext(fn) {
+			if fn == nil {
 				return true
 			}
-			switch fn.Name() {
-			case "Send", "SendToNeighbors":
+			switch name := fn.Name(); {
+			case name == "Combine" || name == "fold":
+				what = "combines"
+			case !recvNamedContext(fn):
+			case name == "Send" || name == "SendToNeighbors" || name == "encodeRemote":
 				what = "message sends"
-			case "Aggregate":
+			case name == "Aggregate":
 				what = "aggregator updates"
 			}
 		case *ast.AssignStmt:

@@ -71,28 +71,29 @@ func (w *worker[M]) restore(store *cloud.BlobStore, superstep int, epoch int32) 
 	// are collected before any replay token is sent, so epochs are in
 	// lockstep before new data flows.
 	w.epoch.Store(epoch)
-	// The receive loop may still be delivering stale (pre-rollback) batches
-	// concurrently; hold every inbox stripe lock while resetting so a racing
-	// deliverLocal cannot interleave with the wipe. New stale arrivals are
+	// The receive loop may still be decoding a stale (pre-rollback) batch
+	// into its sender's run, but it never writes the inbox, and the merge
+	// drops runs filled under another epoch: wiping the inbox and this
+	// worker's own staged output needs no lock. New stale arrivals are
 	// rejected by the epoch filter bumped above.
-	for i := range w.inboxLocks {
-		w.inboxLocks[i].Lock()
+	w.in.reset()
+	for slot, c := range w.slots {
+		if slot > 0 && w.combiner != nil {
+			w.countTraffic(c)
+		}
+		for dest := range c.stages {
+			c.stages[dest].reset()
+		}
+		c.localRun.reset()
 	}
-	clear(w.inboxCur)
-	clear(w.inboxNext)
-	clear(w.inboxOneCur)
-	clear(w.inboxOneNext)
-	clear(w.inboxHasCur)
-	clear(w.inboxHasNext)
-	w.inboxCurBytes = 0
-	w.inboxNextByts.Store(0)
+	w.stateRun.reset()
 	err = readState(data, w.owned, func(graph.VertexID) (*worker[M], error) { return w, nil })
+	if err == nil {
+		w.installState()
+	}
 	// Wake all: the restored flags and inboxes are the frontier now. Wakes
 	// the aborted execution left in wakeNext are merely stale.
 	w.wakeCur.fill(len(w.owned))
-	for i := range w.inboxLocks {
-		w.inboxLocks[i].Unlock()
-	}
 	if err != nil {
 		return fmt.Errorf("corrupt checkpoint %s: %w", name, err)
 	}
@@ -103,6 +104,7 @@ func (w *worker[M]) restore(store *cloud.BlobStore, superstep int, epoch int32) 
 	w.recvMu.Lock()
 	w.recvMsgs = make(map[int]int64)
 	w.recvBytes = make(map[int]int64)
+	w.recvErr = make(map[int]error)
 	w.recvMu.Unlock()
 	return nil
 }

@@ -176,14 +176,9 @@ func TestWorkerRejectsForeignInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := []int32{0, -1, 1, -1, 2, -1, 3, -1}
 	net := transport.NewChannelNetwork(2, 64)
 	defer net.Close()
-	ep, err := net.Endpoint(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := newWorker(&s, 0, []graph.VertexID{0, 2, 4, 6}, idx, ep, nil, nil)
+	w := testWorker(t, &s, net, 0)
 	w.runSuperstep(&stepToken{Superstep: 0, Injections: []graph.VertexID{99}})
 	lease := w.barrierQ.Get(time.Second)
 	if lease == nil {

@@ -265,7 +265,7 @@ func TestMigrationBlobCorruptionDetected(t *testing.T) {
 	net := transport.NewChannelNetwork(2, 64)
 	defer net.Close()
 	for w := range workers {
-		workers[w] = testWorker(t, &s, net, w, owned)
+		workers[w] = testWorker(t, &s, net, w)
 	}
 	blob := workers[1].appendState(nil)
 	for cut := 0; cut < len(blob); cut++ {

@@ -33,13 +33,13 @@ func CheckRestoreMatchesAdopt[M any](t *testing.T, spec JobSpec[M], at int) {
 		t.Cleanup(func() { net.Close() })
 		ws := make([]*worker[M], s.NumWorkers)
 		for id := range ws {
-			ws[id] = testWorker(t, &s, net, id, owned)
+			ws[id] = testWorker(t, &s, net, id)
 		}
 		return ws
 	}
 	restored, adopted := fresh(), fresh()
 	for id, w := range writers {
-		before := w.inboxCurBytes
+		before := w.in.bytes
 		w.superstep = at
 		if _, err := w.putState(observe.KindCheckpoint, checkpointContainer, checkpointBlob(at, id), at); err != nil {
 			t.Fatal(err)
@@ -63,6 +63,7 @@ func CheckRestoreMatchesAdopt[M any](t *testing.T, spec JobSpec[M], at int) {
 			t.Fatalf("worker %d: adopt: %v", id, err)
 		}
 		a := adopted[id]
+		a.installState()
 		for name, got := range map[string]*worker[M]{"restored": r, "adopted": a} {
 			if !reflect.DeepEqual(got.halted, w.halted) {
 				t.Errorf("worker %d: %s halted flags differ from the writer's", id, name)
@@ -70,8 +71,8 @@ func CheckRestoreMatchesAdopt[M any](t *testing.T, spec JobSpec[M], at int) {
 			if !reflect.DeepEqual(pendingInbox(got), pendingInbox(w)) {
 				t.Errorf("worker %d: %s inboxes differ from the writer's", id, name)
 			}
-			if got.inboxCurBytes != before {
-				t.Errorf("worker %d: %s inboxCurBytes %d, writer had %d", id, name, got.inboxCurBytes, before)
+			if got.in.bytes != before {
+				t.Errorf("worker %d: %s inbox bytes %d, writer had %d", id, name, got.in.bytes, before)
 			}
 		}
 		if !reflect.DeepEqual(r.programAny(), a.programAny()) {
@@ -89,17 +90,11 @@ func CheckRestoreMatchesAdopt[M any](t *testing.T, spec JobSpec[M], at int) {
 }
 
 // pendingInbox returns the messages pending for the next superstep per
-// local vertex, in either inbox mode, with no-message vertices as nil.
+// local vertex, with no-message vertices as nil.
 func pendingInbox[M any](w *worker[M]) [][]M {
 	out := make([][]M, len(w.owned))
 	for li := range out {
-		if w.combiner != nil {
-			if w.inboxHasCur[li] {
-				out[li] = []M{w.inboxOneCur[li]}
-			}
-		} else if len(w.inboxCur[li]) > 0 {
-			out[li] = w.inboxCur[li]
-		}
+		out[li] = w.in.msgs(int32(li))
 	}
 	return out
 }

@@ -68,7 +68,7 @@ func checkFrontier[M any](w *worker[M], active []int32) {
 	j := 0
 	for i := range w.owned {
 		li := int32(i)
-		want := w.pendingMsgs(li) || !w.halted[li] || w.injectedThisStep(li)
+		want := w.in.pending(li) || !w.halted[li] || w.injectedThisStep(li)
 		got := j < len(active) && active[j] == li
 		if want != got {
 			panic(fmt.Sprintf("core: frontier invariant: worker %d superstep %d: vertex %d (local %d) active=%v in the dense scan, %v in the wake-set list",
@@ -103,5 +103,65 @@ func checkActiveAfter[M any](w *worker[M], n int64) {
 	if dense != n {
 		panic(fmt.Sprintf("core: frontier invariant: worker %d superstep %d: activeAfter %d, dense count %d",
 			w.id, w.superstep, n, dense))
+	}
+}
+
+// Delivery invariants: the merge installs exactly what its producers staged.
+// recountDelivery counts, before the merge, how many messages each owned
+// vertex is owed — every run entry and every staged combine slot — and
+// panics on a local index the worker does not own; checkDelivery then
+// compares every vertex's installed messages with that count (at most one,
+// and one exactly when owed any, under a combiner) and the arena with their
+// sum. A vertex holding messages nobody sent it — an extent or flag the
+// previous merge failed to clear — or missing some fails here, not as a
+// wrong result supersteps later.
+
+func recountDelivery[M any](w *worker[M], stages []*dense[M], runs []*run[M]) []int32 {
+	want := make([]int32, len(w.owned))
+	owe := func(li int32, what string) {
+		if li < 0 || int(li) >= len(want) {
+			panic(fmt.Sprintf("core: delivery invariant: worker %d superstep %d: %s names local index %d of %d",
+				w.id, w.superstep, what, li, len(want)))
+		}
+		want[li]++
+	}
+	for _, st := range stages {
+		for _, li := range st.touched {
+			owe(li, "a combine stage")
+		}
+	}
+	for _, r := range runs {
+		for c := range r.segs() {
+			lis, _ := r.seg(c)
+			for _, li := range lis {
+				owe(li, "a run")
+			}
+		}
+	}
+	return want
+}
+
+func checkDelivery[M any](w *worker[M], want []int32) {
+	var total, installed int
+	for i, n := range want {
+		got := len(w.in.msgs(int32(i)))
+		exp := int(n)
+		if w.combiner != nil {
+			exp = min(exp, 1)
+		}
+		if got != exp {
+			panic(fmt.Sprintf("core: delivery invariant: worker %d superstep %d: vertex %d (local %d) holds %d messages, its producers sent %d",
+				w.id, w.superstep, w.owned[i], i, got, n))
+		}
+		total += exp
+		installed += got
+	}
+	if w.combiner == nil && len(w.in.arena) != total {
+		panic(fmt.Sprintf("core: delivery invariant: worker %d superstep %d: arena holds %d messages, producers sent %d",
+			w.id, w.superstep, len(w.in.arena), total))
+	}
+	if len(w.in.touched) > installed {
+		panic(fmt.Sprintf("core: delivery invariant: worker %d superstep %d: %d vertices touched, %d messages installed",
+			w.id, w.superstep, len(w.in.touched), installed))
 	}
 }

@@ -106,11 +106,11 @@ func loadResizeTraffic(store *cloud.BlobStore, retry cloud.RetryPolicy,
 	return traffic
 }
 
-// adoptMigrations loads every old worker's migration blob and routes each
-// vertex record to its new owner under the new assignment. from is the
-// layout that wrote the blobs. It runs between segments, before the new
-// workers' goroutines start, so no locking is needed on the inboxes or
-// program state it populates.
+// adoptMigrations loads every old worker's migration blob, routes each
+// vertex record to its new owner under the new assignment and installs the
+// adopted messages. from is the layout that wrote the blobs. It runs between
+// segments, before the new workers' goroutines start, so no locking is
+// needed on the inboxes or program state it populates.
 func adoptMigrations[M any](workers []*worker[M], store *cloud.BlobStore,
 	retry cloud.RetryPolicy, resumeStep int, from partition.Assignment, fromWorkers int) error {
 	for ow, owned := range ownedLists(from, fromWorkers) {
@@ -127,17 +127,21 @@ func adoptMigrations[M any](workers []*worker[M], store *cloud.BlobStore,
 			return fmt.Errorf("migration blob %s: %w", name, err)
 		}
 	}
+	for _, w := range workers {
+		w.installState()
+	}
 	return nil
 }
 
-// adoptState installs one old worker's state blob, written while it owned
-// exactly `owned`, into the new workers that own those vertices now. The
-// new workers are freshly constructed, so every vertex starts woken and
-// with an empty inbox.
+// adoptState reads one old worker's state blob, written while it owned
+// exactly `owned`, into the new workers that own those vertices now (their
+// messages wait in each worker's stateRun for installState). The new
+// workers are freshly constructed, so every vertex starts woken and with an
+// empty inbox.
 func adoptState[M any](workers []*worker[M], data []byte, owned []graph.VertexID) error {
-	assign := workers[0].assign
+	place := workers[0].lay.place
 	return readState(data, owned, func(gid graph.VertexID) (*worker[M], error) {
-		nw := int(assign[gid])
+		nw := int(place[gid].worker)
 		if nw < 0 || nw >= len(workers) {
 			return nil, fmt.Errorf("vertex %d assigned to worker %d of %d", gid, nw, len(workers))
 		}

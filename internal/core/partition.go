@@ -74,13 +74,19 @@ func (pc *PartitionContext[M]) VertexAt(li int32) graph.VertexID { return pc.w.o
 
 // LocalIndex returns v's dense index within this worker's owned-vertex list,
 // or -1 when v belongs to another partition.
-func (pc *PartitionContext[M]) LocalIndex(v graph.VertexID) int32 { return pc.w.globalToLocal[v] }
+func (pc *PartitionContext[M]) LocalIndex(v graph.VertexID) int32 {
+	li, _ := pc.w.local(v)
+	return li
+}
 
 // IsLocal reports whether v belongs to this worker's partition.
-func (pc *PartitionContext[M]) IsLocal(v graph.VertexID) bool { return pc.w.globalToLocal[v] >= 0 }
+func (pc *PartitionContext[M]) IsLocal(v graph.VertexID) bool {
+	_, ok := pc.w.local(v)
+	return ok
+}
 
 // Owner returns the worker that owns v under the current assignment.
-func (pc *PartitionContext[M]) Owner(v graph.VertexID) int { return int(pc.w.assign[v]) }
+func (pc *PartitionContext[M]) Owner(v graph.VertexID) int { return int(pc.w.lay.place[v].worker) }
 
 // Neighbors returns the out-neighbors of v (local or remote). The slice
 // aliases graph storage and must not be modified.
@@ -102,18 +108,9 @@ func (pc *PartitionContext[M]) Injected(li int32) bool { return pc.w.injectedThi
 
 // Messages returns the inbound boundary messages delivered to local vertex
 // li for this superstep (nil when none; with a combiner, at most one merged
-// message). The slice is engine-owned: it is recycled when ComputePartition
-// returns and must not be retained.
-func (pc *PartitionContext[M]) Messages(li int32) []M {
-	w := pc.w
-	if w.combiner != nil {
-		if w.inboxHasCur[li] {
-			return w.inboxOneCur[li : li+1 : li+1]
-		}
-		return nil
-	}
-	return w.inboxCur[li]
-}
+// message). The slice is engine-owned: the barrier merge reuses it after
+// ComputePartition returns, so it must not be retained.
+func (pc *PartitionContext[M]) Messages(li int32) []M { return pc.w.in.msgs(li) }
 
 // Send delivers m to vertex `to` at the beginning of the next superstep,
 // routed exactly as in the vertex model: remote destinations are combined
@@ -223,21 +220,12 @@ func (w *worker[M]) computePartition(active []int32) {
 	pc := &PartitionContext[M]{w: w, ctx: ctx, active: active}
 	ctx.computeOps += int64(len(active))
 	w.partProg.ComputePartition(pc)
-	// Every Messages view is dead once ComputePartition returns: recycle the
-	// consumed per-vertex slices through the stripe freelists (the inbox
-	// grouping path's pooling; combined-mode slots are cleared by swapInboxes).
 	// Active vertices the program left running wake for the next superstep;
 	// the rest of the partition was halted coming in and only Activate,
 	// which wakes, can change that.
 	for _, li := range active {
 		if !w.halted[li] {
 			w.wakeNext.set(li)
-		}
-		if w.combiner == nil {
-			if msgs := w.inboxCur[li]; msgs != nil {
-				w.inboxCur[li] = nil
-				w.recycleMsgs(li, msgs)
-			}
 		}
 	}
 	w.finishSlot(ctx)

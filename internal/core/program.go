@@ -99,9 +99,16 @@ type Context[M any] struct {
 	halted    bool
 
 	// Per-slot staging, flushed by the worker after each batch of vertices.
-	outRemoteBuf   [][]byte // per destination worker, nil until used
-	outRemoteCnt   []int32
-	combineStage   []map[graph.VertexID]M // per dest worker when combining
+	outRemoteBuf [][]byte // per destination worker, nil until used
+	outRemoteCnt []int32
+	// Next-superstep output, staged without locks (deliver.go). With a
+	// combiner: one dense buffer per destination worker, this one included,
+	// indexed by the destination's local index and allocated on first use,
+	// plus per-vertex local send counts (slot 0's are the worker's
+	// vertexTraffic itself). Without one: the local sends, in send order.
+	stages         []dense[M]
+	traffic        []int64
+	localRun       run[M]
 	aggs           map[string]float64
 	computeOps     int64
 	sentLocal      int64
@@ -148,27 +155,27 @@ func (c *Context[M]) VoteToHalt() { c.halted = true }
 // Send delivers m to vertex `to` at the beginning of the next superstep.
 func (c *Context[M]) Send(to graph.VertexID, m M) {
 	c.computeOps++
-	destWorker := c.w.assign[to]
-	if int(destWorker) == c.w.id {
+	w := c.w
+	p := w.lay.place[to]
+	dest, li := int(p.worker), p.li
+	if w.combiner != nil {
+		st := &c.stages[dest]
+		if st.has == nil {
+			*st = newDense[M](len(w.lay.owned[dest]))
+		}
+		st.fold(li, m, w.combiner)
+		if dest == w.id {
+			c.sentLocal++
+			c.traffic[li]++
+		}
+		return
+	}
+	if dest == w.id {
 		c.sentLocal++
-		size := int64(c.w.codec.Size(m)) + msgWireOverhead
-		c.w.deliverLocal(c.w.globalToLocal[to], m, size)
+		c.localRun.add(li, m, int64(w.codec.Size(m))+msgWireOverhead)
 		return
 	}
-	if c.w.combiner != nil {
-		stage := c.combineStage[destWorker]
-		if stage == nil {
-			stage = make(map[graph.VertexID]M)
-			c.combineStage[destWorker] = stage
-		}
-		if prev, ok := stage[to]; ok {
-			stage[to] = c.w.combiner.Combine(prev, m)
-		} else {
-			stage[to] = m
-		}
-		return
-	}
-	c.encodeRemote(int(destWorker), to, m)
+	c.encodeRemote(dest, to, m)
 }
 
 // SendToNeighbors delivers m to every out-neighbor of the current vertex.

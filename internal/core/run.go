@@ -339,20 +339,8 @@ func nextAssignment[M any](s *JobSpec[M], js *jobState, resize *resizeRequest) (
 // control-plane queues first so stuck workers unblock.
 func runSegment[M any](s *JobSpec[M], js *jobState, fabric *cloud.Fabric,
 	ins *jobInstruments, adopt *resizeRequest) (*resizeRequest, []*worker[M], error) {
-	// Build per-worker vertex lists and each worker's own global→local
-	// view: -1 for non-owned.
 	n := s.Graph.NumVertices()
-	owned := ownedLists(s.Assignment, s.NumWorkers)
-	perWorkerIndex := make([][]int32, s.NumWorkers)
-	for w := range perWorkerIndex {
-		perWorkerIndex[w] = make([]int32, n)
-		for v := range perWorkerIndex[w] {
-			perWorkerIndex[w][v] = -1
-		}
-		for li, v := range owned[w] {
-			perWorkerIndex[w][v] = int32(li)
-		}
-	}
+	lay := newLayout(s.Assignment, s.NumWorkers)
 
 	// The data plane: the caller's Network for the initial segment if one
 	// was supplied, otherwise (and for every post-resize segment) a fresh
@@ -395,7 +383,7 @@ func runSegment[M any](s *JobSpec[M], js *jobState, fabric *cloud.Fabric,
 			closeNet()
 			return nil, nil, err
 		}
-		workers[w] = newWorker(s, w, owned[w], perWorkerIndex[w], ep, s.AggregatorOps, ins)
+		workers[w] = newWorker(s, w, lay, ep, s.AggregatorOps, ins)
 	}
 	if (s.CheckpointEvery > 0 || s.ElasticController != nil || s.BarrierPreempt != nil || adopt != nil) &&
 		workers[0].state == nil {
@@ -459,11 +447,39 @@ func runSegment[M any](s *JobSpec[M], js *jobState, fabric *cloud.Fabric,
 	return resize, workers, runErr
 }
 
+// layout is a segment's vertex placement, shared read-only by all of its
+// workers: each worker's owned vertices in ascending global order (the
+// local-index order of every per-worker array and of every state blob the
+// worker writes) and, for every vertex, its owner and its index in the
+// owner's list, side by side so that one lookup touches one cache line.
+type layout struct {
+	owned [][]graph.VertexID
+	place []place
+}
+
+type place struct{ worker, li int32 }
+
+func newLayout(a partition.Assignment, workers int) *layout {
+	l := &layout{owned: ownedLists(a, workers), place: make([]place, len(a))}
+	for w, owned := range l.owned {
+		for li, v := range owned {
+			l.place[v] = place{int32(w), int32(li)}
+		}
+	}
+	return l
+}
+
 // ownedLists splits an assignment into each worker's owned vertices in
-// ascending global order: the local-index order of every per-worker array
-// and of every state blob the worker writes.
+// ascending global order.
 func ownedLists(a partition.Assignment, workers int) [][]graph.VertexID {
+	sizes := make([]int, workers)
+	for _, w := range a {
+		sizes[w]++
+	}
 	owned := make([][]graph.VertexID, workers)
+	for w := range owned {
+		owned[w] = make([]graph.VertexID, 0, sizes[w])
+	}
 	for v, w := range a {
 		owned[w] = append(owned[w], graph.VertexID(v))
 	}

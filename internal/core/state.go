@@ -48,18 +48,10 @@ func (w *worker[M]) appendState(dst []byte) []byte {
 			halted = 1
 		}
 		dst = append(dst, halted)
-		if w.combiner != nil {
-			if w.inboxHasCur[li] {
-				dst = w.appendMsg(binary.LittleEndian.AppendUint64(dst, 1), w.inboxOneCur[li])
-			} else {
-				dst = binary.LittleEndian.AppendUint64(dst, 0)
-			}
-		} else {
-			msgs := w.inboxCur[li]
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(len(msgs)))
-			for _, m := range msgs {
-				dst = w.appendMsg(dst, m)
-			}
+		msgs := w.in.msgs(int32(li))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(msgs)))
+		for _, m := range msgs {
+			dst = w.appendMsg(dst, m)
 		}
 		dst = w.state.AppendVertex(dst, int32(li))
 	}
@@ -102,10 +94,11 @@ var errShortRecord = errors.New("corrupt state blob: record truncated")
 
 // readState parses a state blob written by a worker that owned exactly
 // `owned` and installs each record into the worker route picks for its
-// vertex: the halted flag, the pending messages (combiner-aware, with the
-// byte accounting deliverLocal uses) and the program state. Messages and
-// state are sliced out of data, never copied. The blob must hold exactly
-// len(owned) records and nothing after them.
+// vertex: the halted flag and the program state directly, the pending
+// messages into the worker's stateRun, which the caller installs once every
+// blob routed to the worker is read (a resize's records arrive in any local
+// order). Program state is sliced out of data, never copied. The blob must
+// hold exactly len(owned) records and nothing after them.
 func readState[M any](data []byte, owned []graph.VertexID, route func(graph.VertexID) (*worker[M], error)) error {
 	if len(data) < 8 {
 		return errShortRecord
@@ -119,8 +112,8 @@ func readState[M any](data []byte, owned []graph.VertexID, route func(graph.Vert
 		if err != nil {
 			return err
 		}
-		li := w.globalToLocal[gid]
-		if li < 0 {
+		li, ok := w.local(gid)
+		if !ok {
 			return fmt.Errorf("vertex %d routed to worker %d, which does not own it", gid, w.id)
 		}
 		if len(data) < 9 {
@@ -149,12 +142,7 @@ func readState[M any](data []byte, owned []graph.VertexID, route func(graph.Vert
 				return fmt.Errorf("vertex %d: %w", gid, err)
 			}
 			data = data[size:]
-			if w.combiner != nil {
-				w.inboxOneCur[li], w.inboxHasCur[li] = m, true
-			} else {
-				w.inboxCur[li] = append(w.inboxCur[li], m)
-			}
-			w.inboxCurBytes += int64(size) + msgWireOverhead
+			w.stateRun.add(li, m, int64(size)+msgWireOverhead)
 		}
 		n, err := w.state.ReadVertex(li, data)
 		if err == nil && (n < 0 || n > len(data)) {

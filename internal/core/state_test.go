@@ -8,22 +8,15 @@ import (
 	"pregelnet/internal/transport"
 )
 
-// testWorker builds worker id of the given layout on net, without starting
+// testWorker builds worker id of the spec's layout on net, without starting
 // any of its goroutines.
-func testWorker[M any](t testing.TB, s *JobSpec[M], net transport.Network, id int, owned [][]graph.VertexID) *worker[M] {
+func testWorker[M any](t testing.TB, s *JobSpec[M], net transport.Network, id int) *worker[M] {
 	t.Helper()
 	ep, err := net.Endpoint(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := make([]int32, s.Graph.NumVertices())
-	for v := range idx {
-		idx[v] = -1
-	}
-	for li, v := range owned[id] {
-		idx[v] = int32(li)
-	}
-	return newWorker(s, id, owned[id], idx, ep, s.AggregatorOps, nil)
+	return newWorker(s, id, newLayout(s.Assignment, s.NumWorkers), ep, s.AggregatorOps, nil)
 }
 
 // FuzzStateBlob feeds arbitrary bytes to the one state-blob parser through
@@ -64,13 +57,16 @@ func FuzzStateBlob(f *testing.F) {
 	net := transport.NewChannelNetwork(1, 64)
 	f.Cleanup(func() { net.Close() })
 	f.Fuzz(func(t *testing.T, data []byte) {
-		restored := testWorker(t, &s, net, 0, owned)
+		restored := testWorker(t, &s, net, 0)
 		if err := s.CheckpointStore.Put(checkpointContainer, checkpointBlob(3, 0), data); err != nil {
 			t.Fatal(err)
 		}
 		restoreErr := restored.restore(s.CheckpointStore, 3, 1)
-		adopted := testWorker(t, &s, net, 0, owned)
+		adopted := testWorker(t, &s, net, 0)
 		adoptErr := adoptState([]*worker[uint32]{adopted}, data, owned[0])
+		if adoptErr == nil {
+			adopted.installState()
+		}
 		if (restoreErr == nil) != (adoptErr == nil) {
 			t.Fatalf("restore err %v, adopt err %v: the entry points disagree", restoreErr, adoptErr)
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,12 +13,10 @@ import (
 	"pregelnet/internal/cloud"
 	"pregelnet/internal/graph"
 	"pregelnet/internal/observe"
-	"pregelnet/internal/partition"
 	"pregelnet/internal/transport"
 )
 
 const (
-	inboxStripes = 64
 	// queueMaxWait bounds a worker's idle wait for the next step token. The
 	// manager closes the queues at job teardown, which unblocks waiters
 	// immediately; this is only a backstop against an orphaned worker.
@@ -171,8 +170,7 @@ type recvStream struct {
 }
 
 // wakeSet is a bitset over a worker's local vertex indices that compute slots
-// and the receive loop may set concurrently. Stripes are li % 64, so one word
-// spans every stripe lock; atomic Or is what makes concurrent setters safe.
+// may set concurrently; atomic Or is what makes concurrent setters safe.
 type wakeSet []atomic.Uint64
 
 func newWakeSet(n int) wakeSet { return make(wakeSet, (n+63)/64) }
@@ -209,16 +207,15 @@ type worker[M any] struct {
 	id         int
 	numWorkers int
 	g          *graph.Graph
-	assign     partition.Assignment
 	codec      Codec[M]
 	combiner   Combiner[M]
 	flushBytes int
 	aggOps     map[string]AggOp
 	parallel   int
 
-	owned         []graph.VertexID
-	globalToLocal []int32
-	halted        []bool
+	lay    *layout
+	owned  []graph.VertexID // lay.owned[id]
+	halted []bool
 	// Exactly one of program (vertex-centric) and partProg (subgraph-
 	// centric) is non-nil, per the JobSpec; everything below the compute
 	// phase — data plane, combiners, aggregators, checkpointing, recovery,
@@ -231,39 +228,30 @@ type worker[M any] struct {
 	state    StateCodec
 	stateBuf []byte
 
-	// Inboxes. With a combiner every vertex's pending messages collapse to a
-	// single combined slot, so the engine keeps one message + one present
-	// flag per vertex (no per-vertex slice churn). Without a combiner it
-	// keeps per-vertex slices whose backing arrays are recycled through
-	// striped free lists.
-	inboxCur      [][]M
-	inboxNext     [][]M
-	inboxOneCur   []M
-	inboxOneNext  []M
-	inboxHasCur   []bool
-	inboxHasNext  []bool
-	msgFree       [inboxStripes][][]M // recycled []M backing arrays, by stripe
-	inboxCurBytes int64
-	inboxNextByts atomic.Int64
-	inboxLocks    [inboxStripes]sync.Mutex
+	// Message path (deliver.go): the inbox compute reads, one receive run
+	// per sender (written only by the receive loop), the run readState
+	// stages restored and adopted messages in, and the merge's scratch.
+	in       inbox[M]
+	recv     []run[M]
+	stateRun run[M]
+	runBuf   []*run[M]
+	stageBuf []*dense[M]
 	// vertexTraffic counts messages delivered to each owned vertex across the
-	// whole segment (local sends and remote receives alike — deliverLocal is
-	// the one point every delivery funnels through). It is the per-vertex
-	// affinity signal incremental repartitioning weighs edges by; a heuristic
-	// only, never consulted by the compute path. Guarded by the same stripe
-	// locks as the inboxes; read at migrate time, after the sentinel wait's
-	// happens-before edge, so no extra synchronization is needed.
+	// whole segment (local sends, counted before combining, and remote
+	// receives alike). It is the per-vertex affinity signal incremental
+	// repartitioning weighs edges by; a heuristic only, never consulted by
+	// the compute path. Written by compute slot 0 and the merge, which never
+	// run at the same time; read at migrate time.
 	vertexTraffic []int64
 
 	// Frontier. Invariant: when a superstep starts, every vertex with pending
 	// messages or !halted has its bit set in wakeCur; a set bit may be stale
 	// (the vertex halted, or its wake was for nothing), so the active list is
 	// the set bits filtered by the exact activity predicate. During the step,
-	// setters write wakeNext only: deliverLocal on a vertex's first
-	// next-step delivery, the compute phase for every computed vertex left
-	// !halted, and PartitionContext.Activate. swapInboxes rotates the two
-	// with the inboxes. Construction and restore wake every vertex, which is
-	// the only dense pass.
+	// setters write wakeNext only: the compute phase for every computed
+	// vertex left !halted, PartitionContext.Activate, and the merge for every
+	// vertex it delivers to. The barrier rotates the two. Construction and
+	// restore wake every vertex, which is the only dense pass.
 	wakeCur  wakeSet
 	wakeNext wakeSet
 
@@ -342,9 +330,12 @@ type worker[M any] struct {
 	// Receive-side counters are keyed by the batch's superstep: a fast peer
 	// can deliver step-s batches before this worker has even started step s,
 	// so a per-step reset would race (and make BytesIn nondeterministic).
+	// recvErr holds the first malformed batch of each superstep, which fails
+	// that superstep's check-in.
 	recvMu    sync.Mutex
 	recvMsgs  map[int]int64
 	recvBytes map[int]int64
+	recvErr   map[int]error
 
 	// Sentinel tracking: peers that finished sending for a given superstep.
 	sentinelMu   sync.Mutex
@@ -352,22 +343,23 @@ type worker[M any] struct {
 	sentinels    map[int]int
 }
 
-func newWorker[M any](spec *JobSpec[M], id int, owned []graph.VertexID,
-	globalToLocal []int32, ep transport.Endpoint, aggOps map[string]AggOp,
-	ins *jobInstruments) *worker[M] {
+func newWorker[M any](spec *JobSpec[M], id int, lay *layout, ep transport.Endpoint,
+	aggOps map[string]AggOp, ins *jobInstruments) *worker[M] {
+	owned := lay.owned[id]
 	w := &worker[M]{
 		id:             id,
 		numWorkers:     spec.NumWorkers,
 		g:              spec.Graph,
-		assign:         spec.Assignment,
 		codec:          spec.Codec,
 		combiner:       spec.Combiner,
 		flushBytes:     spec.FlushBytes,
 		aggOps:         aggOps,
 		parallel:       spec.ComputeParallelism,
+		lay:            lay,
 		owned:          owned,
-		globalToLocal:  globalToLocal,
 		halted:         make([]bool, len(owned)),
+		in:             newInbox[M](len(owned), spec.Combiner != nil),
+		recv:           make([]run[M], spec.NumWorkers),
 		endpoint:       ep,
 		stepQ:          spec.Queues.Queue(stepQueueName(spec.segment, id)),
 		barrierQ:       spec.Queues.Queue(barrierQueueName(spec.segment)),
@@ -375,6 +367,7 @@ func newWorker[M any](spec *JobSpec[M], id int, owned []graph.VertexID,
 		sentinels:      make(map[int]int),
 		recvMsgs:       make(map[int]int64),
 		recvBytes:      make(map[int]int64),
+		recvErr:        make(map[int]error),
 		visibility:     spec.QueueVisibility,
 		barrierTimeout: spec.BarrierTimeout,
 		doneThrough:    -1,
@@ -389,15 +382,6 @@ func newWorker[M any](spec *JobSpec[M], id int, owned []graph.VertexID,
 	w.wakeCur.fill(len(owned))
 	for i := range w.recvStreams {
 		w.recvStreams[i].next = 1 // senders stamp from 1 within each epoch
-	}
-	if w.combiner != nil {
-		w.inboxOneCur = make([]M, len(owned))
-		w.inboxOneNext = make([]M, len(owned))
-		w.inboxHasCur = make([]bool, len(owned))
-		w.inboxHasNext = make([]bool, len(owned))
-	} else {
-		w.inboxCur = make([][]M, len(owned))
-		w.inboxNext = make([][]M, len(owned))
 	}
 	w.outboxes = make([]*outbox, spec.NumWorkers)
 	for dest := range w.outboxes {
@@ -713,12 +697,12 @@ func (w *worker[M]) runSuperstep(tok *stepToken) {
 	}
 	w.hasInjected = len(tok.Injections) > 0
 	for _, v := range tok.Injections {
-		if int(v) >= len(w.globalToLocal) || w.globalToLocal[v] < 0 {
+		li, ok := w.local(v)
+		if !ok {
 			w.checkIn(barrierMsg{Worker: w.id, Superstep: w.superstep,
 				Err: fmt.Sprintf("injection %d not owned by worker %d", v, w.id)})
 			return
 		}
-		li := w.globalToLocal[v]
 		w.injectedBits[li>>6] |= 1 << uint(li&63)
 	}
 	active := w.frontier()
@@ -779,12 +763,28 @@ func (w *worker[M]) runSuperstep(tok *stepToken) {
 	}
 	barrierSpan.End()
 
-	// Memory accounting: messages held for this step + messages buffered for
-	// the next + program state (paper §IV: buffered messages dominate).
-	peakMem := w.inboxCurBytes + w.inboxNextByts.Load() + w.programStateBytes()
+	// All step-s batches have arrived (sentinels seen), so these totals are
+	// complete and deterministic.
+	w.recvMu.Lock()
+	recvMsgs := w.recvMsgs[w.superstep]
+	recvBytes := w.recvBytes[w.superstep]
+	recvErr := w.recvErr[w.superstep]
+	delete(w.recvMsgs, w.superstep)
+	delete(w.recvBytes, w.superstep)
+	delete(w.recvErr, w.superstep)
+	w.recvMu.Unlock()
+	if recvErr != nil {
+		w.checkIn(barrierMsg{Worker: w.id, Superstep: w.superstep, Err: recvErr.Error()})
+		return
+	}
 
-	// Swap inboxes for the next superstep.
-	w.swapInboxes(active)
+	// Merge this step's output into the next step's inbox. Memory
+	// accounting: messages held for this step + messages buffered for the
+	// next + program state (paper §IV: buffered messages dominate).
+	curBytes := w.in.bytes
+	w.deliver()
+	peakMem := curBytes + w.in.bytes + w.programStateBytes()
+	w.wakeCur, w.wakeNext = w.wakeNext, w.wakeCur
 	activeAfter := w.activeAfter()
 
 	peers := 0
@@ -793,14 +793,6 @@ func (w *worker[M]) runSuperstep(tok *stepToken) {
 			peers++
 		}
 	}
-	// All step-s batches have arrived (sentinels seen), so these totals are
-	// complete and deterministic.
-	w.recvMu.Lock()
-	recvMsgs := w.recvMsgs[w.superstep]
-	recvBytes := w.recvBytes[w.superstep]
-	delete(w.recvMsgs, w.superstep)
-	delete(w.recvBytes, w.superstep)
-	w.recvMu.Unlock()
 	if w.msglog != nil {
 		w.ins.msglogBytesGauge(w.id).Set(float64(w.msglog.Bytes()))
 	}
@@ -847,7 +839,7 @@ func (w *worker[M]) frontier() []int32 {
 		}
 		for ; x != 0; x &= x - 1 {
 			li := int32(wi<<6 + bits.TrailingZeros64(x))
-			if w.pendingMsgs(li) || !w.halted[li] || w.injectedThisStep(li) {
+			if w.in.pending(li) || !w.halted[li] || w.injectedThisStep(li) {
 				active = append(active, li)
 			}
 		}
@@ -870,43 +862,23 @@ func (w *worker[M]) activeAfter() int64 {
 	return n
 }
 
-// pendingMsgs reports whether local vertex li has messages for this step.
-func (w *worker[M]) pendingMsgs(li int32) bool {
-	if w.combiner != nil {
-		return w.inboxHasCur[li]
+// local returns v's index in this worker's owned list, and false when v is
+// outside the graph or owned by another worker.
+func (w *worker[M]) local(v graph.VertexID) (int32, bool) {
+	if int(v) >= len(w.lay.place) {
+		return -1, false
 	}
-	return len(w.inboxCur[li]) > 0
-}
-
-// swapInboxes rotates next-step inboxes and wake sets into place and clears
-// the buffers that will receive the following step's messages, reusing every
-// backing array. Only the step's active vertices can hold current-step
-// messages (a vertex with pending messages is always active), so only their
-// slots need clearing.
-func (w *worker[M]) swapInboxes(active []int32) {
-	if w.combiner != nil {
-		w.inboxOneCur, w.inboxOneNext = w.inboxOneNext, w.inboxOneCur
-		w.inboxHasCur, w.inboxHasNext = w.inboxHasNext, w.inboxHasCur
-		var zero M // zero values: no stale references survive
-		for _, li := range active {
-			w.inboxOneNext[li] = zero
-			w.inboxHasNext[li] = false
-		}
-	} else {
-		for _, li := range active {
-			w.inboxCur[li] = nil
-		}
-		w.inboxCur, w.inboxNext = w.inboxNext, w.inboxCur
+	p := w.lay.place[v]
+	if int(p.worker) != w.id {
+		return -1, false
 	}
-	w.wakeCur, w.wakeNext = w.wakeNext, w.wakeCur
-	w.inboxCurBytes = w.inboxNextByts.Load()
-	w.inboxNextByts.Store(0)
+	return p.li, true
 }
 
 // slotContext returns the reusable Context for a compute slot, reset for the
-// current superstep. Contexts, their staging buffers, and their combine maps
-// persist across supersteps so the compute hot path allocates only when a
-// buffer genuinely grows.
+// current superstep. Contexts and their staging buffers persist across
+// supersteps so the compute hot path allocates only when a buffer genuinely
+// grows.
 func (w *worker[M]) slotContext(slot int) *Context[M] {
 	for len(w.slots) <= slot {
 		w.slots = append(w.slots, nil)
@@ -920,7 +892,11 @@ func (w *worker[M]) slotContext(slot int) *Context[M] {
 			aggs:         make(map[string]float64),
 		}
 		if w.combiner != nil {
-			ctx.combineStage = make([]map[graph.VertexID]M, w.numWorkers)
+			ctx.stages = make([]dense[M], w.numWorkers)
+			ctx.traffic = w.vertexTraffic
+			if slot > 0 {
+				ctx.traffic = make([]int64, len(w.owned))
+			}
 		}
 		w.slots[slot] = ctx
 	}
@@ -937,17 +913,8 @@ func (w *worker[M]) slotContext(slot int) *Context[M] {
 // local vertices using one reusable Context, then flushes its remote
 // buffers into the outboxes.
 func (w *worker[M]) computeSlice(ctx *Context[M], vertices []int32) {
-	combined := w.combiner != nil
 	for _, li := range vertices {
-		var msgs []M
-		if combined {
-			if w.inboxHasCur[li] {
-				msgs = w.inboxOneCur[li : li+1 : li+1]
-			}
-		} else {
-			msgs = w.inboxCur[li]
-			w.inboxCur[li] = nil
-		}
+		msgs := w.in.msgs(li)
 		ctx.vertex = w.owned[li]
 		ctx.local = li
 		ctx.injected = w.injectedThisStep(li)
@@ -958,27 +925,26 @@ func (w *worker[M]) computeSlice(ctx *Context[M], vertices []int32) {
 		if !ctx.halted {
 			w.wakeNext.set(li)
 		}
-		if !combined && msgs != nil {
-			w.recycleMsgs(li, msgs)
-		}
 	}
 	w.finishSlot(ctx)
 }
 
-// finishSlot is the compute epilogue shared by both models: flush the slot's
-// combiner stages into wire buffers, enqueue all staged batches, and merge
-// the per-slot counters and aggregator contributions.
+// finishSlot is the compute epilogue shared by both models: encode the
+// slot's remote combine stages in ascending local index, enqueue all staged
+// batches, and merge the per-slot counters and aggregator contributions. The
+// slot's local output stays staged for the barrier merge.
 func (w *worker[M]) finishSlot(ctx *Context[M]) {
-	if ctx.combineStage != nil {
-		for dest, stage := range ctx.combineStage {
-			if len(stage) == 0 {
-				continue
-			}
-			for to, m := range stage {
-				ctx.encodeRemote(dest, to, m)
-			}
-			clear(stage) // keep the map, drop the entries
+	for dest := range ctx.stages {
+		st := &ctx.stages[dest]
+		if dest == w.id || len(st.touched) == 0 {
+			continue
 		}
+		slices.Sort(st.touched)
+		owned := w.lay.owned[dest]
+		for _, li := range st.touched {
+			ctx.encodeRemote(dest, owned[li], st.val[li])
+		}
+		st.reset()
 	}
 	for dest := range ctx.outRemoteBuf {
 		if len(ctx.outRemoteBuf[dest]) > 0 {
@@ -992,56 +958,10 @@ func (w *worker[M]) finishSlot(ctx *Context[M]) {
 	w.mergeAggs(ctx.aggs)
 }
 
-// recycleMsgs returns a consumed inbox slice's backing array to its stripe's
-// free list for reuse by deliverLocal.
-func (w *worker[M]) recycleMsgs(li int32, msgs []M) {
-	clear(msgs) // drop message contents so pooled arrays pin no memory
-	stripe := int(li) % inboxStripes
-	lock := &w.inboxLocks[stripe]
-	lock.Lock()
-	w.msgFree[stripe] = append(w.msgFree[stripe], msgs[:0])
-	lock.Unlock()
-}
-
 // injectedThisStep tests the superstep's injection bitset; the common no-
 // injection superstep short-circuits on a single bool.
 func (w *worker[M]) injectedThisStep(li int32) bool {
 	return w.hasInjected && w.injectedBits[li>>6]&(1<<uint(li&63)) != 0
-}
-
-// deliverLocal appends a message to a co-located vertex's next-step inbox,
-// waking the vertex on its first delivery of the step. Called concurrently
-// from compute goroutines and the receive loop.
-func (w *worker[M]) deliverLocal(li int32, m M, size int64) {
-	stripe := int(li) % inboxStripes
-	lock := &w.inboxLocks[stripe]
-	lock.Lock()
-	w.vertexTraffic[li]++
-	if w.combiner != nil {
-		if w.inboxHasNext[li] {
-			w.inboxOneNext[li] = w.combiner.Combine(w.inboxOneNext[li], m)
-		} else {
-			w.inboxOneNext[li] = m
-			w.inboxHasNext[li] = true
-			w.inboxNextByts.Add(size)
-			w.wakeNext.set(li)
-		}
-		lock.Unlock()
-		return
-	}
-	next := w.inboxNext[li]
-	if len(next) == 0 {
-		w.wakeNext.set(li)
-	}
-	if next == nil {
-		if fl := w.msgFree[stripe]; len(fl) > 0 {
-			next = fl[len(fl)-1]
-			w.msgFree[stripe] = fl[:len(fl)-1]
-		}
-	}
-	w.inboxNext[li] = append(next, m)
-	w.inboxNextByts.Add(size)
-	lock.Unlock()
 }
 
 // flushSlotBuffer hands a slot's staged batch for one destination to that
@@ -1272,88 +1192,67 @@ func (w *worker[M]) receiveLoop() {
 		if err != nil {
 			return // endpoint closed
 		}
-		cur := w.epoch.Load()
-		if b.Epoch != cur {
-			w.releaseRecv(b) // dead stream from before a rollback
-			continue
-		}
-		if b.Seq == 0 {
-			// Unsequenced: the engine always stamps, but raw transport users
-			// (tests, tools) may not — process immediately, no ordering.
-			w.processBatch(b)
-			continue
-		}
-		from := b.From // processBatch recycles b; don't touch it afterwards
-		st := &w.recvStreams[from]
-		if st.epoch != cur {
-			// First batch of a new epoch from this sender: abandon the old
-			// stream, pending stragglers included.
-			st.epoch = cur
-			st.next = 1
-			for s, p := range st.pending {
-				delete(st.pending, s)
-				w.releaseRecv(p)
-			}
-		}
-		switch {
-		case b.Seq < st.next: // duplicate of a processed batch (retried send)
-			w.releaseRecv(b)
-		case b.Seq > st.next: // overtook the gap: hold until it fills
-			if st.pending == nil {
-				st.pending = make(map[int32]*transport.Batch)
-			}
-			if _, dup := st.pending[b.Seq]; dup {
-				w.releaseRecv(b)
-			} else {
-				st.pending[b.Seq] = b
-			}
-		default:
-			w.processBatch(b)
-			st.next++
-			for {
-				p, ok := st.pending[st.next]
-				if !ok {
-					break
-				}
-				delete(st.pending, st.next)
-				w.processBatch(p)
-				st.next++
-			}
-			w.recvInv.checkStream(from, st.next, st.pending)
-		}
+		w.receive(b)
 	}
 }
 
-// processBatch consumes one in-order batch: sentinels bump the barrier
-// count, data batches are decoded into next-superstep inboxes, and the
-// batch's pooled payload and struct are recycled.
-func (w *worker[M]) processBatch(b *transport.Batch) {
-	if b.Count < 0 { // sentinel
-		w.recvInv.noteSentinel(b)
-		w.sentinelMu.Lock()
-		w.sentinels[int(b.Superstep)]++
-		w.sentinelCond.Broadcast()
-		w.sentinelMu.Unlock()
-		transport.PutBatch(b)
+// receive routes one incoming batch through the epoch filter and its
+// sender's ordered stream.
+func (w *worker[M]) receive(b *transport.Batch) {
+	cur := w.epoch.Load()
+	if b.Epoch != cur {
+		w.releaseRecv(b) // dead stream from before a rollback
 		return
 	}
-	w.recvMu.Lock()
-	w.recvBytes[int(b.Superstep)] += b.WireSize()
-	w.recvMsgs[int(b.Superstep)] += int64(b.Count)
-	w.recvMu.Unlock()
-	data := b.Payload
-	for len(data) >= msgWireOverhead {
-		to, size := readMsgHeader(data)
-		data = data[msgWireOverhead:]
-		m, _ := w.codec.Decode(data[:size])
-		data = data[size:]
-		li := w.globalToLocal[to]
-		if li < 0 {
-			continue // misrouted: drop (cannot happen with valid assignment)
-		}
-		w.deliverLocal(li, m, int64(size+msgWireOverhead))
+	if b.Seq == 0 {
+		// Unsequenced: the engine always stamps, but raw transport users
+		// (tests, tools) may not — process immediately, no ordering.
+		w.processBatch(b)
+		return
 	}
-	w.releaseRecv(b)
+	from := b.From // processBatch recycles b; don't touch it afterwards
+	if from < 0 || int(from) >= w.numWorkers {
+		w.failRecv(b.Superstep, fmt.Errorf("batch %d from unknown worker %d", b.Seq, from))
+		w.releaseRecv(b)
+		return
+	}
+	st := &w.recvStreams[from]
+	if st.epoch != cur {
+		// First batch of a new epoch from this sender: abandon the old
+		// stream, pending stragglers included.
+		st.epoch = cur
+		st.next = 1
+		for s, p := range st.pending {
+			delete(st.pending, s)
+			w.releaseRecv(p)
+		}
+	}
+	switch {
+	case b.Seq < st.next: // duplicate of a processed batch (retried send)
+		w.releaseRecv(b)
+	case b.Seq > st.next: // overtook the gap: hold until it fills
+		if st.pending == nil {
+			st.pending = make(map[int32]*transport.Batch)
+		}
+		if _, dup := st.pending[b.Seq]; dup {
+			w.releaseRecv(b)
+		} else {
+			st.pending[b.Seq] = b
+		}
+	default:
+		w.processBatch(b)
+		st.next++
+		for {
+			p, ok := st.pending[st.next]
+			if !ok {
+				break
+			}
+			delete(st.pending, st.next)
+			w.processBatch(p)
+			st.next++
+		}
+		w.recvInv.checkStream(from, st.next, st.pending)
+	}
 }
 
 // releaseRecv recycles a fully consumed incoming batch. The receiver is the

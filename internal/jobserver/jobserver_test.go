@@ -78,9 +78,9 @@ func normalized(sum *Summary) Summary {
 // summariesMatch compares a scheduled job's summary against its isolated
 // baseline: everything must be exactly equal except TopVertices scores,
 // which get a relative 1e-9 tolerance. Float-scored algorithms (pagerank,
-// bc) sum message contributions in cross-sender arrival order, which is
-// goroutine-scheduling dependent in the engine with or without a
-// concurrent scheduler, so their scores are only ULP-stable; integer-state
+// bc) run several compute slots per worker, whose batches to one peer
+// interleave in a goroutine-scheduling dependent order, so their sums are
+// only ULP-stable with or without a concurrent scheduler; integer-state
 // algorithms compare bit-exactly through this same helper.
 func summariesMatch(got, want Summary) bool {
 	gt, wt := got.TopVertices, want.TopVertices

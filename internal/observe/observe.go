@@ -32,6 +32,9 @@ const (
 	// KindBarrierWait spans a worker waiting for peer sentinels (BSP barrier
 	// condition 2: all messages delivered).
 	KindBarrierWait Kind = "barrier_wait"
+	// KindDeliver spans a worker's barrier merge: its staged and received
+	// messages turned into the next superstep's inbox.
+	KindDeliver Kind = "deliver"
 	// KindBarrierCollect spans the manager collecting worker check-ins.
 	KindBarrierCollect Kind = "barrier_collect"
 	// KindSwath marks a swath scheduler decision: how many sources were
