@@ -85,17 +85,12 @@ bench-smoke:
 # gated at its own ceiling (measured rows in BENCH_PR21.json). The BC
 # determinism fix (sorted root maps on the send path, so recovery replay is
 # bit-reproducible) landed after BENCH_PR8.json was recorded; the lock-free
-# message path took its allocs/op cost from ~+49% to ~+16–20%. The model/*
-# vertex rows run four compute slots per worker on a 4,096-vertex grid, and
-# each slot's dense combine stages (one per destination it reaches, sized to
-# that destination's partition) cost ~+18–26% bytes/op there.
+# message path took its allocs/op cost from ~+49% to ~+16–24%.
 BASE ?= BENCH_PR8.json
 BASELABEL ?=
 THRESHOLD ?= 0.10
 ALLOW ?= -allow superstep/bc-channel:allocs/op:0.25 \
-	-allow e2e/bc-tcp:allocs/op:0.25 \
-	-allow model/sssp-vertex-metis:bytes/op:0.25 \
-	-allow model/wcc-vertex-metis:bytes/op:0.30
+	-allow e2e/bc-tcp:allocs/op:0.25
 bench-compare:
 	$(GO) run ./cmd/bench -label compare-head -samples $(SAMPLES) -out bench-compare.json \
 		-compare $(BASE) $(if $(BASELABEL),-baselabel $(BASELABEL)) -threshold $(THRESHOLD) $(ALLOW)

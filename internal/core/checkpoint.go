@@ -75,12 +75,11 @@ func (w *worker[M]) restore(store *cloud.BlobStore, superstep int, epoch int32) 
 	// into its sender's run, but it never writes the inbox, and the merge
 	// drops runs filled under another epoch: wiping the inbox and this
 	// worker's own staged output needs no lock. New stale arrivals are
-	// rejected by the epoch filter bumped above.
+	// rejected by the epoch filter bumped above. The staged output is
+	// dropped uncounted, whatever the program: vertexTraffic counts only
+	// what a merge installs.
 	w.in.reset()
-	for slot, c := range w.slots {
-		if slot > 0 && w.combiner != nil {
-			w.countTraffic(c)
-		}
+	for _, c := range w.slots {
 		for dest := range c.stages {
 			c.stages[dest].reset()
 		}

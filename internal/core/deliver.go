@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 
 	"pregelnet/internal/observe"
@@ -12,7 +14,8 @@ import (
 // buffers it owns, so no lock or shared atomic is taken per message:
 //
 //   - a compute slot stages its sends in its Context: with a combiner, one
-//     dense combine buffer per destination worker (this one included);
+//     combine stage per destination worker (this one included), a list of
+//     sends that turns dense once it covers enough of the destination;
 //     without, remote sends are encoded straight onto the wire and local
 //     sends append to the slot's own run;
 //   - the receive loop decodes each sender's in-order batches into that
@@ -82,33 +85,152 @@ func (r *run[M]) truncate(n int, bytes int64) {
 func (r *run[M]) reset() { r.truncate(0, 0) }
 
 // dense is a combine buffer over one worker's local indices: at most one
-// message per vertex, and the vertices set in first-fold order, so clearing
-// and walking it cost O(touched), never O(owned).
+// message per vertex and how many were folded into it. It lists the
+// 8-vertex blocks holding any, in first-fold order, so walking and clearing
+// it cost O(touched blocks), never O(owned), for 4 bytes per 8 vertices.
 type dense[M any] struct {
-	val     []M
-	has     []bool
-	touched []int32
+	val []M
+	// n[li] counts the messages folded into val[li] (0: none) in one byte:
+	// each time a count would pass 255, li is appended to over, which stands
+	// for 255 of them, and n[li] restarts at 1. A block's eight counts are
+	// one little-endian word, zero while the block is empty.
+	n      []uint8
+	over   []int32
+	blocks []int32
 }
 
 func newDense[M any](n int) dense[M] {
-	return dense[M]{val: make([]M, n), has: make([]bool, n)}
+	n = (n + 7) &^ 7
+	return dense[M]{val: make([]M, n), n: make([]uint8, n), blocks: make([]int32, 0, n/8)}
 }
 
 func (d *dense[M]) fold(li int32, m M, c Combiner[M]) {
-	if d.has[li] {
+	switch d.n[li] {
+	case 0:
+		if b := li &^ 7; binary.LittleEndian.Uint64(d.n[b:]) == 0 {
+			d.blocks = append(d.blocks, b)
+		}
+		d.val[li] = m
+	case math.MaxUint8:
 		d.val[li] = c.Combine(d.val[li], m)
+		d.over = append(d.over, li)
+		d.n[li] = 1
 		return
+	default:
+		d.val[li] = c.Combine(d.val[li], m)
 	}
-	d.val[li], d.has[li] = m, true
-	d.touched = append(d.touched, li)
+	d.n[li]++
+}
+
+// each calls f for every vertex holding a message: block by block in
+// first-fold order (ascending once blocks is sorted), ascending within one.
+func (d *dense[M]) each(f func(li int32)) {
+	for _, b := range d.blocks {
+		for li := b; li < b+8; li++ {
+			if d.n[li] != 0 {
+				f(li)
+			}
+		}
+	}
 }
 
 func (d *dense[M]) reset() {
-	var zero M // no stale references survive
-	for _, li := range d.touched {
-		d.val[li], d.has[li] = zero, false
+	for _, b := range d.blocks {
+		clear(d.val[b : b+8]) // no stale references survive
+		clear(d.n[b : b+8])
 	}
-	d.touched = d.touched[:0]
+	d.blocks, d.over = d.blocks[:0], d.over[:0]
+}
+
+// stage is a compute slot's combine buffer for one destination worker (this
+// one included). It starts as a list of the slot's sends and turns into a
+// dense buffer over the destination's local indices once one superstep's
+// sends reach 1/denseFrac of them, staying dense from then on. So its memory
+// follows what the slot sends: a sparse frontier never pays for a
+// partition-sized buffer, and a slot that reaches most of a partition does
+// not keep one entry per send.
+type stage[M any] struct {
+	list     []sent[M]
+	keys     []uint64 // sort scratch for the list
+	dense[M]          // val == nil while the stage is a list
+}
+
+type sent[M any] struct {
+	li int32
+	m  M
+}
+
+const denseFrac = 8
+
+// add stages m for local index li of a destination with size vertices.
+func (s *stage[M]) add(li int32, m M, c Combiner[M], size int) {
+	if s.val != nil {
+		s.fold(li, m, c)
+		return
+	}
+	if s.list == nil {
+		s.list = make([]sent[M], 0, min(size/denseFrac+1, 256))
+	}
+	s.list = append(s.list, sent[M]{li, m})
+	if len(s.list)*denseFrac < size {
+		return
+	}
+	s.dense = newDense[M](size)
+	for _, e := range s.list {
+		s.fold(e.li, e.m, c)
+	}
+	s.list, s.keys = nil, nil
+}
+
+func (s *stage[M]) empty() bool { return len(s.list) == 0 && len(s.blocks) == 0 }
+
+// combined calls emit once per vertex staged this superstep with its
+// messages folded in send order, so both forms give the same values. A list
+// emits in ascending local index; a dense stage in first-send block order,
+// or ascending when sorted is set.
+func (s *stage[M]) combined(c Combiner[M], sorted bool, emit func(li int32, m M)) {
+	if s.val != nil {
+		if sorted {
+			slices.Sort(s.blocks)
+		}
+		s.each(func(li int32) { emit(li, s.val[li]) })
+		return
+	}
+	keys := slices.Grow(s.keys[:0], len(s.list))
+	for i, e := range s.list {
+		keys = append(keys, uint64(e.li)<<32|uint64(i))
+	}
+	slices.Sort(keys)
+	for i := 0; i < len(keys); {
+		li, m := int32(keys[i]>>32), s.list[uint32(keys[i])].m
+		j := i + 1
+		for ; j < len(keys) && int32(keys[j]>>32) == li; j++ {
+			m = c.Combine(m, s.list[uint32(keys[j])].m)
+		}
+		emit(li, m)
+		i = j
+	}
+	s.keys = keys
+}
+
+// countInto adds the number of messages staged for each vertex to traffic.
+func (s *stage[M]) countInto(traffic []int64) {
+	for _, e := range s.list {
+		traffic[e.li]++
+	}
+	s.each(func(li int32) { traffic[li] += int64(s.n[li]) })
+	for _, li := range s.over {
+		traffic[li] += math.MaxUint8
+	}
+}
+
+func (s *stage[M]) reset() {
+	if s.val != nil {
+		s.dense.reset()
+		return
+	}
+	clear(s.list)
+	s.list = s.list[:0]
 }
 
 // inbox holds the messages each owned vertex reads in the current superstep.
@@ -119,9 +241,10 @@ func (d *dense[M]) reset() {
 // a current and a next one.
 type inbox[M any] struct {
 	dense[M]
-	arena  []M
-	lo, hi []int32
-	bytes  int64 // Σ encoded size + msgWireOverhead: the memory model's inbox share
+	arena   []M
+	lo, hi  []int32
+	touched []int32
+	bytes   int64 // Σ encoded size + msgWireOverhead: the memory model's inbox share
 }
 
 func newInbox[M any](n int, combined bool) inbox[M] {
@@ -131,11 +254,22 @@ func newInbox[M any](n int, combined bool) inbox[M] {
 	return inbox[M]{lo: make([]int32, n), hi: make([]int32, n)}
 }
 
+// each calls f for every vertex holding messages.
+func (in *inbox[M]) each(f func(li int32)) {
+	if in.n != nil {
+		in.dense.each(f)
+		return
+	}
+	for _, li := range in.touched {
+		f(li)
+	}
+}
+
 // msgs returns li's messages (nil when none). The slice aliases the inbox
 // and is valid until the next merge.
 func (in *inbox[M]) msgs(li int32) []M {
-	if in.has != nil {
-		if in.has[li] {
+	if in.n != nil {
+		if in.n[li] != 0 {
 			return in.val[li : li+1 : li+1]
 		}
 		return nil
@@ -148,14 +282,14 @@ func (in *inbox[M]) msgs(li int32) []M {
 }
 
 func (in *inbox[M]) pending(li int32) bool {
-	if in.has != nil {
-		return in.has[li]
+	if in.n != nil {
+		return in.n[li] != 0
 	}
 	return in.hi[li] > in.lo[li]
 }
 
 func (in *inbox[M]) reset() {
-	if in.has != nil {
+	if in.n != nil {
 		in.dense.reset()
 	} else {
 		for _, li := range in.touched {
@@ -175,15 +309,14 @@ func (in *inbox[M]) reset() {
 func (w *worker[M]) deliver() {
 	span := w.tracer.Start(observe.KindDeliver, w.id, w.superstep)
 	stages, runs := w.stageBuf[:0], w.runBuf[:0]
-	for slot, c := range w.slots {
+	for _, c := range w.slots {
 		if w.combiner == nil {
 			runs = append(runs, &c.localRun)
 			continue
 		}
-		stages = append(stages, &c.stages[w.id])
-		if slot > 0 {
-			w.countTraffic(c)
-		}
+		st := &c.stages[w.id]
+		st.countInto(w.vertexTraffic)
+		stages = append(stages, st)
 	}
 	epoch := w.epoch.Load()
 	for from := range w.recv {
@@ -207,24 +340,16 @@ func (w *worker[M]) deliver() {
 		}
 		r.reset()
 	}
-	for _, li := range w.in.touched {
+	vertices := 0
+	w.in.each(func(li int32) {
 		w.wakeNext.set(li)
-	}
+		vertices++
+	})
 	clear(stages)
 	clear(runs)
 	w.stageBuf, w.runBuf = stages[:0], runs[:0]
 	if span.Active() {
-		span.End(observe.Int("vertices", int64(len(w.in.touched))), observe.Int("bytes", w.in.bytes))
-	}
-}
-
-// countTraffic adds the local send counts of a compute slot after the first
-// (slot 0 counts straight into vertexTraffic) to vertexTraffic and zeroes
-// them.
-func (w *worker[M]) countTraffic(c *Context[M]) {
-	for _, li := range c.stages[w.id].touched {
-		w.vertexTraffic[li] += c.traffic[li]
-		c.traffic[li] = 0
+		span.End(observe.Int("vertices", int64(vertices)), observe.Int("bytes", w.in.bytes))
 	}
 }
 
@@ -235,18 +360,16 @@ func (w *worker[M]) installState() {
 	w.stateRun.reset()
 }
 
-// install builds the (empty) inbox from dense stages and then runs, each in
-// the given order: folded under a combiner, counting-sorted into the arena
-// otherwise. Both are stable, so a vertex's messages keep the producers'
-// order.
-func (w *worker[M]) install(stages []*dense[M], runs []*run[M]) {
+// install builds the (empty) inbox from combine stages and then runs, each
+// in the given order: folded under a combiner, counting-sorted into the
+// arena otherwise. Both are stable, so a vertex's messages keep the
+// producers' order.
+func (w *worker[M]) install(stages []*stage[M], runs []*run[M]) {
 	want := recountDelivery(w, stages, runs)
 	in := &w.in
 	if w.combiner != nil {
 		for _, st := range stages {
-			for _, li := range st.touched {
-				in.fold(li, st.val[li], w.combiner)
-			}
+			st.combined(w.combiner, false, func(li int32, m M) { in.fold(li, m, w.combiner) })
 		}
 		for _, r := range runs {
 			for c := range r.segs() {
@@ -256,9 +379,7 @@ func (w *worker[M]) install(stages []*dense[M], runs []*run[M]) {
 				}
 			}
 		}
-		for _, li := range in.touched {
-			in.bytes += int64(w.codec.Size(in.val[li])) + msgWireOverhead
-		}
+		in.dense.each(func(li int32) { in.bytes += int64(w.codec.Size(in.val[li])) + msgWireOverhead })
 	} else {
 		for _, r := range runs {
 			for c := range r.segs() {

@@ -116,7 +116,7 @@ func checkActiveAfter[M any](w *worker[M], n int64) {
 // previous merge failed to clear — or missing some fails here, not as a
 // wrong result supersteps later.
 
-func recountDelivery[M any](w *worker[M], stages []*dense[M], runs []*run[M]) []int32 {
+func recountDelivery[M any](w *worker[M], stages []*stage[M], runs []*run[M]) []int32 {
 	want := make([]int32, len(w.owned))
 	owe := func(li int32, what string) {
 		if li < 0 || int(li) >= len(want) {
@@ -126,9 +126,10 @@ func recountDelivery[M any](w *worker[M], stages []*dense[M], runs []*run[M]) []
 		want[li]++
 	}
 	for _, st := range stages {
-		for _, li := range st.touched {
-			owe(li, "a combine stage")
+		for _, e := range st.list {
+			owe(e.li, "a combine stage")
 		}
+		st.dense.each(func(li int32) { owe(li, "a combine stage") })
 	}
 	for _, r := range runs {
 		for c := range r.segs() {
@@ -160,8 +161,10 @@ func checkDelivery[M any](w *worker[M], want []int32) {
 		panic(fmt.Sprintf("core: delivery invariant: worker %d superstep %d: arena holds %d messages, producers sent %d",
 			w.id, w.superstep, len(w.in.arena), total))
 	}
-	if len(w.in.touched) > installed {
+	touched := 0
+	w.in.each(func(int32) { touched++ })
+	if touched > installed {
 		panic(fmt.Sprintf("core: delivery invariant: worker %d superstep %d: %d vertices touched, %d messages installed",
-			w.id, w.superstep, len(w.in.touched), installed))
+			w.id, w.superstep, touched, installed))
 	}
 }

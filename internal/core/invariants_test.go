@@ -111,15 +111,15 @@ func TestDeliveryInvariantCatchesStaleInbox(t *testing.T) {
 			if got := w.in.msgs(2); !slices.Equal(got, []uint32{7}) {
 				t.Fatalf("vertex 4's inbox = %v, want [7]", got)
 			}
-			// Vertex 6 (local 3) gains a message outside the touched list, so
-			// the next reset does not clear it.
+			// The inbox loses track of vertex 4 (local 2), so the next reset
+			// leaves its message in place.
 			if tc.combiner != nil {
-				w.in.has[3] = true
+				w.in.blocks = w.in.blocks[:0]
 			} else {
-				w.in.lo[3], w.in.hi[3] = 0, 1
+				w.in.touched = w.in.touched[:0]
 			}
 			w.superstep = 1
-			mustPanic(t, "worker 0 superstep 1: vertex 6 (local 3) holds 1 messages, its producers sent 0",
+			mustPanic(t, "worker 0 superstep 1: vertex 4 (local 2) holds 1 messages, its producers sent 0",
 				func() { w.deliver() })
 		})
 	}

@@ -75,14 +75,15 @@ func (pc *PartitionContext[M]) VertexAt(li int32) graph.VertexID { return pc.w.o
 // LocalIndex returns v's dense index within this worker's owned-vertex list,
 // or -1 when v belongs to another partition.
 func (pc *PartitionContext[M]) LocalIndex(v graph.VertexID) int32 {
-	li, _ := pc.w.local(v)
-	return li
+	if p := pc.w.lay.place[v]; int(p.worker) == pc.w.id {
+		return p.li
+	}
+	return -1
 }
 
 // IsLocal reports whether v belongs to this worker's partition.
 func (pc *PartitionContext[M]) IsLocal(v graph.VertexID) bool {
-	_, ok := pc.w.local(v)
-	return ok
+	return int(pc.w.lay.place[v].worker) == pc.w.id
 }
 
 // Owner returns the worker that owns v under the current assignment.

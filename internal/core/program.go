@@ -102,12 +102,10 @@ type Context[M any] struct {
 	outRemoteBuf [][]byte // per destination worker, nil until used
 	outRemoteCnt []int32
 	// Next-superstep output, staged without locks (deliver.go). With a
-	// combiner: one dense buffer per destination worker, this one included,
-	// indexed by the destination's local index and allocated on first use,
-	// plus per-vertex local send counts (slot 0's are the worker's
-	// vertexTraffic itself). Without one: the local sends, in send order.
-	stages         []dense[M]
-	traffic        []int64
+	// combiner: one combine stage per destination worker, this one included,
+	// keyed by the destination's local index. Without one: the local sends,
+	// in send order.
+	stages         []stage[M]
 	localRun       run[M]
 	aggs           map[string]float64
 	computeOps     int64
@@ -159,15 +157,10 @@ func (c *Context[M]) Send(to graph.VertexID, m M) {
 	p := w.lay.place[to]
 	dest, li := int(p.worker), p.li
 	if w.combiner != nil {
-		st := &c.stages[dest]
-		if st.has == nil {
-			*st = newDense[M](len(w.lay.owned[dest]))
-		}
-		st.fold(li, m, w.combiner)
 		if dest == w.id {
 			c.sentLocal++
-			c.traffic[li]++
 		}
+		c.stages[dest].add(li, m, w.combiner, len(w.lay.owned[dest]))
 		return
 	}
 	if dest == w.id {

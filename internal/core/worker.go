@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/bits"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -235,13 +234,13 @@ type worker[M any] struct {
 	recv     []run[M]
 	stateRun run[M]
 	runBuf   []*run[M]
-	stageBuf []*dense[M]
+	stageBuf []*stage[M]
 	// vertexTraffic counts messages delivered to each owned vertex across the
 	// whole segment (local sends, counted before combining, and remote
 	// receives alike). It is the per-vertex affinity signal incremental
 	// repartitioning weighs edges by; a heuristic only, never consulted by
-	// the compute path. Written by compute slot 0 and the merge, which never
-	// run at the same time; read at migrate time.
+	// the compute path. Written only by the merge, so output a restore
+	// discards is never counted; read at migrate time.
 	vertexTraffic []int64
 
 	// Frontier. Invariant: when a superstep starts, every vertex with pending
@@ -892,11 +891,7 @@ func (w *worker[M]) slotContext(slot int) *Context[M] {
 			aggs:         make(map[string]float64),
 		}
 		if w.combiner != nil {
-			ctx.stages = make([]dense[M], w.numWorkers)
-			ctx.traffic = w.vertexTraffic
-			if slot > 0 {
-				ctx.traffic = make([]int64, len(w.owned))
-			}
+			ctx.stages = make([]stage[M], w.numWorkers)
 		}
 		w.slots[slot] = ctx
 	}
@@ -936,14 +931,11 @@ func (w *worker[M]) computeSlice(ctx *Context[M], vertices []int32) {
 func (w *worker[M]) finishSlot(ctx *Context[M]) {
 	for dest := range ctx.stages {
 		st := &ctx.stages[dest]
-		if dest == w.id || len(st.touched) == 0 {
+		if dest == w.id || st.empty() {
 			continue
 		}
-		slices.Sort(st.touched)
 		owned := w.lay.owned[dest]
-		for _, li := range st.touched {
-			ctx.encodeRemote(dest, owned[li], st.val[li])
-		}
+		st.combined(w.combiner, true, func(li int32, m M) { ctx.encodeRemote(dest, owned[li], m) })
 		st.reset()
 	}
 	for dest := range ctx.outRemoteBuf {
