@@ -124,12 +124,15 @@ profile:
 
 # fuzz runs each decoder fuzz target for FUZZTIME: the control-plane
 # messages, the data-plane batch payload (the receive path's decoder), the
-# state blob (checkpoint restore and migration adopt), and every built-in
-# program's per-vertex state codec. go test fuzzes one target per
-# invocation.
+# state blob (checkpoint restore and migration adopt), every built-in
+# program's per-vertex state codec, and the two graph loaders (the text
+# edge list differentially against its former parser, and the binary CSR
+# format). go test fuzzes one target per invocation.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzControlMessages$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchPayload$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzStateBlob$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReadVertex$$' -fuzztime $(FUZZTIME) ./internal/algorithms
+	$(GO) test -run '^$$' -fuzz '^FuzzReadEdgeList$$' -fuzztime $(FUZZTIME) ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/graph

@@ -10,6 +10,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -145,8 +146,7 @@ func (g *Graph) ShuffleIDs(seed int64) *Graph {
 
 func (g *Graph) sortAdjacency() {
 	for v := 0; v < g.NumVertices(); v++ {
-		nbrs := g.adj[g.offsets[v]:g.offsets[v+1]]
-		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
+		slices.Sort(g.adj[g.offsets[v]:g.offsets[v+1]])
 	}
 }
 
@@ -210,34 +210,48 @@ func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 
 // Build produces the CSR graph, sorting adjacency lists and dropping
 // duplicate edges. The Builder may be reused afterwards (it is reset).
+//
+// Edges are counting-sorted by source straight into the adjacency array,
+// then each row is sorted and deduplicated in place: O(m + Σ d log d) with
+// no comparison sort over the whole edge list.
 func (b *Builder) Build() *Graph {
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].u != b.edges[j].u {
-			return b.edges[i].u < b.edges[j].u
-		}
-		return b.edges[i].v < b.edges[j].v
-	})
-	// Deduplicate in place.
-	dedup := b.edges[:0]
-	for i, e := range b.edges {
-		if i == 0 || e != b.edges[i-1] {
-			dedup = append(dedup, e)
-		}
-	}
 	offsets := make([]int64, b.n+1)
-	for _, e := range dedup {
+	for _, e := range b.edges {
 		offsets[e.u+1]++
 	}
 	for i := 1; i <= b.n; i++ {
 		offsets[i] += offsets[i-1]
 	}
-	adj := make([]VertexID, len(dedup))
-	for i, e := range dedup {
-		adj[i] = e.v
+	adj := make([]VertexID, len(b.edges))
+	// Scatter with offsets[u] as row u's cursor; afterwards offsets[u] holds
+	// the end of row u, which the dedup pass below turns back into starts.
+	for _, e := range b.edges {
+		adj[offsets[e.u]] = e.v
+		offsets[e.u]++
 	}
-	g := &Graph{offsets: offsets, adj: adj}
+	var lo, kept int64
+	for u := 0; u < b.n; u++ {
+		hi := offsets[u]
+		offsets[u] = kept
+		row := adj[lo:hi]
+		slices.Sort(row)
+		// kept never passes the read position lo+i, so compacting in
+		// place leaves row[i-1] intact until it has been compared.
+		for i, v := range row {
+			if i == 0 || v != row[i-1] {
+				adj[kept] = v
+				kept++
+			}
+		}
+		lo = hi
+	}
+	offsets[b.n] = kept
+	if kept < int64(len(adj)) {
+		// Do not keep the pre-dedup capacity alive for the graph's lifetime.
+		adj = append(make([]VertexID, 0, kept), adj[:kept]...)
+	}
 	b.edges = nil
-	return g
+	return &Graph{offsets: offsets, adj: adj}
 }
 
 // FromAdjacency builds a graph directly from per-vertex adjacency lists.

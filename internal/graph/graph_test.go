@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -202,6 +204,68 @@ func TestMaxAndAvgDegree(t *testing.T) {
 	want := float64(g.NumEdges()) / 5
 	if got := g.AvgDegree(); got != want {
 		t.Errorf("AvgDegree = %v, want %v", got, want)
+	}
+}
+
+// buildInput is an edge list in the order a Builder receives it.
+type buildInput struct {
+	n     int
+	edges []edge
+}
+
+// buildInputs are the Build equivalence test's edge lists: generator graphs
+// and a disconnected one, each shuffled and salted with duplicate edges and
+// self-loops, plus graphs with no edges and with empty rows.
+func buildInputs() map[string]buildInput {
+	salted := func(g *Graph, extraVertices int, seed int64) buildInput {
+		rng := rand.New(rand.NewSource(seed))
+		var es []edge
+		g.ForEachEdge(func(u, v VertexID) { es = append(es, edge{u, v}) })
+		n := g.NumVertices() + extraVertices
+		for i, k := 0, len(es)/4+1; i < k; i++ {
+			es = append(es, es[rng.Intn(len(es))])
+			v := VertexID(rng.Intn(n))
+			es = append(es, edge{v, v})
+		}
+		rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+		return buildInput{n, es}
+	}
+	two := NewBuilder(40)
+	Ring(20).ForEachEdge(func(u, v VertexID) { two.Add(u, v) })
+	Complete(8).ForEachEdge(func(u, v VertexID) { two.Add(u+25, v+25) })
+	inputs := map[string]buildInput{
+		"n=0":        {0, nil},
+		"no-edges":   {5, nil},
+		"empty-rows": {6, []edge{{5, 0}, {2, 3}, {2, 3}, {5, 5}, {0, 5}}},
+	}
+	for name, g := range map[string]*Graph{
+		"community":    Community(600, 6, 4, 0.9, 3),
+		"rmat":         RMAT(9, 8, 0.57, 0.19, 0.19, 0.05, 4),
+		"grid":         Grid(17, 23),
+		"star":         Star(300),
+		"disconnected": two.Build(),
+	} {
+		inputs[name] = salted(g, 7, int64(len(name)))
+	}
+	return inputs
+}
+
+// The counting-sort Build produces exactly the graph the comparison-sort
+// Build did.
+func TestBuildMatchesSortReference(t *testing.T) {
+	for name, in := range buildInputs() {
+		t.Run(name, func(t *testing.T) {
+			got := &Builder{n: in.n, edges: append([]edge(nil), in.edges...)}
+			want := &Builder{n: in.n, edges: append([]edge(nil), in.edges...)}
+			g, ref := got.Build(), buildSorted(want)
+			if !reflect.DeepEqual(g, ref) {
+				t.Fatalf("Build differs from the sort reference:\n got %v %v\nwant %v %v",
+					g.offsets, g.adj, ref.offsets, ref.adj)
+			}
+			if cap(g.adj) != len(g.adj) {
+				t.Errorf("adjacency keeps capacity %d for %d arcs", cap(g.adj), len(g.adj))
+			}
+		})
 	}
 }
 

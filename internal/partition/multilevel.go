@@ -2,7 +2,7 @@ package partition
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"pregelnet/internal/graph"
 )
@@ -144,88 +144,85 @@ func (m *Multilevel) Partition(g *graph.Graph, k int) Assignment {
 // heavier than maxVWgt are skipped — without this cap, hub vertices in
 // power-law graphs absorb so much weight that no balanced initial partition
 // exists at the coarsest level.
+//
+// Contraction follows METIS's CreateCoarseGraph: each coarse vertex merges
+// its one or two members' adjacency through a dense weight accumulator,
+// then sorts only its own neighbour row, so a level costs O(m + Σ d log d).
 func coarsen(w *wgraph, rng *rand.Rand, maxVWgt int64) (*wgraph, []graph.VertexID) {
+	const unmatched = ^graph.VertexID(0)
 	n := w.n()
-	match := make([]int32, n)
-	for i := range match {
-		match[i] = -1
+	vmap := make([]graph.VertexID, n)
+	for i := range vmap {
+		vmap[i] = unmatched
 	}
 	order := rng.Perm(n)
-	coarseCount := 0
-	vmap := make([]graph.VertexID, n)
+	// members[2c] and members[2c+1] are coarse vertex c's fine vertices; a
+	// vertex left unmatched is its own partner.
+	members := make([]graph.VertexID, 0, 2*n)
 	for _, vi := range order {
 		v := graph.VertexID(vi)
-		if match[v] >= 0 {
+		if vmap[v] != unmatched {
 			continue
 		}
 		// Find the unmatched neighbor with the heaviest connecting edge
 		// whose combined weight stays under the cap.
-		bestU := int32(-1)
+		partner := v
 		var bestW int64 = -1
 		nbrs, wts := w.neighbors(v)
 		for j, u := range nbrs {
-			if match[u] < 0 && u != v && wts[j] > bestW && w.vwgt[v]+w.vwgt[u] <= maxVWgt {
-				bestU, bestW = int32(u), wts[j]
+			if vmap[u] == unmatched && u != v && wts[j] > bestW && w.vwgt[v]+w.vwgt[u] <= maxVWgt {
+				partner, bestW = u, wts[j]
 			}
 		}
-		if bestU >= 0 {
-			match[v] = bestU
-			match[bestU] = int32(v)
-			vmap[v] = graph.VertexID(coarseCount)
-			vmap[bestU] = graph.VertexID(coarseCount)
-		} else {
-			match[v] = int32(v)
-			vmap[v] = graph.VertexID(coarseCount)
-		}
-		coarseCount++
+		c := graph.VertexID(len(members) / 2)
+		vmap[v], vmap[partner] = c, c
+		members = append(members, v, partner)
 	}
 
-	// Build the contracted graph: union adjacency with edge-weight sums.
+	coarseCount := len(members) / 2
 	coarse := &wgraph{
 		vwgt:    make([]int64, coarseCount),
 		offsets: make([]int64, coarseCount+1),
+		adj:     make([]graph.VertexID, len(w.adj)),
+		ewgt:    make([]int64, len(w.adj)),
 	}
-	for v := 0; v < n; v++ {
-		coarse.vwgt[vmap[v]] += w.vwgt[v]
-	}
-	type cedge struct {
-		u, v graph.VertexID
-		w    int64
-	}
-	edges := make([]cedge, 0, len(w.adj))
-	for v := 0; v < n; v++ {
-		cv := vmap[v]
-		nbrs, wts := w.neighbors(graph.VertexID(v))
-		for j, u := range nbrs {
-			cu := vmap[u]
-			if cu != cv {
-				edges = append(edges, cedge{cv, cu, wts[j]})
+	// Edge weights are >= 1, so a zero accumulator entry means untouched.
+	// A coarse vertex has at most as many arcs as its members, so its row
+	// is collected in place at the end of the arcs written so far.
+	acc := make([]int64, coarseCount)
+	idx := 0
+	for c := 0; c < coarseCount; c++ {
+		cv := graph.VertexID(c)
+		pair := members[2*c : 2*c+2]
+		if pair[1] == pair[0] {
+			pair = pair[:1]
+		}
+		start := idx
+		for _, v := range pair {
+			coarse.vwgt[c] += w.vwgt[v]
+			nbrs, wts := w.neighbors(v)
+			for j, u := range nbrs {
+				cu := vmap[u]
+				if cu == cv {
+					continue
+				}
+				if acc[cu] == 0 {
+					coarse.adj[idx] = cu
+					idx++
+				}
+				acc[cu] += wts[j]
 			}
 		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
+		row := coarse.adj[start:idx]
+		slices.Sort(row)
+		for i, cu := range row {
+			coarse.ewgt[start+i] = acc[cu]
+			acc[cu] = 0
 		}
-		return edges[i].v < edges[j].v
-	})
-	for i := 0; i < len(edges); {
-		j := i
-		var sum int64
-		for j < len(edges) && edges[j].u == edges[i].u && edges[j].v == edges[i].v {
-			sum += edges[j].w
-			j++
-		}
-		coarse.adj = append(coarse.adj, edges[i].v)
-		coarse.ewgt = append(coarse.ewgt, sum)
-		coarse.offsets[edges[i].u+1] = int64(len(coarse.adj))
-		i = j
+		coarse.offsets[c+1] = int64(idx)
 	}
-	for i := 1; i <= coarseCount; i++ {
-		if coarse.offsets[i] == 0 {
-			coarse.offsets[i] = coarse.offsets[i-1]
-		}
-	}
+	coarse.adj = coarse.adj[:idx]
+	coarse.ewgt = coarse.ewgt[:idx]
 	return coarse, vmap
 }
 
