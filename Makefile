@@ -82,15 +82,14 @@ bench-smoke:
 # LABEL=baseline OUT=base.json` before a change and compare after it.
 #
 # ALLOW carries known, accepted costs against a frozen baseline, each still
-# gated at its own ceiling (measured rows in BENCH_PR21.json). The BC
-# determinism fix (sorted root maps on the send path, so recovery replay is
-# bit-reproducible) landed after BENCH_PR8.json was recorded; the lock-free
-# message path took its allocs/op cost from ~+49% to ~+16–24%.
+# gated at its own ceiling (`-allow name:metric:ceiling`). None is needed
+# today: the two BC rows that once needed +25% allocs/op now allocate about
+# half of BENCH_PR8.json's count, since BC's per-root state stopped
+# allocating per root (BENCH_PR23.json).
 BASE ?= BENCH_PR8.json
 BASELABEL ?=
 THRESHOLD ?= 0.10
-ALLOW ?= -allow superstep/bc-channel:allocs/op:0.25 \
-	-allow e2e/bc-tcp:allocs/op:0.25
+ALLOW ?=
 bench-compare:
 	$(GO) run ./cmd/bench -label compare-head -samples $(SAMPLES) -out bench-compare.json \
 		-compare $(BASE) $(if $(BASELABEL),-baselabel $(BASELABEL)) -threshold $(THRESHOLD) $(ALLOW)
@@ -112,19 +111,24 @@ benchmark-selfcheck:
 	$(GO) run ./benchmark -selfcheck
 
 # profile is the "no optimisation without a profile" step as one command: run
-# one repo-benchmark workload for 4 s, CPU-profile the extra untimed jobs it
-# runs after the timed reps, and print the top 25 functions. The profile, the
-# generated input and the reports go to PROFILE_DIR, outside the repository.
+# one repo-benchmark workload for 4 s, CPU- and allocation-profile the extra
+# untimed jobs it runs after the timed reps, and print the top 25 functions
+# by CPU and by bytes allocated (alloc_space, what alloc_mb counts; the
+# allocation profile covers the whole process, set-up included). The
+# profiles, the generated input and the reports go to PROFILE_DIR, outside
+# the repository.
 PROFILE_DIR ?= $(or $(TMPDIR),/tmp)/pregelnet-profile
 profile:
 	@test -n "$(WORKLOAD)" || { echo "usage: make profile WORKLOAD=<name from BENCHMARK.json>"; exit 2; }
 	@mkdir -p $(PROFILE_DIR)
-	$(GO) run ./benchmark -workload $(WORKLOAD) -seconds 4 -out $(PROFILE_DIR) -cpuprofile $(PROFILE_DIR)/$(WORKLOAD).cpu
+	$(GO) run ./benchmark -workload $(WORKLOAD) -seconds 4 -out $(PROFILE_DIR) \
+		-cpuprofile $(PROFILE_DIR)/$(WORKLOAD).cpu -memprofile $(PROFILE_DIR)/$(WORKLOAD).mem
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/$(WORKLOAD).cpu
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 25 $(PROFILE_DIR)/$(WORKLOAD).mem
 
 # fuzz runs each decoder fuzz target for FUZZTIME: the control-plane
 # messages, the data-plane batch payload (the receive path's decoder), the
-# state blob (checkpoint restore and migration adopt), every built-in
+# TCP frame reader, the state blob (checkpoint restore and migration adopt), every built-in
 # program's per-vertex state codec, and the two graph loaders (the text
 # edge list differentially against its former parser, and the binary CSR
 # format). go test fuzzes one target per invocation.
@@ -132,6 +136,7 @@ FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzControlMessages$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchPayload$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzTCPFrame$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzStateBlob$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReadVertex$$' -fuzztime $(FUZZTIME) ./internal/algorithms
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEdgeList$$' -fuzztime $(FUZZTIME) ./internal/graph

@@ -3,7 +3,6 @@ package algorithms
 import (
 	"encoding/binary"
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"pregelnet/internal/core"
@@ -76,25 +75,32 @@ func (BCCodec) Decode(data []byte) (BCMsg, int) {
 // Size implements core.Codec.
 func (BCCodec) Size(BCMsg) int { return 21 }
 
-// bcRootState is one vertex's state for one in-flight traversal.
+// bcRootState is one vertex's state for one in-flight traversal. Its
+// accounted size is bcStateBaseBytes plus 8 per predecessor.
 type bcRootState struct {
+	root       uint32
 	dist       int32
 	discovered int32 // superstep of discovery
+	succ       int32
+	back       int32
 	sigma      float64
 	delta      float64
 	preds      []uint32
-	succ       int32
-	back       int32
-	bytes      int64 // accounted size, subtracted on free
 }
 
 const bcStateBaseBytes = 72
 
+func (st *bcRootState) bytes() int64 { return bcStateBaseBytes + int64(8*len(st.preds)) }
+
 type bcProgram struct {
-	scores     []float64
-	states     []map[uint32]*bcRootState
+	scores []float64
+	// states[li] holds li's in-flight traversals in ascending root order,
+	// which is the order Compute sends in and AppendVertex writes. Slots
+	// past the length are completed traversals kept for reuse: each owns its
+	// preds storage, so slots only ever move by swapping, never by copying
+	// one over another (two slots would then share a preds array).
+	states     [][]bcRootState
 	stateBytes atomic.Int64
-	roots      []uint32 // AppendVertex scratch
 }
 
 // BC builds the betweenness-centrality job over the given source roots.
@@ -109,10 +115,47 @@ func BC(g *graph.Graph, workers int, scheduler core.SwathScheduler) core.JobSpec
 		NewProgram: func(_ int, _ *graph.Graph, owned []graph.VertexID) core.VertexProgram[BCMsg] {
 			return &bcProgram{
 				scores: make([]float64, len(owned)),
-				states: make([]map[uint32]*bcRootState, len(owned)),
+				states: make([][]bcRootState, len(owned)),
 			}
 		},
 	}
+}
+
+// findRoot returns the index of root's state in the ascending states, or
+// the index it would be inserted at and false. It tries hint first: one
+// sender's messages arrive in ascending root order, so a message's root is
+// often the state after the previous message's.
+func findRoot(states []bcRootState, root uint32, hint int) (int, bool) {
+	if hint < len(states) && states[hint].root == root {
+		return hint, true
+	}
+	lo, hi := 0, len(states)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if states[mid].root < root {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(states) && states[lo].root == root
+}
+
+// insertRoot opens a fresh state for root at index i of the ascending
+// states, reusing the slot (and its preds capacity) just past the end when
+// there is one. The slot rotates into place, so every slot keeps its own
+// preds storage.
+func insertRoot(states []bcRootState, i int, root uint32, dist, step int32) []bcRootState {
+	if len(states) < cap(states) {
+		states = states[:len(states)+1]
+	} else {
+		states = append(states, bcRootState{})
+	}
+	last := len(states) - 1
+	free := states[last]
+	copy(states[i+1:], states[i:last])
+	states[i] = bcRootState{root: root, dist: dist, discovered: step, preds: free.preds[:0]}
+	return states
 }
 
 // Compute implements core.VertexProgram.
@@ -121,98 +164,89 @@ func (p *bcProgram) Compute(ctx *core.Context[BCMsg], msgs []BCMsg) {
 	states := p.states[li]
 	self := uint32(ctx.Vertex())
 	step := int32(ctx.Superstep())
-
-	ensure := func() map[uint32]*bcRootState {
-		if states == nil {
-			states = make(map[uint32]*bcRootState)
-			p.states[li] = states
-		}
-		return states
-	}
-	newState := func(root uint32, dist int32) *bcRootState {
-		st := &bcRootState{dist: dist, discovered: step, bytes: bcStateBaseBytes}
-		ensure()[root] = st
-		p.stateBytes.Add(bcStateBaseBytes)
-		return st
-	}
+	var grew int64 // accounted bytes added by this call
 
 	// Injection: this vertex becomes the root of a new traversal.
 	if ctx.IsInjected() {
-		if _, exists := states[self]; !exists {
-			st := newState(self, 0)
-			st.sigma = 1
+		if i, ok := findRoot(states, self, 0); !ok {
+			states = insertRoot(states, i, self, 0, step)
+			states[i].sigma = 1
+			grew += bcStateBaseBytes
 		}
 	}
 
-	for i := range msgs {
-		m := &msgs[i]
+	i := -1
+	for j := range msgs {
+		m := &msgs[j]
+		var ok bool
+		i, ok = findRoot(states, m.Root, i+1)
 		switch m.Kind {
 		case bcForward:
-			st := states[m.Root]
-			if st == nil {
-				st = newState(m.Root, int32(m.Aux))
+			if !ok {
+				states = insertRoot(states, i, m.Root, int32(m.Aux), step)
+				grew += bcStateBaseBytes
 			}
+			st := &states[i]
 			// Accept only messages for our own BFS level; anything else is a
 			// cross or back edge discovered late.
 			if int32(m.Aux) == st.dist && st.discovered == step {
 				st.sigma += m.Value
 				st.preds = append(st.preds, m.From)
-				st.bytes += 8
-				p.stateBytes.Add(8)
+				grew += 8
 				ctx.Send(graph.VertexID(m.From), BCMsg{Root: m.Root, Kind: bcAck})
 			}
 		case bcAck:
-			if st := states[m.Root]; st != nil {
-				st.succ++
+			if ok {
+				states[i].succ++
 			}
 		case bcBackward:
-			if st := states[m.Root]; st != nil {
+			if ok {
+				st := &states[i]
 				st.delta += st.sigma * m.Value
 				st.back++
 			}
 		}
 	}
 
-	// Drain the per-root state in sorted root order: map iteration order
-	// varies run to run, and both loops below send messages and accumulate
-	// floating-point scores, so replay after recovery must walk the roots
-	// in the same order the original run did.
-	roots := make([]uint32, 0, len(states))
-	for root := range states {
-		roots = append(roots, root)
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-
-	// Newly discovered traversals forward their sigma down the tree.
-	for _, root := range roots {
-		st := states[root]
-		if st.discovered == step {
-			fwd := BCMsg{Root: root, Kind: bcForward, From: self, Aux: uint32(st.dist + 1), Value: st.sigma}
-			ctx.SendToNeighbors(fwd)
+	// Both loops below walk the roots in ascending order: they send messages
+	// and accumulate floating-point scores, so replay after recovery must
+	// repeat the original run's order. Newly discovered traversals forward
+	// their sigma down the tree.
+	for i := range states {
+		if st := &states[i]; st.discovered == step {
+			ctx.SendToNeighbors(BCMsg{Root: st.root, Kind: bcForward, From: self, Aux: uint32(st.dist + 1), Value: st.sigma})
 		}
 	}
 
 	// Fire completed traversals: successor count is final two supersteps
-	// after discovery, and every successor has contributed back.
-	for _, root := range roots {
-		st := states[root]
-		if step >= st.discovered+2 && st.back == st.succ {
-			if st.dist > 0 {
-				p.scores[li] += st.delta
-				contribution := (1 + st.delta) / st.sigma
-				for _, pred := range st.preds {
-					ctx.Send(graph.VertexID(pred), BCMsg{Root: root, Kind: bcBackward, Value: contribution})
-				}
-			} else {
-				// The root finished: the whole traversal is complete.
-				ctx.Aggregate("bc/rootsDone", 1)
-			}
-			p.stateBytes.Add(-st.bytes)
-			delete(states, root)
+	// after discovery, and every successor has contributed back. Kept states
+	// swap down over completed ones, which end past the new length.
+	kept := 0
+	for i := range states {
+		st := &states[i]
+		if step < st.discovered+2 || st.back != st.succ {
+			states[kept], states[i] = states[i], states[kept]
+			kept++
+			continue
 		}
+		if st.dist > 0 {
+			p.scores[li] += st.delta
+			contribution := (1 + st.delta) / st.sigma
+			for _, pred := range st.preds {
+				ctx.Send(graph.VertexID(pred), BCMsg{Root: st.root, Kind: bcBackward, Value: contribution})
+			}
+		} else {
+			// The root finished: the whole traversal is complete.
+			ctx.Aggregate("bc/rootsDone", 1)
+		}
+		grew -= st.bytes()
+	}
+	p.states[li] = states[:kept]
+	if grew != 0 {
+		p.stateBytes.Add(grew)
 	}
 
-	if len(states) == 0 {
+	if kept == 0 {
 		ctx.VoteToHalt()
 	}
 }

@@ -12,7 +12,7 @@ import (
 // Per-vertex state codecs (core.StateCodec) for every built-in vertex
 // program: the state section of the engine's one checkpoint/migration
 // record. Every field is a little-endian u64 slot (int32 and uint32 values
-// widened, float64 values by bit pattern), and per-root maps serialize in
+// widened, float64 values by bit pattern), and per-root states serialize in
 // ascending root order, so each state has exactly one encoding. Readers
 // accept only that encoding: counts are bounded by the bytes left before
 // anything is allocated, 32-bit fields must fit in 32 bits, and roots must
@@ -77,8 +77,8 @@ func (r *stateReader) count(elemSize int) int {
 	return int(v)
 }
 
-// root reads the j-th key of a per-root map, which must exceed the
-// previous key *prev.
+// root reads the j-th root of a per-root state list, which must exceed the
+// previous root *prev.
 func (r *stateReader) root(j int, prev *uint32) uint32 {
 	k := r.u32()
 	if j > 0 && k <= *prev {
@@ -187,10 +187,9 @@ func (p *bcProgram) AppendVertex(dst []byte, li int32) []byte {
 	dst = appendF64(dst, p.scores[li])
 	states := p.states[li]
 	dst = appendU64(dst, uint64(len(states)))
-	p.roots = sortedRoots(p.roots, states)
-	for _, root := range p.roots {
-		st := states[root]
-		dst = appendU64(dst, uint64(root))
+	for i := range states {
+		st := &states[i]
+		dst = appendU64(dst, uint64(st.root))
 		for _, v := range [...]int32{st.dist, st.discovered, st.succ, st.back} {
 			dst = appendI32(dst, v)
 		}
@@ -208,29 +207,28 @@ func (p *bcProgram) ReadVertex(li int32, src []byte) (int, error) {
 	r := stateReader{src: src}
 	score := r.f64()
 	n := r.count(bcRootBytes)
-	var states map[uint32]*bcRootState
+	var states []bcRootState
 	if n > 0 {
-		states = make(map[uint32]*bcRootState, n)
+		states = make([]bcRootState, n)
 	}
 	var added int64
 	var prev uint32
 	for j := 0; j < n && r.err == nil; j++ {
-		root := r.root(j, &prev)
-		st := &bcRootState{dist: r.i32(), discovered: r.i32(), succ: r.i32(), back: r.i32(),
-			sigma: r.f64(), delta: r.f64()}
+		st := &states[j]
+		st.root = r.root(j, &prev)
+		st.dist, st.discovered, st.succ, st.back = r.i32(), r.i32(), r.i32(), r.i32()
+		st.sigma, st.delta = r.f64(), r.f64()
 		st.preds = make([]uint32, r.count(8))
 		for k := range st.preds {
 			st.preds[k] = r.u32()
 		}
-		st.bytes = bcStateBaseBytes + int64(8*len(st.preds))
-		states[root] = st
-		added += st.bytes
+		added += st.bytes()
 	}
 	if r.err != nil {
 		return 0, r.err
 	}
-	for _, st := range p.states[li] {
-		added -= st.bytes
+	for i := range p.states[li] {
+		added -= p.states[li][i].bytes()
 	}
 	p.scores[li] = score
 	p.states[li] = states

@@ -15,13 +15,14 @@ import (
 // combiners and float sums are not associative, so the recovery replay and
 // the original run diverge bit-for-bit even with identical inputs. The same
 // holds one layer down, in the core package's send path — Context.Send,
-// finishSlot, the barrier merge (deliver, install) and the receive-side
-// decode (processBatch, decodeBatch) — where a map range decides the wire
-// order and the order combiners fold in. Flagged: a range over a map whose
-// body reaches
+// SendToNeighbors and the send kernel behind both (send, appendRecord,
+// encodeRemote), finishSlot, the barrier merge (deliver, install) and the
+// receive-side decode (processBatch, decodeBatch) — where a map range
+// decides the wire order and the order combiners fold in. Flagged: a range
+// over a map whose body reaches
 //
-//   - Context/PartitionContext.Send, SendToNeighbors or encodeRemote
-//     (message order),
+//   - Context/PartitionContext.Send, SendToNeighbors, or the kernel's send,
+//     appendRecord or encodeRemote (message order),
 //   - a Combine or fold call (combine order),
 //   - Context/PartitionContext.Aggregate (aggregator fold order), or
 //   - a floating-point accumulation (x += v, x = x + v and friends).
@@ -68,7 +69,8 @@ func runMapIter(pass *Pass) {
 // engineSendPath names the core package's message-path functions: where a
 // map range would decide the wire order or the order combiners fold in.
 var engineSendPath = map[string]bool{
-	"Send": true, "finishSlot": true, "deliver": true, "install": true,
+	"Send": true, "SendToNeighbors": true, "send": true, "appendRecord": true,
+	"encodeRemote": true, "finishSlot": true, "deliver": true, "install": true,
 	"processBatch": true, "decodeBatch": true,
 }
 
@@ -86,6 +88,12 @@ func engineSendPathFuncs(pass *Pass) []*ast.FuncDecl {
 		}
 	}
 	return out
+}
+
+// sendCalls names the Context methods that put a message on its way: the
+// public sends and the engine's send kernel.
+var sendCalls = map[string]bool{
+	"Send": true, "SendToNeighbors": true, "send": true, "appendRecord": true, "encodeRemote": true,
 }
 
 // orderSensitiveWork scans a map-range body for work whose result depends on
@@ -106,7 +114,7 @@ func orderSensitiveWork(info *types.Info, rs *ast.RangeStmt) string {
 			case name == "Combine" || name == "fold":
 				what = "combines"
 			case !recvNamedContext(fn):
-			case name == "Send" || name == "SendToNeighbors" || name == "encodeRemote":
+			case sendCalls[name]:
 				what = "message sends"
 			case name == "Aggregate":
 				what = "aggregator updates"

@@ -1,5 +1,6 @@
 // Fixture for the mapiter analyzer's engine scope: in the core package's
-// message path — Context.Send, finishSlot, the barrier merge (deliver,
+// message path — Context.Send, SendToNeighbors and the send kernel (send,
+// appendRecord, encodeRemote), finishSlot, the barrier merge (deliver,
 // install) and the receive-side decode (processBatch, decodeBatch) — a map
 // range must not decide the wire order or the order combiners fold in.
 package core
@@ -25,6 +26,23 @@ type worker[M any] struct {
 }
 
 func (c *Context[M]) encodeRemote(dest int, to VertexID, m M) {}
+
+func (c *Context[M]) appendRecord(dest int, to VertexID, body []byte) {}
+
+// The send kernel walking a hash-keyed destination set: the wire order is
+// the map's.
+func (c *Context[M]) send(dsts map[VertexID]int, m M, body []byte) {
+	for to, dest := range dsts { // want "message sends"
+		c.appendRecord(dest, to, body)
+	}
+}
+
+// A map range feeding the kernel, one destination at a time.
+func (c *Context[M]) SendToNeighbors(m M) {
+	for to := range c.stage { // want "message sends"
+		c.send(map[VertexID]int{to: 0}, m, nil)
+	}
+}
 
 func (w *worker[M]) fold(li int32, m M) {}
 

@@ -11,6 +11,13 @@ import (
 	"pregelnet/internal/transport"
 )
 
+// appendMsgHeader appends one wire record header, as the send path writes it.
+func appendMsgHeader(buf []byte, to graph.VertexID, size int) []byte {
+	var hdr [msgWireOverhead]byte
+	putMsgHeader(hdr[:], to, size)
+	return append(buf, hdr[:]...)
+}
+
 // record encodes one wire message claiming size bytes, followed by body.
 func record(to graph.VertexID, size int, body ...byte) []byte {
 	return append(appendMsgHeader(nil, to, size), body...)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 
 	"pregelnet/internal/observe"
@@ -44,6 +45,9 @@ type run[M any] struct {
 	// epoch, so a stale batch the receive loop was still decoding when the
 	// restore wiped the inbox can never reach it.
 	epoch int32
+	// pointerFree skips zeroing dropped messages: M holds no pointers, so
+	// stale ones pin nothing. The zero value zeroes.
+	pointerFree bool
 }
 
 const runChunkLen = 1 << 9
@@ -73,9 +77,10 @@ func (r *run[M]) seg(c int) ([]int32, []M) {
 }
 
 // truncate drops everything appended after the run held n messages and
-// bytes bytes, zeroing the dropped messages so they pin no memory.
+// bytes bytes, zeroing the dropped messages (unless pointerFree) so they pin
+// no memory.
 func (r *run[M]) truncate(n int, bytes int64) {
-	for c := n / runChunkLen; c < r.segs(); c++ {
+	for c := n / runChunkLen; c < r.segs() && !r.pointerFree; c++ {
 		_, msgs := r.seg(c)
 		clear(msgs[max(n-c*runChunkLen, 0):])
 	}
@@ -83,6 +88,28 @@ func (r *run[M]) truncate(n int, bytes int64) {
 }
 
 func (r *run[M]) reset() { r.truncate(0, 0) }
+
+// hasPointers reports whether values of type t hold pointers the garbage
+// collector traces, so stale copies of them must be zeroed to pin nothing.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	default:
+		return true
+	}
+}
 
 // dense is a combine buffer over one worker's local indices: at most one
 // message per vertex and how many were folded into it. It lists the
@@ -235,23 +262,36 @@ func (s *stage[M]) reset() {
 
 // inbox holds the messages each owned vertex reads in the current superstep.
 // With a combiner it is a dense buffer (at most one message per vertex);
-// without, a CSR arena: vertex li's messages are arena[lo[li]:hi[li]], with
-// touched listing the vertices that have any. The merge rebuilds it in place
-// at every barrier, once compute has consumed it, so there is one inbox, not
-// a current and a next one.
+// without, a CSR arena in pages: vertex li's messages are
+// pages[pg[li]][lo[li]:hi[li]], with touched listing the vertices that have
+// any. The merge rebuilds it in place at every barrier, once compute has
+// consumed it, so there is one inbox, not a current and a next one.
+//
+// Pages persist across supersteps and are never copied: a superstep with
+// more messages than any before adds pages, so the arena allocates its
+// largest superstep's messages once (plus the unused tails of pages), not
+// every size it passed on the way there.
 type inbox[M any] struct {
 	dense[M]
-	arena   []M
-	lo, hi  []int32
-	touched []int32
-	bytes   int64 // Σ encoded size + msgWireOverhead: the memory model's inbox share
+	pages      [][]M
+	used       int // pages holding messages
+	pg, lo, hi []int32
+	touched    []int32
+	bytes      int64 // Σ encoded size + msgWireOverhead: the memory model's inbox share
+	// pointerFree skips zeroing the arena on reset (see run.pointerFree).
+	pointerFree bool
 }
 
-func newInbox[M any](n int, combined bool) inbox[M] {
+// arenaPageLen is the messages an arena page holds, unless the whole
+// superstep has fewer (then one page holds them all) or one vertex has more
+// (then its page is as large as it needs, rounded up to whole pages).
+const arenaPageLen = 1 << 12
+
+func newInbox[M any](n int, combined, pointerFree bool) inbox[M] {
 	if combined {
 		return inbox[M]{dense: newDense[M](n)}
 	}
-	return inbox[M]{lo: make([]int32, n), hi: make([]int32, n)}
+	return inbox[M]{pg: make([]int32, n), lo: make([]int32, n), hi: make([]int32, n), pointerFree: pointerFree}
 }
 
 // each calls f for every vertex holding messages.
@@ -278,7 +318,7 @@ func (in *inbox[M]) msgs(li int32) []M {
 	if lo == hi {
 		return nil
 	}
-	return in.arena[lo:hi:hi]
+	return in.pages[in.pg[li]][lo:hi:hi]
 }
 
 func (in *inbox[M]) pending(li int32) bool {
@@ -296,10 +336,56 @@ func (in *inbox[M]) reset() {
 			in.lo[li], in.hi[li] = 0, 0
 		}
 		in.touched = in.touched[:0]
-		clear(in.arena)
-		in.arena = in.arena[:0]
+		for p := 0; p < in.used && !in.pointerFree; p++ {
+			clear(in.pages[p])
+		}
+		in.used = 0
 	}
 	in.bytes = 0
+}
+
+// layout assigns each touched vertex its extent, given its message count in
+// hi[li] and total messages in all: vertices fill pages in touched order, a
+// vertex that does not fit in what is left of a page starting the next one.
+// On return lo[li] = hi[li] is li's first slot.
+func (in *inbox[M]) layout(total int) {
+	size := min(total, arenaPageLen)
+	p, off := -1, 0
+	for _, li := range in.touched {
+		n := int(in.hi[li])
+		if p < 0 || off+n > len(in.pages[p]) {
+			p, off = p+1, 0
+			in.page(p, max(n, size))
+		}
+		in.pg[li], in.lo[li], in.hi[li] = int32(p), int32(off), int32(off)
+		off += n
+	}
+	in.used = p + 1
+}
+
+// page makes page p hold at least want messages: the page already there, a
+// later spare page swapped in, or a new one, in that order of preference.
+// A page too small for want stays on as a spare.
+func (in *inbox[M]) page(p, want int) {
+	if p == len(in.pages) {
+		in.pages = append(in.pages, nil)
+	}
+	if len(in.pages[p]) >= want {
+		return
+	}
+	for q := p + 1; q < len(in.pages); q++ {
+		if len(in.pages[q]) >= want {
+			in.pages[p], in.pages[q] = in.pages[q], in.pages[p]
+			return
+		}
+	}
+	if in.pages[p] != nil {
+		in.pages = append(in.pages, in.pages[p])
+	}
+	if want > arenaPageLen {
+		want = (want + arenaPageLen - 1) &^ (arenaPageLen - 1)
+	}
+	in.pages[p] = make([]M, want)
 }
 
 // deliver is the barrier merge: once every peer's sentinel is in, it turns
@@ -392,18 +478,16 @@ func (w *worker[M]) install(stages []*stage[M], runs []*run[M]) {
 				}
 			}
 		}
-		var n int32
-		for _, li := range in.touched {
-			count := in.hi[li]
-			in.lo[li], in.hi[li] = n, n
-			n += count
+		total := 0
+		for _, r := range runs {
+			total += r.n
 		}
-		in.arena = slices.Grow(in.arena, int(n))[:n]
+		in.layout(total)
 		for _, r := range runs {
 			for c := range r.segs() {
 				lis, msgs := r.seg(c)
 				for i, li := range lis {
-					in.arena[in.hi[li]] = msgs[i]
+					in.pages[in.pg[li]][in.hi[li]] = msgs[i]
 					in.hi[li]++
 				}
 			}

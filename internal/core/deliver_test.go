@@ -4,6 +4,9 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"pregelnet/internal/graph"
+	"pregelnet/internal/transport"
 )
 
 // TestStageFormsAgree: a combine stage that stays a list and one that turns
@@ -81,4 +84,65 @@ func TestStageFormsAgree(t *testing.T) {
 	if got := collect(&dense); len(got) != 0 {
 		t.Fatalf("dense form after reset: %v", got)
 	}
+}
+
+// TestArenaPages: the no-combiner inbox lays a superstep's messages out in
+// pages without copying them. A vertex with more than a page's worth gets a
+// page of its own, every vertex reads its messages in producer order, and
+// repeating a superstep's shape reuses the pages it already has.
+func TestArenaPages(t *testing.T) {
+	spec := JobSpec[float64]{Graph: graph.Ring(8), NumWorkers: 1, Codec: Float64Codec{}, NewProgram: idleProgram[float64]}
+	s, err := spec.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := transport.NewChannelNetwork(1, 64)
+	defer net.Close()
+	w := testWorker(t, &s, net, 0)
+	ctx := w.slotContext(0)
+	// send queues counts[li] messages for each li, round robin, and merges.
+	send := func(counts []int) {
+		for i := range slices.Max(counts) {
+			for li, n := range counts {
+				if i < n {
+					ctx.localRun.add(int32(li), float64(li*100000+i), 16)
+				}
+			}
+		}
+		w.deliver()
+	}
+	step := func(counts []int) {
+		t.Helper()
+		send(counts)
+		for li, n := range counts {
+			got := w.in.msgs(int32(li))
+			ok := len(got) == n
+			for i := 0; ok && i < n; i++ {
+				ok = got[i] == float64(li*100000+i)
+			}
+			if !ok {
+				t.Fatalf("vertex %d: %d messages, want %d in send order", li, len(got), n)
+			}
+		}
+	}
+	step([]int{3, 0, 4, 0, 0, 0, 0, 3})
+	if len(w.in.pages) != 1 || len(w.in.pages[0]) != 10 {
+		t.Fatalf("a 10-message superstep laid out %d pages, the first of %d", len(w.in.pages), len(w.in.pages[0]))
+	}
+	hub := []int{3000, 5000, 10, 0, 2000, 1, 0, 2}
+	step(hub)
+	if p := w.in.pages[w.in.pg[1]]; len(p) != 2*arenaPageLen {
+		t.Fatalf("the 5000-message vertex got a page of %d", len(p))
+	}
+	before := slices.Clone(w.in.pages)
+	// A repeat allocates no more than a one-message merge (nothing, unless
+	// the build's invariants allocate their recount).
+	base := testing.AllocsPerRun(3, func() { send([]int{1}) })
+	if allocs := testing.AllocsPerRun(3, func() { send(hub) }); allocs > base {
+		t.Fatalf("repeating a superstep allocated %v times, a one-message merge %v", allocs, base)
+	}
+	if !slices.EqualFunc(before, w.in.pages, func(a, b []float64) bool { return &a[0] == &b[0] }) {
+		t.Fatal("repeating a superstep replaced pages")
+	}
+	step(hub)
 }

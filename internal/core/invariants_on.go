@@ -111,10 +111,10 @@ func checkActiveAfter[M any](w *worker[M], n int64) {
 // vertex is owed — every run entry and every staged combine slot — and
 // panics on a local index the worker does not own; checkDelivery then
 // compares every vertex's installed messages with that count (at most one,
-// and one exactly when owed any, under a combiner) and the arena with their
-// sum. A vertex holding messages nobody sent it — an extent or flag the
-// previous merge failed to clear — or missing some fails here, not as a
-// wrong result supersteps later.
+// and one exactly when owed any, under a combiner) and checks that the
+// arena extents are disjoint. A vertex holding messages nobody sent it — an
+// extent or flag the previous merge failed to clear — or missing some fails
+// here, not as a wrong result supersteps later.
 
 func recountDelivery[M any](w *worker[M], stages []*stage[M], runs []*run[M]) []int32 {
 	want := make([]int32, len(w.owned))
@@ -157,9 +157,18 @@ func checkDelivery[M any](w *worker[M], want []int32) {
 		total += exp
 		installed += got
 	}
-	if w.combiner == nil && len(w.in.arena) != total {
-		panic(fmt.Sprintf("core: delivery invariant: worker %d superstep %d: arena holds %d messages, producers sent %d",
-			w.id, w.superstep, len(w.in.arena), total))
+	if w.combiner == nil {
+		// Extents follow touched order through the pages, inside their page
+		// and without overlapping.
+		pg, end := int32(-1), int32(0)
+		for _, li := range w.in.touched {
+			p, lo, hi := w.in.pg[li], w.in.lo[li], w.in.hi[li]
+			if p < pg || p == pg && lo < end || p >= int32(w.in.used) || int(hi) > len(w.in.pages[p]) {
+				panic(fmt.Sprintf("core: delivery invariant: worker %d superstep %d: local %d's extent [%d:%d] of page %d overlaps or leaves the arena",
+					w.id, w.superstep, li, lo, hi, p))
+			}
+			pg, end = p, hi
+		}
 	}
 	touched := 0
 	w.in.each(func(int32) { touched++ })

@@ -17,11 +17,10 @@ import (
 // 4 bytes destination vertex + 4 bytes message length.
 const msgWireOverhead = 8
 
-func appendMsgHeader(buf []byte, to graph.VertexID, size int) []byte {
-	var hdr [msgWireOverhead]byte
+func putMsgHeader(hdr []byte, to graph.VertexID, size int) {
+	_ = hdr[msgWireOverhead-1]
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(to))
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(size))
-	return append(buf, hdr[:]...)
 }
 
 func readMsgHeader(data []byte) (to graph.VertexID, size int) {

@@ -52,7 +52,7 @@ type VertexProgram[M any] interface {
 
 // StateReporter is optionally implemented by programs to report their
 // current per-worker state footprint for memory accounting (e.g. BC's
-// per-traversal distance/sigma/delta maps).
+// per-traversal distance/sigma/delta states).
 type StateReporter interface {
 	StateBytes() int64
 }
@@ -101,6 +101,7 @@ type Context[M any] struct {
 	// Per-slot staging, flushed by the worker after each batch of vertices.
 	outRemoteBuf [][]byte // per destination worker, nil until used
 	outRemoteCnt []int32
+	body         []byte // one message's encoding, copied behind each remote header
 	// Next-superstep output, staged without locks (deliver.go). With a
 	// combiner: one combine stage per destination worker, this one included,
 	// keyed by the destination's local index. Without one: the local sends,
@@ -151,30 +152,47 @@ func (c *Context[M]) IsInjected() bool { return c.injected }
 func (c *Context[M]) VoteToHalt() { c.halted = true }
 
 // Send delivers m to vertex `to` at the beginning of the next superstep.
-func (c *Context[M]) Send(to graph.VertexID, m M) {
-	c.computeOps++
-	w := c.w
-	p := w.lay.place[to]
-	dest, li := int(p.worker), p.li
-	if w.combiner != nil {
-		if dest == w.id {
-			c.sentLocal++
-		}
-		c.stages[dest].add(li, m, w.combiner, len(w.lay.owned[dest]))
-		return
-	}
-	if dest == w.id {
-		c.sentLocal++
-		c.localRun.add(li, m, int64(w.codec.Size(m))+msgWireOverhead)
-		return
-	}
-	c.encodeRemote(dest, to, m)
-}
+func (c *Context[M]) Send(to graph.VertexID, m M) { c.send([]graph.VertexID{to}, m) }
 
 // SendToNeighbors delivers m to every out-neighbor of the current vertex.
-func (c *Context[M]) SendToNeighbors(m M) {
-	for _, v := range c.Neighbors() {
-		c.Send(v, m)
+func (c *Context[M]) SendToNeighbors(m M) { c.send(c.Neighbors(), m) }
+
+// send is the one send body: m to every vertex of dsts, in order. The
+// placement table, combiner and codec are read once per call, and without
+// a combiner m is encoded once, at its first remote destination, and copied
+// behind each remote record header.
+func (c *Context[M]) send(dsts []graph.VertexID, m M) {
+	w := c.w
+	c.computeOps += int64(len(dsts))
+	place, self := w.lay.place, int32(w.id)
+	if comb := w.combiner; comb != nil {
+		for _, to := range dsts {
+			p := place[to]
+			if p.worker == self {
+				c.sentLocal++
+			}
+			if st := &c.stages[p.worker]; st.val != nil {
+				st.fold(p.li, m, comb)
+			} else {
+				st.add(p.li, m, comb, len(w.lay.owned[p.worker]))
+			}
+		}
+		return
+	}
+	size := int64(w.codec.Size(m)) + msgWireOverhead
+	var body []byte
+	for _, to := range dsts {
+		p := place[to]
+		if p.worker == self {
+			c.sentLocal++
+			c.localRun.add(p.li, m, size)
+			continue
+		}
+		if body == nil {
+			c.body = w.codec.Append(c.body[:0], m)
+			body = c.body
+		}
+		c.appendRecord(int(p.worker), to, body)
 	}
 }
 
@@ -198,15 +216,23 @@ func (c *Context[M]) Agg(name string) (float64, bool) {
 // encodeRemote serializes one wire message (post-combining, so SentRemote
 // counts messages actually transferred, as the paper plots).
 func (c *Context[M]) encodeRemote(destWorker int, to graph.VertexID, m M) {
+	c.body = c.w.codec.Append(c.body[:0], m)
+	c.appendRecord(destWorker, to, c.body)
+}
+
+// appendRecord appends one wire record — to's header, then the encoded
+// message body — to the slot's staging payload for destWorker.
+func (c *Context[M]) appendRecord(destWorker int, to graph.VertexID, body []byte) {
 	c.sentRemote++
+	n := msgWireOverhead + len(body)
 	buf := c.outRemoteBuf[destWorker]
-	if buf == nil {
-		// Staging buffers become batch payloads on flush and return to the
-		// shared pool once the receiver decodes them.
-		buf = transport.GetPayload(0)
+	if cap(buf)-len(buf) < n {
+		buf = c.w.growStaging(buf, n)
 	}
-	buf = appendMsgHeader(buf, to, c.w.codec.Size(m))
-	buf = c.w.codec.Append(buf, m)
+	at := len(buf)
+	buf = buf[:at+n]
+	putMsgHeader(buf[at:], to, len(body))
+	copy(buf[at+msgWireOverhead:], body)
 	c.outRemoteBuf[destWorker] = buf
 	c.outRemoteCnt[destWorker]++
 	// Flush oversized buffers mid-step to bound outgoing memory ("bulk"
@@ -214,4 +240,21 @@ func (c *Context[M]) encodeRemote(destWorker int, to graph.VertexID, m M) {
 	if len(buf) >= c.w.flushBytes {
 		c.w.flushSlotBuffer(c, destWorker)
 	}
+}
+
+// growStaging returns a staging payload holding buf's bytes with room for n
+// more. Staging buffers become batch payloads on flush and return to the
+// shared pool once the receiver decodes them, so a slot's first buffer for a
+// destination is a pooled one. One that outgrows it jumps straight to the
+// most a batch can hold — it is flushed once it reaches flushBytes — rather
+// than doubling its way there. The outgrown buffer is left to the garbage
+// collector: pooled again, it would be the next Get's answer and be
+// outgrown again, so the pool keeps the sizes batches actually reach.
+func (w *worker[M]) growStaging(buf []byte, n int) []byte {
+	if buf == nil {
+		if buf = transport.GetPayload(0); cap(buf) >= n {
+			return buf
+		}
+	}
+	return append(transport.GetPayload(max(w.flushBytes, len(buf)) + n)[:0], buf...)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/bits"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -209,8 +210,11 @@ type worker[M any] struct {
 	codec      Codec[M]
 	combiner   Combiner[M]
 	flushBytes int
-	aggOps     map[string]AggOp
-	parallel   int
+	// pointerFree records that M holds no pointers, decided once by
+	// reflection: message buffers then skip zeroing on reset.
+	pointerFree bool
+	aggOps      map[string]AggOp
+	parallel    int
 
 	lay    *layout
 	owned  []graph.VertexID // lay.owned[id]
@@ -345,6 +349,7 @@ type worker[M any] struct {
 func newWorker[M any](spec *JobSpec[M], id int, lay *layout, ep transport.Endpoint,
 	aggOps map[string]AggOp, ins *jobInstruments) *worker[M] {
 	owned := lay.owned[id]
+	pointerFree := !hasPointers(reflect.TypeFor[M]())
 	w := &worker[M]{
 		id:             id,
 		numWorkers:     spec.NumWorkers,
@@ -357,7 +362,9 @@ func newWorker[M any](spec *JobSpec[M], id int, lay *layout, ep transport.Endpoi
 		lay:            lay,
 		owned:          owned,
 		halted:         make([]bool, len(owned)),
-		in:             newInbox[M](len(owned), spec.Combiner != nil),
+		pointerFree:    pointerFree,
+		in:             newInbox[M](len(owned), spec.Combiner != nil, pointerFree),
+		stateRun:       run[M]{pointerFree: pointerFree},
 		recv:           make([]run[M], spec.NumWorkers),
 		endpoint:       ep,
 		stepQ:          spec.Queues.Queue(stepQueueName(spec.segment, id)),
@@ -379,6 +386,9 @@ func newWorker[M any](spec *JobSpec[M], id int, lay *layout, ep transport.Endpoi
 	// Wake all: the first superstep (fresh job, or a segment adopting
 	// migrated vertices) takes the one dense pass.
 	w.wakeCur.fill(len(owned))
+	for i := range w.recv {
+		w.recv[i].pointerFree = pointerFree
+	}
 	for i := range w.recvStreams {
 		w.recvStreams[i].next = 1 // senders stamp from 1 within each epoch
 	}
@@ -889,6 +899,7 @@ func (w *worker[M]) slotContext(slot int) *Context[M] {
 			outRemoteBuf: make([][]byte, w.numWorkers),
 			outRemoteCnt: make([]int32, w.numWorkers),
 			aggs:         make(map[string]float64),
+			localRun:     run[M]{pointerFree: w.pointerFree},
 		}
 		if w.combiner != nil {
 			ctx.stages = make([]stage[M], w.numWorkers)

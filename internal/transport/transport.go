@@ -223,6 +223,13 @@ func writeBatch(w io.Writer, b *Batch) error {
 	return err
 }
 
+// payloadStep is the most readBatch allocates for a payload before the
+// bytes to fill it have arrived. A larger payload grows by doubling as it is
+// read, so a header's length field alone costs at most this much, whatever
+// it claims, while a batch of up to FlushBytes plus one record still reads
+// into one buffer.
+const payloadStep = 256 << 10
+
 // readBatch reads one framed batch from r into hdr (a caller-owned scratch
 // buffer of at least batchHeaderSize bytes, reused across calls). The
 // returned batch's payload comes from the payload pool; the consumer must
@@ -232,6 +239,17 @@ func readBatch(r io.Reader, hdr []byte) (*Batch, error) {
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
+	n := binary.LittleEndian.Uint32(hdr[24:])
+	if n > 1<<30 {
+		return nil, fmt.Errorf("transport: absurd payload length %d", n)
+	}
+	var payload []byte
+	if n > 0 {
+		var err error
+		if payload, err = readPayload(r, int(n)); err != nil {
+			return nil, err
+		}
+	}
 	b := GetBatch()
 	b.From = int32(binary.LittleEndian.Uint32(hdr[0:]))
 	b.To = int32(binary.LittleEndian.Uint32(hdr[4:]))
@@ -239,19 +257,25 @@ func readBatch(r io.Reader, hdr []byte) (*Batch, error) {
 	b.Count = int32(binary.LittleEndian.Uint32(hdr[12:]))
 	b.Epoch = int32(binary.LittleEndian.Uint32(hdr[16:]))
 	b.Seq = int32(binary.LittleEndian.Uint32(hdr[20:]))
-	n := binary.LittleEndian.Uint32(hdr[24:])
-	if n > 1<<30 {
-		PutBatch(b)
-		return nil, fmt.Errorf("transport: absurd payload length %d", n)
-	}
-	if n > 0 {
-		b.Payload = GetPayload(int(n))
-		if _, err := io.ReadFull(r, b.Payload); err != nil {
-			PutPayload(b.Payload)
-			b.Payload = nil
-			PutBatch(b)
+	b.Payload = payload
+	return b, nil
+}
+
+// readPayload reads an n-byte payload into a pooled buffer, payloadStep
+// bytes first and then doubling what it has read, never more than n.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	p, got := GetPayload(min(n, payloadStep)), 0
+	for {
+		if _, err := io.ReadFull(r, p[got:]); err != nil {
+			PutPayload(p)
 			return nil, err
 		}
+		if got = len(p); got == n {
+			return p, nil
+		}
+		next := GetPayload(min(n, 2*got))
+		copy(next, p)
+		PutPayload(p)
+		p = next
 	}
-	return b, nil
 }
