@@ -129,9 +129,10 @@ profile:
 # fuzz runs each decoder fuzz target for FUZZTIME: the control-plane
 # messages, the data-plane batch payload (the receive path's decoder), the
 # TCP frame reader, the state blob (checkpoint restore and migration adopt), every built-in
-# program's per-vertex state codec, and the two graph loaders (the text
+# program's per-vertex state codec, the two graph loaders (the text
 # edge list differentially against its former parser, and the binary CSR
-# format). go test fuzzes one target per invocation.
+# format), and the job service's POST /jobs body decoder. go test fuzzes
+# one target per invocation.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzControlMessages$$' -fuzztime $(FUZZTIME) ./internal/core
@@ -141,3 +142,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadVertex$$' -fuzztime $(FUZZTIME) ./internal/algorithms
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEdgeList$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzJobRequest$$' -fuzztime $(FUZZTIME) ./internal/jobserver

@@ -60,8 +60,9 @@ func TestHostileBatchFailsCheckIn(t *testing.T) {
 				}
 			}
 			defer w.closeOutboxes()
-			w.receive(&transport.Batch{From: tc.from, To: 0, Count: tc.count, Seq: 1, Payload: tc.payload})
-			w.receive(&transport.Batch{From: 1, To: 0, Count: -1}) // worker 1's sentinel
+			epoch := w.epoch.Load()
+			w.receive(&transport.Batch{From: tc.from, To: 0, Count: tc.count, Seq: 1, Epoch: epoch, Payload: tc.payload})
+			w.receive(&transport.Batch{From: 1, To: 0, Count: -1, Epoch: epoch}) // worker 1's sentinel
 			w.runSuperstep(&stepToken{Superstep: 0})
 			lease := w.barrierQ.Get(time.Second)
 			if lease == nil {
@@ -100,7 +101,7 @@ type recordingEndpoint struct {
 func (e *recordingEndpoint) Send(b *transport.Batch) error {
 	if b.To == 0 && b.Count > 0 {
 		e.net.mu.Lock()
-		e.net.batches = append(e.net.batches, &transport.Batch{Count: b.Count, Payload: bytes.Clone(b.Payload)})
+		e.net.batches = append(e.net.batches, &transport.Batch{Count: b.Count, Epoch: b.Epoch, Payload: bytes.Clone(b.Payload)})
 		e.net.mu.Unlock()
 	}
 	return e.Endpoint.Send(b)
@@ -138,7 +139,7 @@ func FuzzBatchPayload(f *testing.F) {
 	f.Fuzz(func(t *testing.T, count int32, payload []byte) {
 		r := &w.recv[1]
 		r.reset()
-		err := w.decodeBatch(&transport.Batch{From: 1, To: 0, Count: count, Payload: payload})
+		err := w.decodeBatch(&transport.Batch{From: 1, To: 0, Count: count, Epoch: w.epoch.Load(), Payload: payload})
 		if err != nil {
 			if r.n != 0 {
 				t.Fatalf("rejected batch (%v) left %d messages in the run", err, r.n)

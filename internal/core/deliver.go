@@ -117,10 +117,16 @@ func hasPointers(t reflect.Type) bool {
 // it cost O(touched blocks), never O(owned), for 4 bytes per 8 vertices.
 type dense[M any] struct {
 	val []M
-	// n[li] counts the messages folded into val[li] (0: none) in one byte:
-	// each time a count would pass 255, li is appended to over, which stands
-	// for 255 of them, and n[li] restarts at 1. A block's eight counts are
-	// one little-endian word, zero while the block is empty.
+	counts
+}
+
+// counts is a dense buffer's bookkeeping. It does not depend on M, so its
+// mark is plain code that every fold loop inlines. n[li] counts the
+// messages folded into val[li] (0: none) in one byte: each time a count
+// would pass 255, li is appended to over, which stands for 255 of them, and
+// n[li] restarts at 1. A block's eight counts are one little-endian word,
+// zero while the block is empty.
+type counts struct {
 	n      []uint8
 	over   []int32
 	blocks []int32
@@ -128,30 +134,43 @@ type dense[M any] struct {
 
 func newDense[M any](n int) dense[M] {
 	n = (n + 7) &^ 7
-	return dense[M]{val: make([]M, n), n: make([]uint8, n), blocks: make([]int32, 0, n/8)}
+	return dense[M]{val: make([]M, n), counts: counts{n: make([]uint8, n), blocks: make([]int32, 0, n/8)}}
 }
 
 func (d *dense[M]) fold(li int32, m M, c Combiner[M]) {
-	switch d.n[li] {
-	case 0:
-		if b := li &^ 7; binary.LittleEndian.Uint64(d.n[b:]) == 0 {
-			d.blocks = append(d.blocks, b)
-		}
+	if d.mark(li) {
 		d.val[li] = m
-	case math.MaxUint8:
-		d.val[li] = c.Combine(d.val[li], m)
-		d.over = append(d.over, li)
-		d.n[li] = 1
-		return
-	default:
+	} else {
 		d.val[li] = c.Combine(d.val[li], m)
 	}
-	d.n[li]++
+}
+
+// mark counts one more message for li and reports whether it is li's first,
+// which the caller stores; any later one it folds into val[li]. Every fold
+// loop shares it, so they differ only in that one operation.
+func (d *counts) mark(li int32) (first bool) {
+	if n := d.n[li]; n-1 < math.MaxUint8-1 { // 1..254: the common case, inlined
+		d.n[li] = n + 1
+		return false
+	}
+	return d.markRare(li)
+}
+
+// markRare is mark for a count of 0 (li's block may be new) or 255 (li
+// joins over and its count restarts).
+func (d *counts) markRare(li int32) (first bool) {
+	if first = d.n[li] == 0; !first {
+		d.over = append(d.over, li)
+	} else if b := li &^ 7; binary.LittleEndian.Uint64(d.n[b:]) == 0 {
+		d.blocks = append(d.blocks, b)
+	}
+	d.n[li] = 1
+	return first
 }
 
 // each calls f for every vertex holding a message: block by block in
 // first-fold order (ascending once blocks is sorted), ascending within one.
-func (d *dense[M]) each(f func(li int32)) {
+func (d *counts) each(f func(li int32)) {
 	for _, b := range d.blocks {
 		for li := b; li < b+8; li++ {
 			if d.n[li] != 0 {

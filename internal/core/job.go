@@ -272,6 +272,9 @@ func (s *JobSpec[M]) withDefaults() (JobSpec[M], error) {
 	if err := spec.Assignment.Validate(spec.NumWorkers); err != nil {
 		return spec, err
 	}
+	if err := fitLayout(spec.Assignment, spec.NumWorkers); err != nil {
+		return spec, err
+	}
 	if spec.CostModel.Spec.Cores == 0 {
 		spec.CostModel = cloud.DefaultCostModel(cloud.LargeVM())
 	}

@@ -139,9 +139,9 @@ func adoptMigrations[M any](workers []*worker[M], store *cloud.BlobStore,
 // workers are freshly constructed, so every vertex starts woken and with an
 // empty inbox.
 func adoptState[M any](workers []*worker[M], data []byte, owned []graph.VertexID) error {
-	place := workers[0].lay.place
+	lay := workers[0].lay
 	return readState(data, owned, func(gid graph.VertexID) (*worker[M], error) {
-		nw := int(place[gid].worker)
+		nw := int(lay.owner(lay.place[gid]))
 		if nw < 0 || nw >= len(workers) {
 			return nil, fmt.Errorf("vertex %d assigned to worker %d of %d", gid, nw, len(workers))
 		}

@@ -75,19 +75,21 @@ func (pc *PartitionContext[M]) VertexAt(li int32) graph.VertexID { return pc.w.o
 // LocalIndex returns v's dense index within this worker's owned-vertex list,
 // or -1 when v belongs to another partition.
 func (pc *PartitionContext[M]) LocalIndex(v graph.VertexID) int32 {
-	if p := pc.w.lay.place[v]; int(p.worker) == pc.w.id {
-		return p.li
+	lay := pc.w.lay
+	if p := lay.place[v]; int(lay.owner(p)) == pc.w.id {
+		return lay.index(p)
 	}
 	return -1
 }
 
 // IsLocal reports whether v belongs to this worker's partition.
-func (pc *PartitionContext[M]) IsLocal(v graph.VertexID) bool {
-	return int(pc.w.lay.place[v].worker) == pc.w.id
-}
+func (pc *PartitionContext[M]) IsLocal(v graph.VertexID) bool { return pc.Owner(v) == pc.w.id }
 
 // Owner returns the worker that owns v under the current assignment.
-func (pc *PartitionContext[M]) Owner(v graph.VertexID) int { return int(pc.w.lay.place[v].worker) }
+func (pc *PartitionContext[M]) Owner(v graph.VertexID) int {
+	lay := pc.w.lay
+	return int(lay.owner(lay.place[v]))
+}
 
 // Neighbors returns the out-neighbors of v (local or remote). The slice
 // aliases graph storage and must not be modified.

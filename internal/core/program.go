@@ -14,6 +14,8 @@
 package core
 
 import (
+	"slices"
+
 	"pregelnet/internal/graph"
 	"pregelnet/internal/transport"
 )
@@ -101,7 +103,8 @@ type Context[M any] struct {
 	// Per-slot staging, flushed by the worker after each batch of vertices.
 	outRemoteBuf [][]byte // per destination worker, nil until used
 	outRemoteCnt []int32
-	body         []byte // one message's encoding, copied behind each remote header
+	body         []byte  // one message's encoding, copied behind each remote header
+	places       []place // the send kernel's resolved destinations
 	// Next-superstep output, staged without locks (deliver.go). With a
 	// combiner: one combine stage per destination worker, this one included,
 	// keyed by the destination's local index. Without one: the local sends,
@@ -157,42 +160,45 @@ func (c *Context[M]) Send(to graph.VertexID, m M) { c.send([]graph.VertexID{to},
 // SendToNeighbors delivers m to every out-neighbor of the current vertex.
 func (c *Context[M]) SendToNeighbors(m M) { c.send(c.Neighbors(), m) }
 
-// send is the one send body: m to every vertex of dsts, in order. The
-// placement table, combiner and codec are read once per call, and without
-// a combiner m is encoded once, at its first remote destination, and copied
-// behind each remote record header.
+// send is the one send body: m to every vertex of dsts, in order, in two
+// phases. Resolve reads dsts in order and loads each destination's place
+// into the slot's scratch: loads from the placement table that do not
+// depend on each other. Stage then walks those places: with a combiner
+// through the job's fold kernel (kernel.go), without one into the local
+// run or, encoded once at the first remote destination, behind each remote
+// record header.
 func (c *Context[M]) send(dsts []graph.VertexID, m M) {
 	w := c.w
-	c.computeOps += int64(len(dsts))
-	place, self := w.lay.place, int32(w.id)
-	if comb := w.combiner; comb != nil {
-		for _, to := range dsts {
-			p := place[to]
-			if p.worker == self {
-				c.sentLocal++
-			}
-			if st := &c.stages[p.worker]; st.val != nil {
-				st.fold(p.li, m, comb)
-			} else {
-				st.add(p.li, m, comb, len(w.lay.owned[p.worker]))
-			}
+	table, pk, self := w.lay.place, w.lay.packing, int32(w.id)
+	places := slices.Grow(c.places[:0], len(dsts))[:len(dsts)]
+	local := 0
+	for i, to := range dsts {
+		p := table[to]
+		places[i] = p
+		if pk.owner(p) == self {
+			local++
 		}
+	}
+	c.places = places
+	c.computeOps += int64(len(dsts))
+	c.sentLocal += int64(local)
+	if w.combiner != nil {
+		w.fold(c, places, m)
 		return
 	}
 	size := int64(w.codec.Size(m)) + msgWireOverhead
 	var body []byte
-	for _, to := range dsts {
-		p := place[to]
-		if p.worker == self {
-			c.sentLocal++
-			c.localRun.add(p.li, m, size)
+	for i, p := range places {
+		dest := pk.owner(p)
+		if dest == self {
+			c.localRun.add(pk.index(p), m, size)
 			continue
 		}
 		if body == nil {
 			c.body = w.codec.Append(c.body[:0], m)
 			body = c.body
 		}
-		c.appendRecord(int(p.worker), to, body)
+		c.appendRecord(int(dest), dsts[i], body)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -166,7 +167,11 @@ func Run[M any](spec JobSpec[M]) (*JobResult[M], error) {
 		resize.traffic = loadResizeTraffic(s.CheckpointStore, s.Retry,
 			resize.resumeStep, resize.fromWorkers, s.Graph.NumVertices())
 		newAssign, strategy := nextAssignment(&s, js, resize)
-		if err := newAssign.Validate(resize.toWorkers); err != nil {
+		err := newAssign.Validate(resize.toWorkers)
+		if err == nil {
+			err = fitLayout(newAssign, resize.toWorkers)
+		}
+		if err != nil {
 			runErr = fmt.Errorf("core: repartition (%s) for %d workers: %w", strategy, resize.toWorkers, err)
 			break
 		}
@@ -451,19 +456,56 @@ func runSegment[M any](s *JobSpec[M], js *jobState, fabric *cloud.Fabric,
 // workers: each worker's owned vertices in ascending global order (the
 // local-index order of every per-worker array and of every state blob the
 // worker writes) and, for every vertex, its owner and its index in the
-// owner's list, side by side so that one lookup touches one cache line.
+// owner's list packed into one 4-byte place, so the table the send kernel
+// scatters through is half the size of an (owner, index) pair per vertex.
 type layout struct {
 	owned [][]graph.VertexID
 	place []place
+	packing
 }
 
-type place struct{ worker, li int32 }
+// place is a vertex's owner and local index, li<<shift | owner. Read it
+// only through packing's owner and index.
+type place uint32
+
+// packing is a layout's split of a place: the low shift bits hold the
+// owner, the rest the local index. The shift is the fewest bits that hold
+// every worker id, so a layout indexes partitions of up to 1<<(32-shift)
+// vertices, and of no more than 1<<31 (local indices are int32); fitLayout
+// rejects any assignment with a larger one.
+type packing struct{ shift uint8 }
+
+func packingFor(workers int) packing { return packing{uint8(bits.Len(uint(workers - 1)))} }
+
+func (k packing) owner(p place) int32 { return int32(p & (1<<k.shift - 1)) }
+
+func (k packing) index(p place) int32 { return int32(p >> k.shift) }
+
+// maxPartition is the most vertices one partition of the layout can hold.
+func (k packing) maxPartition() int { return 1 << min(32-k.shift, 31) }
+
+// fitLayout reports an error naming the first partition of a that holds
+// more vertices than a workers-wide layout can index.
+func fitLayout(a partition.Assignment, workers int) error {
+	limit := packingFor(workers).maxPartition()
+	if len(a) <= limit {
+		return nil
+	}
+	sizes := make([]int, workers)
+	for _, w := range a {
+		if sizes[w]++; sizes[w] > limit {
+			return fmt.Errorf("core: partition %d has more than %d vertices, the most a %d-worker layout can index",
+				w, limit, workers)
+		}
+	}
+	return nil
+}
 
 func newLayout(a partition.Assignment, workers int) *layout {
-	l := &layout{owned: ownedLists(a, workers), place: make([]place, len(a))}
+	l := &layout{owned: ownedLists(a, workers), place: make([]place, len(a)), packing: packingFor(workers)}
 	for w, owned := range l.owned {
 		for li, v := range owned {
-			l.place[v] = place{int32(w), int32(li)}
+			l.place[v] = place(li)<<l.shift | place(w)
 		}
 	}
 	return l

@@ -209,6 +209,7 @@ type worker[M any] struct {
 	g          *graph.Graph
 	codec      Codec[M]
 	combiner   Combiner[M]
+	fold       foldFunc[M] // the send kernel's combiner branch (kernel.go)
 	flushBytes int
 	// pointerFree records that M holds no pointers, decided once by
 	// reflection: message buffers then skip zeroing on reset.
@@ -356,6 +357,7 @@ func newWorker[M any](spec *JobSpec[M], id int, lay *layout, ep transport.Endpoi
 		g:              spec.Graph,
 		codec:          spec.Codec,
 		combiner:       spec.Combiner,
+		fold:           foldKernel(spec.Combiner),
 		flushBytes:     spec.FlushBytes,
 		aggOps:         aggOps,
 		parallel:       spec.ComputeParallelism,
@@ -878,10 +880,10 @@ func (w *worker[M]) local(v graph.VertexID) (int32, bool) {
 		return -1, false
 	}
 	p := w.lay.place[v]
-	if int(p.worker) != w.id {
+	if int(w.lay.owner(p)) != w.id {
 		return -1, false
 	}
-	return p.li, true
+	return w.lay.index(p), true
 }
 
 // slotContext returns the reusable Context for a compute slot, reset for the

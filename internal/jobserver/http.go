@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -33,13 +34,19 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeRequest reads a POST /jobs body: one JSON JobRequest, validated and
+// normalized.
+func decodeRequest(body io.Reader) (JobRequest, error) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return req, fmt.Errorf("bad request: %w", err)
 	}
-	if err := validate(&req); err != nil {
+	return req, validate(&req)
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeRequest(r.Body)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -99,19 +99,21 @@ func TestSubmitBCWithSwaths(t *testing.T) {
 	}
 }
 
+// invalidRequests are rejected at submission.
+var invalidRequests = []JobRequest{
+	{Algorithm: "nope", Graph: "sd"},
+	{Algorithm: "pagerank", Graph: "nope"},
+	{Algorithm: "pagerank", Graph: "sd", Workers: 1000},
+	{Algorithm: "pagerank", Graph: "sd", Partitioner: "nope"},
+}
+
 func TestValidationErrors(t *testing.T) {
 	s := newTestServer(t, Config{MaxConcurrent: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	cases := []JobRequest{
-		{Algorithm: "nope", Graph: "sd"},
-		{Algorithm: "pagerank", Graph: "nope"},
-		{Algorithm: "pagerank", Graph: "sd", Workers: 1000},
-		{Algorithm: "pagerank", Graph: "sd", Partitioner: "nope"},
-	}
-	for i, req := range cases {
+	for i, req := range invalidRequests {
 		body, _ := json.Marshal(req)
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -337,19 +339,21 @@ func TestElasticJobScalesAndReports(t *testing.T) {
 	}
 }
 
+// invalidElasticRequests have an elastic range submission rejects.
+var invalidElasticRequests = []JobRequest{
+	{Algorithm: "bc", Graph: "sd", Workers: 4, ElasticHigh: 4},   // high == low
+	{Algorithm: "bc", Graph: "sd", Workers: 4, ElasticHigh: 2},   // high < low
+	{Algorithm: "bc", Graph: "sd", Workers: 4, ElasticHigh: 100}, // over cap
+	{Algorithm: "bc", Graph: "sd", Workers: 2, ElasticHigh: 5, ElasticThreshold: 1.5},
+}
+
 func TestElasticValidation(t *testing.T) {
 	s := newTestServer(t, Config{MaxConcurrent: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	cases := []JobRequest{
-		{Algorithm: "bc", Graph: "sd", Workers: 4, ElasticHigh: 4},   // high == low
-		{Algorithm: "bc", Graph: "sd", Workers: 4, ElasticHigh: 2},   // high < low
-		{Algorithm: "bc", Graph: "sd", Workers: 4, ElasticHigh: 100}, // over cap
-		{Algorithm: "bc", Graph: "sd", Workers: 2, ElasticHigh: 5, ElasticThreshold: 1.5},
-	}
-	for i, req := range cases {
+	for i, req := range invalidElasticRequests {
 		body, _ := json.Marshal(req)
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {

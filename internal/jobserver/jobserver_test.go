@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -100,20 +101,23 @@ func summariesMatch(got, want Summary) bool {
 	return reflect.DeepEqual(got, want)
 }
 
+// soakRequests is TestConcurrentTenantsSoak's mixed load.
+var soakRequests = []JobRequest{
+	{Algorithm: "pagerank", Graph: "sd", Workers: 4, Iterations: 12, Tenant: "acme"},
+	{Algorithm: "sssp", Graph: "sd", Workers: 3, Tenant: "acme", Priority: 2},
+	{Algorithm: "wcc", Graph: "sd", Workers: 4, Tenant: "globex"},
+	{Algorithm: "lpa", Graph: "sd", Workers: 2, Iterations: 6, Tenant: "globex", Priority: 4},
+	{Algorithm: "bc", Graph: "sd", Workers: 3, Roots: 6, Swath: "none", Tenant: "initech"},
+	{Algorithm: "pagerank", Graph: "sd", Workers: 2, Iterations: 8, Tenant: "initech", Priority: 1},
+	{Algorithm: "wcc", Graph: "sd", Workers: 2, Tenant: "acme", Priority: 3},
+	{Algorithm: "sssp", Graph: "sd", Workers: 4, Tenant: "globex", Priority: 9},
+}
+
 // TestConcurrentTenantsSoak drives the scheduler with a mixed-tenant,
 // mixed-priority, mixed-algorithm load and verifies every job's summary is
 // bit-identical to running that job alone. Run with -race in CI.
 func TestConcurrentTenantsSoak(t *testing.T) {
-	reqs := []JobRequest{
-		{Algorithm: "pagerank", Graph: "sd", Workers: 4, Iterations: 12, Tenant: "acme"},
-		{Algorithm: "sssp", Graph: "sd", Workers: 3, Tenant: "acme", Priority: 2},
-		{Algorithm: "wcc", Graph: "sd", Workers: 4, Tenant: "globex"},
-		{Algorithm: "lpa", Graph: "sd", Workers: 2, Iterations: 6, Tenant: "globex", Priority: 4},
-		{Algorithm: "bc", Graph: "sd", Workers: 3, Roots: 6, Swath: "none", Tenant: "initech"},
-		{Algorithm: "pagerank", Graph: "sd", Workers: 2, Iterations: 8, Tenant: "initech", Priority: 1},
-		{Algorithm: "wcc", Graph: "sd", Workers: 2, Tenant: "acme", Priority: 3},
-		{Algorithm: "sssp", Graph: "sd", Workers: 4, Tenant: "globex", Priority: 9},
-	}
+	reqs := slices.Clone(soakRequests)
 	base := make([]*Summary, len(reqs))
 	for i := range reqs {
 		reqs[i] = mustValidate(t, reqs[i])
