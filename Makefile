@@ -95,14 +95,16 @@ bench-compare:
 		-compare $(BASE) $(if $(BASELABEL),-baselabel $(BASELABEL)) -threshold $(THRESHOLD) $(ALLOW)
 
 # benchmark-smoke runs the repo benchmark (benchmark/, BENCHMARK.json) at
-# test size on its two control-plane workloads: pr-transitions (checkpoint,
+# test size on its two control-plane workloads, pr-transitions (checkpoint,
 # confined recovery, scale-out and scale-in) and sssp-grid-steps (a thousand
-# barriers). Every job is checked against a sequential oracle, so this
-# proves the transition protocol end to end; the numbers are not a
-# measurement.
+# barriers), and on bc-swath-tcp (broadcast records over real sockets).
+# Every job is checked against a sequential oracle, so this proves the
+# transition protocol and the no-combiner message path end to end; the
+# numbers are not a measurement.
 benchmark-smoke:
 	$(GO) run ./benchmark -tiny -seconds 1 -workload pr-transitions
 	$(GO) run ./benchmark -tiny -seconds 1 -workload sssp-grid-steps
+	$(GO) run ./benchmark -tiny -seconds 1 -workload bc-swath-tcp
 
 # benchmark-selfcheck runs every workload twice in fresh processes at real
 # size and checks the spread against BENCHMARK.json's bounds and the exact
@@ -128,7 +130,8 @@ profile:
 
 # fuzz runs each decoder fuzz target for FUZZTIME: the control-plane
 # messages, the data-plane batch payload (the receive path's decoder), the
-# TCP frame reader, the state blob (checkpoint restore and migration adopt), every built-in
+# TCP frame reader, the state blob (checkpoint restore and migration adopt),
+# the resize traffic sidecar, every built-in
 # program's per-vertex state codec, the two graph loaders (the text
 # edge list differentially against its former parser, and the binary CSR
 # format), and the job service's POST /jobs body decoder. go test fuzzes
@@ -139,6 +142,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchPayload$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzTCPFrame$$' -fuzztime $(FUZZTIME) ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzStateBlob$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzResizeTraffic$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReadVertex$$' -fuzztime $(FUZZTIME) ./internal/algorithms
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEdgeList$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME) ./internal/graph

@@ -16,15 +16,17 @@ import (
 // combiners and float sums are not associative, so the recovery replay and
 // the original run diverge bit-for-bit even with identical inputs. The same
 // holds one layer down, in the core package's send path — Context.Send,
-// SendToNeighbors and the send kernel behind both (send, appendRecord,
-// encodeRemote, the fold kernels foldAny and foldSum, and the fold
-// count's mark and markRare), finishSlot, the barrier merge (deliver,
-// install) and the receive-side decode (processBatch, decodeBatch) — where
-// a map range decides the wire order and the order combiners fold in.
-// Flagged: a range over a map whose body reaches
+// SendToNeighbors and the send kernel behind both (send, the span send
+// broadcast, appendRecord, appendBroadcast, stageRecord, encodeRemote, the
+// fold kernels foldAny and foldSum, and the fold count's mark and
+// markRare), a run's span add (addSpan), finishSlot, the barrier merge
+// (deliver, install) and the receive-side decode (processBatch,
+// decodeBatch) — where a map range decides the wire order and the order
+// combiners fold in. Flagged: a range over a map whose body reaches
 //
 //   - Context/PartitionContext.Send, SendToNeighbors, or the kernel's send,
-//     appendRecord or encodeRemote (message order),
+//     broadcast, appendRecord, appendBroadcast, stageRecord or
+//     encodeRemote, or in core a run's addSpan (message order),
 //   - a Combine or fold call, or in core one of the fold kernels (called
 //     directly or through a func-typed field or variable) or mark (combine
 //     order),
@@ -73,9 +75,9 @@ func runMapIter(pass *Pass) {
 // engineSendPath names the core package's message-path functions: where a
 // map range would decide the wire order or the order combiners fold in.
 var engineSendPath = map[string]bool{
-	"Send": true, "SendToNeighbors": true, "send": true,
-	"appendRecord": true, "encodeRemote": true, "foldAny": true, "foldSum": true,
-	"mark": true, "markRare": true,
+	"Send": true, "SendToNeighbors": true, "send": true, "broadcast": true,
+	"appendRecord": true, "appendBroadcast": true, "stageRecord": true, "encodeRemote": true,
+	"foldAny": true, "foldSum": true, "mark": true, "markRare": true, "addSpan": true,
 	"finishSlot": true, "deliver": true, "install": true,
 	"processBatch": true, "decodeBatch": true,
 }
@@ -100,7 +102,8 @@ func engineSendPathFuncs(pass *Pass) []*ast.FuncDecl {
 // sendCalls names the Context methods that put a message on its way: the
 // public sends and the engine's send kernel.
 var sendCalls = map[string]bool{
-	"Send": true, "SendToNeighbors": true, "send": true, "appendRecord": true, "encodeRemote": true,
+	"Send": true, "SendToNeighbors": true, "send": true, "broadcast": true,
+	"appendRecord": true, "appendBroadcast": true, "stageRecord": true, "encodeRemote": true,
 }
 
 // orderSensitiveWork scans a map-range body for work whose result depends on
@@ -124,6 +127,8 @@ func orderSensitiveWork(info *types.Info, rs *ast.RangeStmt) string {
 			switch name := fn.Name(); {
 			case name == "Combine" || name == "fold":
 				what = "combines"
+			case name == "addSpan" && pkgHasSuffix(fn.Pkg(), "core"):
+				what = "message sends"
 			case !recvNamedContext(fn):
 			case sendCalls[name]:
 				what = "message sends"

@@ -1,9 +1,10 @@
 // Fixture for the mapiter analyzer's engine scope: in the core package's
 // message path — Context.Send, SendToNeighbors and the send kernel (send,
-// appendRecord, encodeRemote, the fold kernels and the fold count's
-// mark/markRare), finishSlot, the barrier merge (deliver, install) and the
-// receive-side decode (processBatch, decodeBatch) — a map range must not
-// decide the wire order or the order combiners fold in.
+// the span send broadcast, appendRecord, appendBroadcast, stageRecord,
+// encodeRemote, the fold kernels and the fold count's mark/markRare), a
+// run's span add (addSpan), finishSlot, the barrier merge (deliver,
+// install) and the receive-side decode (processBatch, decodeBatch) — a map
+// range must not decide the wire order or the order combiners fold in.
 package core
 
 import "sort"
@@ -15,8 +16,10 @@ type Combiner[M any] interface {
 }
 
 type Context[M any] struct {
-	w     *worker[M]
-	stage map[VertexID]M
+	w      *worker[M]
+	stage  map[VertexID]M
+	costs  map[int]float64
+	billed float64
 }
 
 type worker[M any] struct {
@@ -35,6 +38,51 @@ type counts struct{ n []uint8 }
 func (c *Context[M]) encodeRemote(dest int, to VertexID, m M) {}
 
 func (c *Context[M]) appendRecord(dest int, to VertexID, body []byte) {}
+
+// The span send walking a hash-keyed set of mirror spans: the wire order
+// and each run's order are the map's.
+func (c *Context[M]) broadcast(m M, spans map[int][]int32, local *run[M]) {
+	for dest, span := range spans { // want "message sends"
+		c.appendBroadcast(dest, span, nil)
+	}
+	for _, span := range spans { // want "message sends"
+		local.addSpan(span, m, 8)
+	}
+}
+
+// A broadcast append metering its records in map order.
+func (c *Context[M]) appendBroadcast(dest int, span []int32, body []byte) {
+	for _, cost := range c.costs { // want "floating-point accumulation"
+		c.billed += cost
+	}
+}
+
+// A record writer staging per-vertex records in map order.
+func (c *Context[M]) stageRecord(dest int, vertex, size uint32, k int64, body []byte) {
+	for to := range c.stage { // want "message sends"
+		c.appendRecord(dest, to, body)
+	}
+}
+
+type run[M any] struct {
+	spans [][]int32
+	sizes map[int32]float64
+	bytes float64
+}
+
+// A span add metering in map order.
+func (r *run[M]) addSpan(span []int32, m M, size int64) {
+	for _, s := range r.sizes { // want "floating-point accumulation"
+		r.bytes += s
+	}
+}
+
+// Outside the message path, a run's spans in map order are unconstrained.
+func (r *run[M]) spansOf(byVertex map[int32][]int32) {
+	for _, span := range byVertex {
+		r.spans = append(r.spans, span)
+	}
+}
 
 // The send kernel walking a hash-keyed destination set: the wire order is
 // the map's.

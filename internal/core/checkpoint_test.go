@@ -11,6 +11,7 @@ import (
 
 	"pregelnet/internal/cloud"
 	"pregelnet/internal/graph"
+	"pregelnet/internal/transport"
 )
 
 // ckptBFSProgram is the test BFS program plus a StateCodec: each vertex's
@@ -130,6 +131,62 @@ func TestRecoveryFromInjectedFailure(t *testing.T) {
 	}
 	if want := ev.AtSuperstep - ev.Checkpoint + 1; ev.ReplaySupersteps != want {
 		t.Errorf("replay supersteps = %d, want %d", ev.ReplaySupersteps, want)
+	}
+}
+
+// TestConfinedReplayBillsLogicalBytes: a survivor's replay bills what the
+// replayed traffic was billed when first sent, per-message records and
+// batch headers, although its logged batches carry broadcast records. On a
+// two-worker BFS where only worker 0 sends remote messages — a chain of
+// even vertices, each also pointing at all 20 odd ones, which point
+// nowhere — each superstep's remote bytes are one batch of 20 records of
+// 12 bytes, and losing worker 1 replays exactly the steps since the
+// checkpoint.
+func TestConfinedReplayBillsLogicalBytes(t *testing.T) {
+	const chain, fan = 12, 20
+	b := graph.NewBuilder(2 * max(chain, fan))
+	for i := range chain {
+		if i+1 < chain {
+			b.Add(graph.VertexID(2*i), graph.VertexID(2*i+2))
+		}
+		for j := range fan {
+			b.Add(graph.VertexID(2*i), graph.VertexID(2*j+1))
+		}
+	}
+	g := b.Build()
+	spec := ckptSpec(g, 2, 0)
+	var failed atomic.Bool
+	spec.FailureInjector = func(worker, superstep int) error {
+		if worker == 1 && superstep == 5 && !failed.Swap(true) {
+			return errors.New("chaos: VM 1 lost at superstep 5")
+		}
+		return nil
+	}
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCkptBFS(t, g, res, 0)
+	if len(res.RecoveryEvents) != 1 || !res.RecoveryEvents[0].Confined {
+		t.Fatalf("recovery events %+v, want one confined recovery", res.RecoveryEvents)
+	}
+	ev := res.RecoveryEvents[0]
+	const perStep = fan*(msgWireOverhead+4) + transport.BatchHeaderSize
+	var billed int64
+	for _, st := range res.Steps {
+		if st.Superstep >= ev.Checkpoint && st.Superstep <= ev.AtSuperstep {
+			if st.RemoteBytes != perStep {
+				t.Fatalf("superstep %d billed %d remote bytes, want %d", st.Superstep, st.RemoteBytes, perStep)
+			}
+			billed += st.RemoteBytes
+		}
+	}
+	if want := int64(perStep * (ev.AtSuperstep - ev.Checkpoint + 1)); billed != want || ev.ReplayedBytes != want {
+		t.Fatalf("replayed %d bytes of supersteps %d..%d, first billed at %d; want %d",
+			ev.ReplayedBytes, ev.Checkpoint, ev.AtSuperstep, billed, want)
+	}
+	if ev.ReplayedMsgs != int64(fan*(ev.AtSuperstep-ev.Checkpoint+1)) {
+		t.Fatalf("replayed %d messages, want %d", ev.ReplayedMsgs, fan*(ev.AtSuperstep-ev.Checkpoint+1))
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 
+	"pregelnet/internal/graph"
 	"pregelnet/internal/observe"
 	"pregelnet/internal/transport"
 )
@@ -31,12 +32,25 @@ import (
 
 // run is one producer's messages for the next superstep, in the order it
 // produced them. Exactly one goroutine appends to a run; the merge reads and
-// empties it at the barrier. Messages live in fixed-size chunks that persist
+// empties it at the barrier. Entries live in fixed-size chunks that persist
 // across supersteps, so a run grows without copying and what it allocates
 // tracks its largest superstep, not twice that.
+//
+// An entry is either (li, m), one message for local vertex li, or (^u, m),
+// m for every vertex of the mirror span of the producer's vertex u (its
+// local index on the producing worker): a SendToNeighbors call, staged as
+// one entry by the sending slot's local run or a broadcast record decoded
+// into a receive run. A run holds one producer's messages, so every span
+// entry resolves through the one mirror the run is bound to. The merge
+// expands a span where it stands, so a run delivers exactly what its
+// messages one by one would have.
 type run[M any] struct {
 	chunks []*runChunk[M]
-	n      int // messages held
+	n      int // entries held
+	msgs   int // messages held: one per plain entry, len(span) per span entry
+	// mirror holds the spans of the producer's vertices on this worker;
+	// nil for a run that takes no span entries.
+	mirror *mirror
 	// bytes is the inbox meter's share: encoded size + msgWireOverhead per
 	// message.
 	bytes int64
@@ -57,7 +71,23 @@ type runChunk[M any] struct {
 	msgs [runChunkLen]M
 }
 
+// add appends one message for li, metering size bytes.
 func (r *run[M]) add(li int32, m M, size int64) {
+	r.put(li, m)
+	r.msgs++
+	r.bytes += size
+}
+
+// addSpan appends one entry standing for m to every vertex of the producer's
+// vertex u's span, metering size bytes per message.
+func (r *run[M]) addSpan(u int32, m M, size int64) {
+	k := len(r.mirror.span(u))
+	r.put(^u, m)
+	r.msgs += k
+	r.bytes += int64(k) * size
+}
+
+func (r *run[M]) put(li int32, m M) {
 	c, i := r.n/runChunkLen, r.n%runChunkLen
 	if c == len(r.chunks) {
 		r.chunks = append(r.chunks, new(runChunk[M]))
@@ -65,10 +95,9 @@ func (r *run[M]) add(li int32, m M, size int64) {
 	ch := r.chunks[c]
 	ch.lis[i], ch.msgs[i] = li, m
 	r.n++
-	r.bytes += size
 }
 
-// segs is the number of chunks holding messages; seg(c) returns chunk c's.
+// segs is the number of chunks holding entries; seg(c) returns chunk c's.
 func (r *run[M]) segs() int { return (r.n + runChunkLen - 1) / runChunkLen }
 
 func (r *run[M]) seg(c int) ([]int32, []M) {
@@ -76,18 +105,41 @@ func (r *run[M]) seg(c int) ([]int32, []M) {
 	return r.chunks[c].lis[:n], r.chunks[c].msgs[:n]
 }
 
-// truncate drops everything appended after the run held n messages and
-// bytes bytes, zeroing the dropped messages (unless pointerFree) so they pin
-// no memory.
-func (r *run[M]) truncate(n int, bytes int64) {
-	for c := n / runChunkLen; c < r.segs() && !r.pointerFree; c++ {
-		_, msgs := r.seg(c)
-		clear(msgs[max(n-c*runChunkLen, 0):])
-	}
-	r.n, r.bytes = n, bytes
+// runPos is how much a run holds: what truncate restores.
+type runPos struct {
+	n, msgs int
+	bytes   int64
 }
 
-func (r *run[M]) reset() { r.truncate(0, 0) }
+func (r *run[M]) pos() runPos { return runPos{r.n, r.msgs, r.bytes} }
+
+// truncate drops everything appended since the run was at p, zeroing the
+// dropped messages (unless pointerFree) so they pin no memory.
+func (r *run[M]) truncate(p runPos) {
+	for c := p.n / runChunkLen; c < r.segs() && !r.pointerFree; c++ {
+		_, msgs := r.seg(c)
+		clear(msgs[max(p.n-c*runChunkLen, 0):])
+	}
+	r.n, r.msgs, r.bytes = p.n, p.msgs, p.bytes
+}
+
+func (r *run[M]) reset() { r.truncate(runPos{}) }
+
+// countInto adds one to counts[li] for every message the run holds for li.
+func (r *run[M]) countInto(counts []int64) {
+	for c := range r.segs() {
+		lis, _ := r.seg(c)
+		for _, li := range lis {
+			if li >= 0 {
+				counts[li]++
+				continue
+			}
+			for _, x := range r.mirror.span(^li) {
+				counts[x]++
+			}
+		}
+	}
+}
 
 // hasPointers reports whether values of type t hold pointers the garbage
 // collector traces, so stale copies of them must be zeroed to pin nothing.
@@ -363,6 +415,14 @@ func (in *inbox[M]) reset() {
 	in.bytes = 0
 }
 
+// count counts one more message for li, listing li as touched at its first.
+func (in *inbox[M]) count(li int32) {
+	if in.hi[li] == 0 {
+		in.touched = append(in.touched, li)
+	}
+	in.hi[li]++
+}
+
 // layout assigns each touched vertex its extent, given its message count in
 // hi[li] and total messages in all: vertices fill pages in touched order, a
 // vertex that does not fit in what is left of a page starting the next one.
@@ -437,12 +497,7 @@ func (w *worker[M]) deliver() {
 		st.reset()
 	}
 	for _, r := range runs {
-		for c := range r.segs() {
-			lis, _ := r.seg(c)
-			for _, li := range lis {
-				w.vertexTraffic[li]++
-			}
-		}
+		r.countInto(w.vertexTraffic)
 		r.reset()
 	}
 	vertices := 0
@@ -486,28 +541,37 @@ func (w *worker[M]) install(stages []*stage[M], runs []*run[M]) {
 		}
 		in.dense.each(func(li int32) { in.bytes += int64(w.codec.Size(in.val[li])) + msgWireOverhead })
 	} else {
+		total := 0
 		for _, r := range runs {
 			for c := range r.segs() {
 				lis, _ := r.seg(c)
 				for _, li := range lis {
-					if in.hi[li] == 0 {
-						in.touched = append(in.touched, li)
+					if li >= 0 {
+						in.count(li)
+						continue
 					}
-					in.hi[li]++
+					for _, x := range r.mirror.span(^li) {
+						in.count(x)
+					}
 				}
 			}
-		}
-		total := 0
-		for _, r := range runs {
-			total += r.n
+			total += r.msgs
 		}
 		in.layout(total)
 		for _, r := range runs {
 			for c := range r.segs() {
 				lis, msgs := r.seg(c)
 				for i, li := range lis {
-					in.pages[in.pg[li]][in.hi[li]] = msgs[i]
-					in.hi[li]++
+					if li >= 0 {
+						in.pages[in.pg[li]][in.hi[li]] = msgs[i]
+						in.hi[li]++
+						continue
+					}
+					m := msgs[i]
+					for _, x := range r.mirror.span(^li) {
+						in.pages[in.pg[x]][in.hi[x]] = m
+						in.hi[x]++
+					}
 				}
 			}
 			in.bytes += r.bytes
@@ -530,9 +594,12 @@ func (w *worker[M]) processBatch(b *transport.Batch) {
 		transport.PutBatch(b)
 		return
 	}
-	err := w.decodeBatch(b)
+	logical, err := w.decodeBatch(b)
+	if err != nil {
+		logical = b.WireSize()
+	}
 	w.recvMu.Lock()
-	w.recvBytes[int(b.Superstep)] += b.WireSize()
+	w.recvBytes[int(b.Superstep)] += logical
 	w.recvMsgs[int(b.Superstep)] += int64(b.Count)
 	w.recvMu.Unlock()
 	if err != nil {
@@ -550,53 +617,100 @@ func (w *worker[M]) failRecv(superstep int32, err error) {
 	w.recvMu.Unlock()
 }
 
-// decodeBatch appends a data batch's messages to its sender's run. The bytes
-// are untrusted: the sender must be a peer, every record must fit in what is
-// left, name a vertex this worker owns and decode to exactly its size, and
-// the batch must hold Count records. On any failure — a codec panic
-// included, caught once per batch — the run is left as it was.
-func (w *worker[M]) decodeBatch(b *transport.Batch) (err error) {
+// decodeBatch appends a data batch's messages to its sender's run and
+// returns the batch's logical size, what the cost model bills for it. The
+// bytes are untrusted: the sender must be a peer and the payload must lead
+// with a logical size; every record must fit in what is left and decode to
+// exactly its size; a plain record must name a vertex this worker owns, a
+// broadcast record a vertex the sender owns with a mirror span here; the
+// batch must carry Count messages, and its logical size must be their
+// per-message records plus at most one batch header per message. On any
+// failure — a codec panic included, caught once per batch — the run is
+// left as it was.
+func (w *worker[M]) decodeBatch(b *transport.Batch) (logical int64, err error) {
 	if b.From < 0 || int(b.From) >= w.numWorkers || int(b.From) == w.id {
-		return fmt.Errorf("batch from unknown worker %d", b.From)
+		return 0, fmt.Errorf("batch from unknown worker %d", b.From)
 	}
 	r := &w.recv[b.From]
 	if r.epoch != b.Epoch {
 		r.reset()
 		r.epoch = b.Epoch
 	}
-	n0, bytes0 := r.n, r.bytes
+	at := r.pos()
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("decode panicked: %v", p)
 		}
 		if err != nil {
-			r.truncate(n0, bytes0)
+			r.truncate(at)
 			err = fmt.Errorf("batch %d from worker %d for superstep %d: %w", b.Seq, b.From, b.Superstep, err)
 		}
 	}()
 	data := b.Payload
+	if len(data) < logicalSizeLen {
+		return 0, fmt.Errorf("%d-byte payload has no logical size", len(data))
+	}
+	logical = logicalSize(data)
+	data = data[logicalSizeLen:]
+	var perMsg int64 // the records' bytes as one plain record per message
 	for len(data) > 0 {
 		if len(data) < msgWireOverhead {
-			return fmt.Errorf("%d trailing bytes", len(data))
+			return 0, fmt.Errorf("%d trailing bytes", len(data))
 		}
-		to, size := readMsgHeader(data)
+		v, size := readMsgHeader(data)
 		data = data[msgWireOverhead:]
+		broadcast := size&broadcastFlag != 0
+		size &^= broadcastFlag
 		if size > len(data) {
-			return fmt.Errorf("message claims %d bytes, %d remain", size, len(data))
+			return 0, fmt.Errorf("message claims %d bytes, %d remain", size, len(data))
 		}
-		li, ok := w.local(to)
-		if !ok {
-			return fmt.Errorf("message for vertex %d, which worker %d does not own", to, w.id)
+		var (
+			li int32
+			ok bool
+		)
+		if broadcast {
+			if li, err = w.mirrorSource(b.From, v); err != nil {
+				return 0, err
+			}
+		} else if li, ok = w.local(v); !ok {
+			return 0, fmt.Errorf("message for vertex %d, which worker %d does not own", v, w.id)
 		}
 		m, n := w.codec.Decode(data[:size])
 		if n != size {
-			return fmt.Errorf("message decoded %d of %d bytes", n, size)
+			return 0, fmt.Errorf("message decoded %d of %d bytes", n, size)
 		}
 		data = data[size:]
-		r.add(li, m, int64(size)+msgWireOverhead)
+		rec := int64(size) + msgWireOverhead
+		if broadcast {
+			r.addSpan(li, m, rec)
+			perMsg += int64(len(r.mirror.span(li))) * rec
+		} else {
+			r.add(li, m, rec)
+			perMsg += rec
+		}
 	}
-	if got := r.n - n0; got != int(b.Count) {
-		return fmt.Errorf("%d messages, header says %d", got, b.Count)
+	got := r.msgs - at.msgs
+	if got != int(b.Count) {
+		return 0, fmt.Errorf("%d messages, header says %d", got, b.Count)
 	}
-	return nil
+	if hdrs := logical - perMsg; hdrs < 0 || hdrs%transport.BatchHeaderSize != 0 || hdrs/transport.BatchHeaderSize > int64(got) {
+		return 0, fmt.Errorf("logical size %d is not %d bytes of records plus at most %d batch headers", logical, perMsg, got)
+	}
+	return logical, nil
+}
+
+// mirrorSource returns the sender-local index of v, the vertex a broadcast
+// record from worker from names: v must be from's, with neighbours here.
+func (w *worker[M]) mirrorSource(from int32, v graph.VertexID) (int32, error) {
+	if w.lay.mirrors == nil {
+		return 0, fmt.Errorf("broadcast from vertex %d, but this job has no mirror spans", v)
+	}
+	if int(v) >= len(w.lay.place) || w.lay.owner(w.lay.place[v]) != from {
+		return 0, fmt.Errorf("broadcast from vertex %d, which worker %d does not own", v, from)
+	}
+	li := w.lay.index(w.lay.place[v])
+	if len(w.lay.span(w.id, int(from), li)) == 0 {
+		return 0, fmt.Errorf("broadcast from vertex %d, which has no neighbour on worker %d", v, w.id)
+	}
+	return li, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -97,4 +99,73 @@ func pendingInbox[M any](w *worker[M]) [][]M {
 		out[li] = w.in.msgs(int32(li))
 	}
 	return out
+}
+
+// RunBatchFuzz fuzzes the receive path's decoder with (count, payload)
+// pairs as batches from worker 1 to worker 0 of a two-worker spec, seeded
+// with the batches worker 0 received in a real run of it. Worker 1's run
+// starts out holding the first seed. Any input must end in an error that
+// leaves the run's entries, message count and bytes where they were, or in
+// exactly count messages whose records — each plain entry as a record for
+// its vertex, each span entry as a broadcast record from the vertex whose
+// span it is — behind the returned logical size re-encode to the payload
+// byte for byte.
+func RunBatchFuzz[M any](f *testing.F, spec JobSpec[M]) {
+	spec.NumWorkers = 2
+	rec := &recordingNetwork{Network: transport.NewChannelNetwork(2, 64)}
+	seed := spec
+	seed.Network = rec
+	if _, err := Run(seed); err != nil {
+		f.Fatal(err)
+	}
+	rec.Close()
+	if len(rec.batches) == 0 {
+		f.Fatal("the seed run sent worker 0 no data")
+	}
+	for _, b := range rec.batches {
+		f.Add(b.Count, b.Payload)
+	}
+
+	s, err := spec.withDefaults()
+	if err != nil {
+		f.Fatal(err)
+	}
+	net := transport.NewChannelNetwork(2, 64)
+	f.Cleanup(func() { net.Close() })
+	w := testWorker(f, &s, net, 0)
+	r := &w.recv[1]
+	first := rec.batches[0]
+	if _, err := w.decodeBatch(&transport.Batch{From: 1, Count: first.Count, Epoch: r.epoch, Payload: first.Payload}); err != nil {
+		f.Fatalf("a real batch: %v", err)
+	}
+	base := r.pos()
+	f.Fuzz(func(t *testing.T, count int32, payload []byte) {
+		defer r.truncate(base)
+		logical, err := w.decodeBatch(&transport.Batch{From: 1, To: 0, Count: count, Epoch: r.epoch, Payload: payload})
+		if err != nil {
+			if got := r.pos(); got != base {
+				t.Fatalf("rejected batch (%v) moved the run from %+v to %+v", err, base, got)
+			}
+			return
+		}
+		if got := r.msgs - base.msgs; got != int(count) {
+			t.Fatalf("accepted %d messages, header says %d", got, count)
+		}
+		enc := binary.LittleEndian.AppendUint32(nil, uint32(logical))
+		for i := base.n; i < r.n; i++ {
+			li, m := r.chunks[i/runChunkLen].lis[i%runChunkLen], r.chunks[i/runChunkLen].msgs[i%runChunkLen]
+			v, size := uint32(0), uint32(w.codec.Size(m))
+			if li >= 0 {
+				v = uint32(w.owned[li])
+			} else {
+				v, size = uint32(w.lay.owned[1][^li]), size|broadcastFlag
+			}
+			var hdr [msgWireOverhead]byte
+			putMsgHeader(hdr[:], v, size)
+			enc = w.codec.Append(append(enc, hdr[:]...), m)
+		}
+		if !bytes.Equal(enc, payload) {
+			t.Fatalf("accepted payload re-encodes to %x, want %x", enc, payload)
+		}
+	})
 }

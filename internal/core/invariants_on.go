@@ -108,8 +108,9 @@ func checkActiveAfter[M any](w *worker[M], n int64) {
 
 // Delivery invariants: the merge installs exactly what its producers staged.
 // recountDelivery counts, before the merge, how many messages each owned
-// vertex is owed — every run entry and every staged combine slot — and
-// panics on a local index the worker does not own; checkDelivery then
+// vertex is owed — every run entry, a span entry once per vertex of its
+// span, and every staged combine slot — and panics on a local index the
+// worker does not own or a span entry naming a vertex its producer lacks; checkDelivery then
 // compares every vertex's installed messages with that count (at most one,
 // and one exactly when owed any, under a combiner) and checks that the
 // arena extents are disjoint. A vertex holding messages nobody sent it — an
@@ -135,7 +136,17 @@ func recountDelivery[M any](w *worker[M], stages []*stage[M], runs []*run[M]) []
 		for c := range r.segs() {
 			lis, _ := r.seg(c)
 			for _, li := range lis {
-				owe(li, "a run")
+				if li >= 0 {
+					owe(li, "a run")
+					continue
+				}
+				if r.mirror == nil || int(^li) >= len(r.mirror.off)-1 {
+					panic(fmt.Sprintf("core: delivery invariant: worker %d superstep %d: a run entry names the span of vertex %d, which its producer does not have",
+						w.id, w.superstep, ^li))
+				}
+				for _, x := range r.mirror.span(^li) {
+					owe(x, "a run's span")
+				}
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"pregelnet/internal/cloud"
@@ -13,19 +14,41 @@ import (
 	"pregelnet/internal/transport"
 )
 
-// msgWireOverhead is the per-message framing inside a batch payload:
-// 4 bytes destination vertex + 4 bytes message length.
-const msgWireOverhead = 8
+// A data batch's payload is its logical size (4 bytes), then records. A
+// record is an 8-byte header — 4 bytes vertex, 4 bytes body length — and
+// the encoded message. A plain record is one message to its vertex. A
+// broadcast record, flagged by the length's top bit, is one message from
+// its vertex, a vertex of the sender, to every vertex of that vertex's
+// mirror span on the receiver (layout.mirrors).
+//
+// The logical size is what the cost model bills for the batch: its records'
+// bytes as one plain record per message, plus a batch header for every
+// batch those records would have opened (staging.bill). It is the measured
+// wire for a batch of plain records and, for the batches a slot sends one
+// destination in a superstep, sums to what per-message records would have
+// put on the wire.
+const (
+	msgWireOverhead = 8
+	logicalSizeLen  = 4
+	broadcastFlag   = 1 << 31
+	// maxLogicalSize is the largest logical size the field holds.
+	maxLogicalSize = math.MaxUint32
+)
 
-func putMsgHeader(hdr []byte, to graph.VertexID, size int) {
+func putMsgHeader(hdr []byte, vertex, size uint32) {
 	_ = hdr[msgWireOverhead-1]
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(to))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(size))
+	binary.LittleEndian.PutUint32(hdr[0:], vertex)
+	binary.LittleEndian.PutUint32(hdr[4:], size)
 }
 
-func readMsgHeader(data []byte) (to graph.VertexID, size int) {
+func readMsgHeader(data []byte) (vertex graph.VertexID, size int) {
 	return graph.VertexID(binary.LittleEndian.Uint32(data[0:])),
 		int(binary.LittleEndian.Uint32(data[4:]))
+}
+
+// logicalSize reads a data batch payload's logical size.
+func logicalSize(payload []byte) int64 {
+	return int64(binary.LittleEndian.Uint32(payload))
 }
 
 // JobSpec configures a BSP job.
@@ -375,7 +398,9 @@ type StepStats struct {
 	// SentLocal/SentRemote count data messages emitted this superstep.
 	SentLocal  int64
 	SentRemote int64
-	// RemoteBytes is the serialized bulk-transfer volume.
+	// RemoteBytes is the serialized bulk-transfer volume the cost model
+	// bills: the batches' logical sizes, what one record per message would
+	// have put on the wire.
 	RemoteBytes int64
 	// PeakMemoryBytes is the largest per-worker memory footprint (message
 	// buffers + program state).

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
+	"math"
 
 	"pregelnet/internal/cloud"
 	"pregelnet/internal/graph"
@@ -79,31 +79,35 @@ func loadResizeTraffic(store *cloud.BlobStore, retry cloud.RetryPolicy,
 		}); err != nil {
 			return nil
 		}
-		r := bytes.NewReader(data)
-		readU64 := func() (uint64, bool) {
-			var b [8]byte
-			if _, err := io.ReadFull(r, b[:]); err != nil {
-				return 0, false
-			}
-			return binary.LittleEndian.Uint64(b[:]), true
-		}
-		count, ok := readU64()
-		if !ok {
-			return nil
-		}
-		for i := uint64(0); i < count; i++ {
-			gid, ok1 := readU64()
-			t, ok2 := readU64()
-			if !ok1 || !ok2 || gid >= uint64(n) {
-				return nil
-			}
-			traffic[gid] += int64(t)
-		}
-		if r.Len() != 0 {
+		if !addTraffic(traffic, data) {
 			return nil
 		}
 	}
 	return traffic
+}
+
+// addTraffic adds one traffic sidecar's counters to traffic, which holds
+// one per vertex of the graph, and reports whether the sidecar was well
+// formed. The bytes are untrusted: the pair count is checked against their
+// length before anything is read, every pair must name a vertex of the
+// graph and keep its count in range, and nothing is allocated. A malformed
+// sidecar may leave traffic partly added to.
+func addTraffic(traffic []int64, data []byte) bool {
+	if len(data) < 8 {
+		return false
+	}
+	pairs, data := binary.LittleEndian.Uint64(data), data[8:]
+	if uint64(len(data))%16 != 0 || pairs != uint64(len(data))/16 {
+		return false
+	}
+	for ; len(data) > 0; data = data[16:] {
+		gid, t := binary.LittleEndian.Uint64(data), binary.LittleEndian.Uint64(data[8:])
+		if gid >= uint64(len(traffic)) || t > math.MaxInt64-uint64(traffic[gid]) {
+			return false
+		}
+		traffic[gid] += int64(t)
+	}
+	return true
 }
 
 // adoptMigrations loads every old worker's migration blob, routes each

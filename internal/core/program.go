@@ -101,10 +101,9 @@ type Context[M any] struct {
 	halted    bool
 
 	// Per-slot staging, flushed by the worker after each batch of vertices.
-	outRemoteBuf [][]byte // per destination worker, nil until used
-	outRemoteCnt []int32
-	body         []byte  // one message's encoding, copied behind each remote header
-	places       []place // the send kernel's resolved destinations
+	out    []staging // per destination worker
+	body   []byte    // one message's encoding, copied behind each remote header
+	places []place   // the send kernel's resolved destinations
 	// Next-superstep output, staged without locks (deliver.go). With a
 	// combiner: one combine stage per destination worker, this one included,
 	// keyed by the destination's local index. Without one: the local sends,
@@ -158,7 +157,13 @@ func (c *Context[M]) VoteToHalt() { c.halted = true }
 func (c *Context[M]) Send(to graph.VertexID, m M) { c.send([]graph.VertexID{to}, m) }
 
 // SendToNeighbors delivers m to every out-neighbor of the current vertex.
-func (c *Context[M]) SendToNeighbors(m M) { c.send(c.Neighbors(), m) }
+func (c *Context[M]) SendToNeighbors(m M) {
+	if c.w.lay.mirrors == nil {
+		c.send(c.Neighbors(), m)
+		return
+	}
+	c.broadcast(m)
+}
 
 // send is the one send body: m to every vertex of dsts, in order, in two
 // phases. Resolve reads dsts in order and loads each destination's place
@@ -202,6 +207,41 @@ func (c *Context[M]) send(dsts []graph.VertexID, m M) {
 	}
 }
 
+// broadcast is SendToNeighbors without a combiner, in O(workers) whatever
+// the degree: one span entry in the slot's local run for the neighbours
+// this worker owns, and one broadcast record, the message encoded once, for
+// each other worker owning any. Each worker's merge expands the span in
+// place, so every inbox receives exactly what per-edge sends would have
+// left it, in the same order. A degree so large that the span could
+// overflow one batch's logical size is sent per edge.
+func (c *Context[M]) broadcast(m M) {
+	w := c.w
+	degree := int64(w.g.OutDegree(c.vertex))
+	size := int64(w.codec.Size(m)) + msgWireOverhead
+	if degree > maxLogicalSize/(size+transport.BatchHeaderSize) {
+		c.send(c.Neighbors(), m)
+		return
+	}
+	c.computeOps += degree
+	var body []byte
+	for dest := range w.numWorkers {
+		span := w.lay.span(dest, w.id, c.local)
+		if len(span) == 0 {
+			continue
+		}
+		if dest == w.id {
+			c.sentLocal += int64(len(span))
+			c.localRun.addSpan(c.local, m, size)
+			continue
+		}
+		if body == nil {
+			c.body = w.codec.Append(c.body[:0], m)
+			body = c.body
+		}
+		c.appendBroadcast(dest, span, body)
+	}
+}
+
 // Aggregate contributes a value to the named aggregator. The reduced global
 // value is visible to all vertices in the *next* superstep via Agg.
 func (c *Context[M]) Aggregate(name string, v float64) {
@@ -226,24 +266,88 @@ func (c *Context[M]) encodeRemote(destWorker int, to graph.VertexID, m M) {
 	c.appendRecord(destWorker, to, c.body)
 }
 
+// staging is a compute slot's outgoing payload for one destination worker:
+// the logical size field, then wire records. Beside it, what the cost model
+// bills for them: what they would have cost as one record per message under
+// the flush rule per-message records were sent by.
+type staging struct {
+	buf   []byte // nil until a record is staged
+	count int32  // messages the records carry
+	// logical is the staged records' bytes as one record per message, plus
+	// a batch header for each batch those records would have opened.
+	logical int64
+	// open is the bytes of the per-message batch being filled, which closes
+	// once it reaches flushBytes; it outlives real flushes and restarts at
+	// the end of each superstep's compute, as a staging buffer did.
+	open int64
+}
+
+// bill charges k per-message records of rec bytes each: their bytes, plus a
+// batch header for every per-message batch they open. A batch opens at a
+// record staged while none is open and closes once it holds flush bytes,
+// so k equal records cost O(1) whatever k.
+func (s *staging) bill(k, rec, flush int64) {
+	cost := k * rec
+	s.logical += cost
+	if s.open > 0 {
+		if s.open+cost < flush {
+			s.open += cost
+			return
+		}
+		k -= (flush - s.open + rec - 1) / rec // the records that close the open batch
+		s.open = 0
+	}
+	if k == 0 {
+		return
+	}
+	per := (flush + rec - 1) / rec // records in a full batch
+	s.logical += (k + per - 1) / per * transport.BatchHeaderSize
+	s.open = k % per * rec
+}
+
 // appendRecord appends one wire record — to's header, then the encoded
 // message body — to the slot's staging payload for destWorker.
 func (c *Context[M]) appendRecord(destWorker int, to graph.VertexID, body []byte) {
-	c.sentRemote++
-	n := msgWireOverhead + len(body)
-	buf := c.outRemoteBuf[destWorker]
+	c.stageRecord(destWorker, uint32(to), uint32(len(body)), 1, body)
+}
+
+// appendBroadcast appends one broadcast record — the sending vertex's
+// header, flagged, then the encoded message body — standing for one message
+// to every vertex of span, which destWorker owns.
+func (c *Context[M]) appendBroadcast(destWorker int, span []int32, body []byte) {
+	c.stageRecord(destWorker, uint32(c.vertex), uint32(len(body))|broadcastFlag, int64(len(span)), body)
+}
+
+// stageRecord stages one record carrying k messages on the payload for
+// destWorker: its header fields and body, behind the logical size field
+// when the payload is new. A record that could take the payload's logical
+// size past maxLogicalSize flushes the payload first; one that takes its
+// records to flushBytes flushes it after.
+func (c *Context[M]) stageRecord(destWorker int, vertex, size uint32, k int64, body []byte) {
+	rec := int64(msgWireOverhead + len(body))
+	st := &c.out[destWorker]
+	if st.logical+k*(rec+transport.BatchHeaderSize) > maxLogicalSize {
+		c.w.flushSlotBuffer(c, destWorker)
+	}
+	c.sentRemote += k
+	st.count += int32(k)
+	st.bill(k, rec, int64(c.w.flushBytes))
+	buf, at := st.buf, len(st.buf)
+	n := int(rec)
+	if at == 0 {
+		at = logicalSizeLen // filled in at flush
+		n += at
+	}
 	if cap(buf)-len(buf) < n {
 		buf = c.w.growStaging(buf, n)
 	}
-	at := len(buf)
-	buf = buf[:at+n]
-	putMsgHeader(buf[at:], to, len(body))
+	buf = buf[:at+int(rec)]
+	putMsgHeader(buf[at:], vertex, size)
 	copy(buf[at+msgWireOverhead:], body)
-	c.outRemoteBuf[destWorker] = buf
-	c.outRemoteCnt[destWorker]++
+	st.buf = buf
 	// Flush oversized buffers mid-step to bound outgoing memory ("bulk"
 	// transfers in the paper are sized by a buffer threshold).
-	if len(buf) >= c.w.flushBytes {
+	if len(buf)-logicalSizeLen >= c.w.flushBytes {
 		c.w.flushSlotBuffer(c, destWorker)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"time"
@@ -345,7 +346,7 @@ func nextAssignment[M any](s *JobSpec[M], js *jobState, resize *resizeRequest) (
 func runSegment[M any](s *JobSpec[M], js *jobState, fabric *cloud.Fabric,
 	ins *jobInstruments, adopt *resizeRequest) (*resizeRequest, []*worker[M], error) {
 	n := s.Graph.NumVertices()
-	lay := newLayout(s.Assignment, s.NumWorkers)
+	lay := specLayout(s)
 
 	// The data plane: the caller's Network for the initial segment if one
 	// was supplied, otherwise (and for every post-resize segment) a fresh
@@ -458,11 +459,34 @@ func runSegment[M any](s *JobSpec[M], js *jobState, fabric *cloud.Fabric,
 // worker writes) and, for every vertex, its owner and its index in the
 // owner's list packed into one 4-byte place, so the table the send kernel
 // scatters through is half the size of an (owner, index) pair per vertex.
+// A job without a combiner also gets the mirror spans SendToNeighbors
+// sends through (see mirror).
 type layout struct {
 	owned [][]graph.VertexID
 	place []place
+	// mirrors[r][s] holds the spans of the vertices worker s owns on
+	// worker r; nil with a combiner.
+	mirrors [][]mirror
 	packing
 }
+
+// mirror is the spans of one sender's vertices on one receiver: the span of
+// the sender's vertex li is lis[off[li]:off[li+1]], the receiver-local
+// indices of the vertex's out-neighbours the receiver owns, in adjacency
+// order, duplicates kept. One SendToNeighbors call becomes one span entry
+// per worker its vertex has neighbours on, which that worker's merge
+// expands into exactly the messages the per-edge sends would have left:
+// 4 bytes per arc plus 4 per vertex per worker.
+type mirror struct {
+	off []int32
+	lis []int32
+}
+
+// span returns the span of the sender's vertex li.
+func (m *mirror) span(li int32) []int32 { return m.lis[m.off[li]:m.off[li+1]] }
+
+// span returns the span of sender send's vertex li on worker recv.
+func (l *layout) span(recv, send int, li int32) []int32 { return l.mirrors[recv][send].span(li) }
 
 // place is a vertex's owner and local index, li<<shift | owner. Read it
 // only through packing's owner and index.
@@ -501,14 +525,66 @@ func fitLayout(a partition.Assignment, workers int) error {
 	return nil
 }
 
-func newLayout(a partition.Assignment, workers int) *layout {
+// specLayout is the layout of a spec's current segment: mirror spans are
+// built for a job without a combiner, over graphs whose arcs an int32
+// offset can index. A job past that sends each SendToNeighbors message per
+// edge, as Send does.
+func specLayout[M any](s *JobSpec[M]) *layout {
+	var g *graph.Graph
+	if s.Combiner == nil && s.Graph.NumEdges() <= math.MaxInt32 {
+		g = s.Graph
+	}
+	return newLayout(s.Assignment, s.NumWorkers, g)
+}
+
+// newLayout places a's vertices on workers workers and, when g is not nil,
+// builds g's mirror spans.
+func newLayout(a partition.Assignment, workers int, g *graph.Graph) *layout {
 	l := &layout{owned: ownedLists(a, workers), place: make([]place, len(a)), packing: packingFor(workers)}
 	for w, owned := range l.owned {
 		for li, v := range owned {
 			l.place[v] = place(li)<<l.shift | place(w)
 		}
 	}
+	if g != nil {
+		l.buildMirrors(g)
+	}
 	return l
+}
+
+// buildMirrors fills every (receiver, sender) pair's spans in two passes
+// over the arcs: one sizes each pair's index array, one appends each
+// vertex's span in local order, adjacency order within it.
+func (l *layout) buildMirrors(g *graph.Graph) {
+	workers := len(l.owned)
+	arcs := make([]int, workers*workers) // [sender*workers + receiver]
+	for s, owned := range l.owned {
+		for _, u := range owned {
+			for _, v := range g.Neighbors(u) {
+				arcs[s*workers+int(l.owner(l.place[v]))]++
+			}
+		}
+	}
+	l.mirrors = make([][]mirror, workers)
+	for r := range l.mirrors {
+		l.mirrors[r] = make([]mirror, workers)
+		for s := range l.mirrors[r] {
+			l.mirrors[r][s] = mirror{off: make([]int32, len(l.owned[s])+1), lis: make([]int32, 0, arcs[s*workers+r])}
+		}
+	}
+	for s, owned := range l.owned {
+		for li, u := range owned {
+			for _, v := range g.Neighbors(u) {
+				p := l.place[v]
+				m := &l.mirrors[l.owner(p)][s]
+				m.lis = append(m.lis, l.index(p))
+			}
+			for r := range l.mirrors {
+				m := &l.mirrors[r][s]
+				m.off[li+1] = int32(len(m.lis))
+			}
+		}
+	}
 }
 
 // ownedLists splits an assignment into each worker's owned vertices in

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -15,9 +14,9 @@ import (
 
 // refSend is the per-message Send the send kernel replaced, kept as the
 // kernel's differential reference: one placement lookup, then a combine
-// stage, the slot's local run, or a record encoded straight onto the
-// staging payload, message by message.
-func refSend[M any](c *Context[M], to graph.VertexID, m M) {
+// stage, the slot's local run, or a record of its own on wire, message by
+// message.
+func refSend[M any](c *Context[M], wire *refWire, to graph.VertexID, m M) {
 	c.computeOps++
 	w := c.w
 	p := w.lay.place[to]
@@ -35,34 +34,86 @@ func refSend[M any](c *Context[M], to graph.VertexID, m M) {
 		return
 	}
 	c.sentRemote++
-	buf := c.outRemoteBuf[dest]
-	if buf == nil {
-		buf = transport.GetPayload(0)
-	}
-	buf = appendMsgHeader(buf, to, w.codec.Size(m))
-	buf = w.codec.Append(buf, m)
-	c.outRemoteBuf[dest] = buf
-	c.outRemoteCnt[dest]++
-	if len(buf) >= w.flushBytes {
-		w.flushSlotBuffer(c, dest)
+	wire.add(dest, w.codec.Append(appendMsgHeader(nil, to, w.codec.Size(m)), m))
+}
+
+// refSendToNeighbors is the per-edge SendToNeighbors loop over refSend. It
+// notes when a per-message batch closed inside a neighbour list, with more
+// of the list still to go to the same worker: a batch boundary inside a
+// mirror span.
+func refSendToNeighbors[M any](c *Context[M], wire *refWire, m M) {
+	nbrs := c.Neighbors()
+	owner := func(v graph.VertexID) int32 { return c.w.lay.owner(c.w.lay.place[v]) }
+	for i, v := range nbrs {
+		flushes := 0
+		if wire != nil {
+			flushes = wire.flushes
+		}
+		refSend(c, wire, v, m)
+		if wire != nil && wire.flushes > flushes &&
+			slices.ContainsFunc(nbrs[i+1:], func(u graph.VertexID) bool { return owner(u) == owner(v) }) {
+			wire.midSpan = true
+		}
 	}
 }
 
-// refSendToNeighbors is today's SendToNeighbors loop over refSend.
-func refSendToNeighbors[M any](c *Context[M], m M) {
-	for _, v := range c.Neighbors() {
-		refSend(c, v, m)
+// refWire is the per-message wire: every remote message a record of its
+// own, on one payload per destination, flushed as a batch once it reaches
+// flush bytes — the batches a slot sent before broadcast records.
+type refWire struct {
+	flush   int
+	buf     [][]byte
+	count   []int32
+	batches [][]refBatch // per destination
+	flushes int
+	midSpan bool
+}
+
+// refBatch is one of the reference's batches: its records and how many.
+type refBatch struct {
+	count   int32
+	payload []byte
+}
+
+// wireSize is what the batch put on the wire.
+func (b refBatch) wireSize() int64 { return int64(transport.BatchHeaderSize + len(b.payload)) }
+
+func newRefWire(workers, flush int) *refWire {
+	return &refWire{flush: flush, buf: make([][]byte, workers), count: make([]int32, workers),
+		batches: make([][]refBatch, workers)}
+}
+
+func (r *refWire) add(dest int, record []byte) {
+	r.buf[dest] = append(r.buf[dest], record...)
+	r.count[dest]++
+	if len(r.buf[dest]) >= r.flush {
+		r.flushTo(dest)
+	}
+}
+
+func (r *refWire) flushTo(dest int) {
+	if len(r.buf[dest]) == 0 {
+		return
+	}
+	r.batches[dest] = append(r.batches[dest], refBatch{r.count[dest], r.buf[dest]})
+	r.buf[dest], r.count[dest] = nil, 0
+	r.flushes++
+}
+
+// finish flushes what a slot left staged, as finishSlot does.
+func (r *refWire) finish() {
+	for dest := range r.buf {
+		r.flushTo(dest)
 	}
 }
 
 // slotOutput is everything a compute slot's sends leave behind: the batches
-// it flushed, its staging payloads and counts, its local run, its combine
-// stages and its counters. Messages are compared by their bits, so −0 and
-// NaN payloads count.
+// it flushed, its staging payloads, counts and bills, its local run, its
+// combine stages and its counters. Messages are compared by their bits, so
+// −0 and NaN payloads count.
 type slotOutput struct {
 	batches  []string
-	staged   [][]byte
-	counts   []int32
+	staged   []string
 	run      []string
 	stages   []string
 	counters [4]int64
@@ -70,9 +121,8 @@ type slotOutput struct {
 
 func captureSlot[M any](w *worker[M], c *Context[M]) slotOutput {
 	out := slotOutput{batches: captureBatches(w)}
-	for dest, buf := range c.outRemoteBuf {
-		out.staged = append(out.staged, bytes.Clone(buf))
-		out.counts = append(out.counts, c.outRemoteCnt[dest])
+	for _, st := range c.out {
+		out.staged = append(out.staged, fmt.Sprintf("%x: %d msgs, logical %d, open %d", st.buf, st.count, st.logical, st.open))
 	}
 	for seg := range c.localRun.segs() {
 		lis, msgs := c.localRun.seg(seg)
@@ -103,10 +153,20 @@ func captureSlot[M any](w *worker[M], c *Context[M]) slotOutput {
 // captureBatches drains the batches waiting in w's outboxes.
 func captureBatches[M any](w *worker[M]) []string {
 	var out []string
-	for _, ob := range w.outboxes {
-		for ob != nil && len(ob.ch) > 0 {
-			b := (<-ob.ch).batch
+	for _, batches := range drainBatches(w) {
+		for _, b := range batches {
 			out = append(out, fmt.Sprintf("%d->%d step %d: %d msgs %x", b.From, b.To, b.Superstep, b.Count, b.Payload))
+		}
+	}
+	return out
+}
+
+// drainBatches drains the batches waiting in w's outboxes, by destination.
+func drainBatches[M any](w *worker[M]) [][]*transport.Batch {
+	out := make([][]*transport.Batch, len(w.outboxes))
+	for dest, ob := range w.outboxes {
+		for ob != nil && len(ob.ch) > 0 {
+			out[dest] = append(out[dest], (<-ob.ch).batch)
 		}
 	}
 	return out
@@ -166,33 +226,40 @@ func foldKernelOf[M any](t *testing.T, comb Combiner[M]) uintptr {
 	return reflect.ValueOf(testWorker(t, &s, net, 0).fold).Pointer()
 }
 
-// kernelCoverage records that the kernel test reached the paths it is for.
-type kernelCoverage struct{ midDense, midFlush, over bool }
+// kernelCoverage records that the kernel test reached the paths it is for:
+// a stage turned dense inside one neighbour list, a vertex took over 255
+// folds in one stage, a per-message batch closed inside a mirror span, and
+// the kernel flushed a payload before its slot finished.
+type kernelCoverage struct{ midDense, over, midSpan, midFlush bool }
 
-// TestSendKernelMatchesReference drives the send kernel and the reference
-// loop with the same sends — neighbour sends from every vertex, hubs
+// TestSendKernelMatchesReference drives the send kernel and the per-message
+// reference with the same sends — neighbour sends from every vertex, hubs
 // included, mixed with single sends and four sends per vertex to one hub —
-// on twin workers, and requires byte-identical flushed batches, staging
-// payloads, local runs and combine stages, both after the sends and after
-// the slot's combined output is encoded. It covers no combiner, the
-// engine's SumCombiner (its own fold loop) and MinUint32Combiner, and two
-// user combiners on float64, a min and a sum, with −0, NaN payloads and
-// ±Inf among the float operands, 1–3 workers, 1–4 compute slots, and flush
-// thresholds from exactly three records to the default. It also checks that a stage turned dense inside
-// one neighbour list, that flushes fell inside one, and that a vertex took
-// more than 255 folds in one stage.
+// on twin workers. With a combiner — the engine's SumCombiner (its own fold
+// loop) and MinUint32Combiner, and two user combiners on float64, a min and
+// a sum — it requires byte-identical flushed batches, staging payloads,
+// local runs and combine stages, both after the sends and after the slot's
+// combined output is encoded. Without one, where a neighbour send is one
+// span entry and one broadcast record per worker, it requires
+// byte-identical inboxes on every worker once the batches are decoded and
+// merged, the same counters, and logical batch sizes that sum to the wire
+// size of the reference's per-message batches. The float operands include
+// −0, NaN payloads and ±Inf; the grid is 1–3 workers, 1–4 compute slots
+// and flush thresholds from three records to the default, so per-message
+// batches close inside mirror spans.
 func TestSendKernelMatchesReference(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 4, 11)
 	var cov kernelCoverage
-	for _, comb := range []Combiner[float64]{nil, SumCombiner{}, minCombiner{}, plusCombiner{}} {
+	checkBroadcastKernel(t, g, &cov)
+	for _, comb := range []Combiner[float64]{SumCombiner{}, minCombiner{}, plusCombiner{}} {
 		checkSendKernel(t, g, comb, Float64Codec{}, floatMsg, &cov)
 	}
 	checkSendKernel(t, g, Combiner[uint32](MinUint32Combiner{}), Uint32Codec{}, func(v graph.VertexID, li, k int) uint32 {
 		return uint32(v)*2654435761 + uint32(li%5+k)
 	}, &cov)
-	if !cov.midDense || !cov.midFlush || !cov.over {
-		t.Fatalf("coverage: a stage turned dense inside one neighbour list: %v; a flush fell inside one: %v; a vertex took over 255 folds: %v",
-			cov.midDense, cov.midFlush, cov.over)
+	if !cov.midDense || !cov.over || !cov.midSpan || !cov.midFlush {
+		t.Fatalf("coverage: a stage turned dense inside one neighbour list: %v; a vertex took over 255 folds: %v; a per-message batch closed inside a span: %v; the kernel flushed mid-slot: %v",
+			cov.midDense, cov.over, cov.midSpan, cov.midFlush)
 	}
 }
 
@@ -271,23 +338,19 @@ func checkSendKernel[M any](t *testing.T, g *graph.Graph, comb Combiner[M], code
 						for _, c := range []*Context[M]{kc, rc} {
 							c.vertex, c.local = v, int32(li)
 						}
-						before := queued(kernel)
-						dense := kc.stages != nil && kc.stages[0].val != nil
+						dense := kc.stages[0].val != nil
 						m := msg(v, li, 0)
 						kc.SendToNeighbors(m)
-						refSendToNeighbors(rc, m)
-						if kc.stages != nil && !dense && kc.stages[0].val != nil {
+						refSendToNeighbors(rc, nil, m)
+						if !dense && kc.stages[0].val != nil {
 							cov.midDense = true
-						}
-						if queued(kernel) >= before+2 {
-							cov.midFlush = true
 						}
 						to := graph.VertexID((int(v)*7 + 3) % g.NumVertices())
 						kc.Send(to, msg(v, li, 1))
-						refSend(rc, to, msg(v, li, 1))
+						refSend(rc, nil, to, msg(v, li, 1))
 						for k := range 4 {
 							kc.Send(hub, msg(v, li, k))
-							refSend(rc, hub, msg(v, li, k))
+							refSend(rc, nil, hub, msg(v, li, k))
 						}
 					}
 					for i := range kc.stages {
@@ -306,6 +369,125 @@ func checkSendKernel[M any](t *testing.T, g *graph.Graph, comb Combiner[M], code
 				net.Close()
 			}
 		}
+	}
+}
+
+// checkBroadcastKernel is TestSendKernelMatchesReference without a
+// combiner. Worker 0 of each layout sends through the kernel on one twin
+// and through the per-message reference on the other. Every worker's inbox
+// is then built from what each twin sent — worker 0's from its slots' local
+// runs, every other worker's by decoding the batches sent to it, the
+// reference's behind a logical size equal to their wire size — and the two
+// must match message for message, bit for bit, with the same memory meter
+// and traffic counts.
+func checkBroadcastKernel(t *testing.T, g *graph.Graph, cov *kernelCoverage) {
+	t.Helper()
+	const hub = 0
+	for workers := 1; workers <= 3; workers++ {
+		for slots := 1; slots <= 4; slots++ {
+			for _, flush := range []int{48, 100, 1000, 64 << 10} {
+				name := fmt.Sprintf("no combiner/workers=%d/slots=%d/flush=%d", workers, slots, flush)
+				spec := JobSpec[float64]{Graph: g, NumWorkers: workers, Codec: Float64Codec{},
+					FlushBytes: flush, OutboxDepth: 1 << 14, NewProgram: idleProgram[float64]}
+				s, err := spec.withDefaults()
+				if err != nil {
+					t.Fatal(err)
+				}
+				net := transport.NewChannelNetwork(workers, 64)
+				kernel, ref := testWorker(t, &s, net, 0), testWorker(t, &s, net, 0)
+				wire := newRefWire(workers, flush)
+				for slot := range slots {
+					kc, rc := kernel.slotContext(slot), ref.slotContext(slot)
+					for li := slot; li < len(kernel.owned); li += slots {
+						v := kernel.owned[li]
+						for _, c := range []*Context[float64]{kc, rc} {
+							c.vertex, c.local = v, int32(li)
+						}
+						m := floatMsg(v, li, 0)
+						kc.SendToNeighbors(m)
+						refSendToNeighbors(rc, wire, m)
+						to := graph.VertexID((int(v)*7 + 3) % g.NumVertices())
+						kc.Send(to, floatMsg(v, li, 1))
+						refSend(rc, wire, to, floatMsg(v, li, 1))
+						for k := range 4 {
+							kc.Send(hub, floatMsg(v, li, k))
+							refSend(rc, wire, hub, floatMsg(v, li, k))
+						}
+					}
+					cov.midFlush = cov.midFlush || queued(kernel) > 0
+					kernel.finishSlot(kc)
+					ref.finishSlot(rc)
+					wire.finish()
+				}
+				cov.midSpan = cov.midSpan || wire.midSpan
+				for _, c := range [][3]any{
+					{"compute ops", kernel.statComputeOps.Load(), ref.statComputeOps.Load()},
+					{"local messages", kernel.statSentLocal.Load(), ref.statSentLocal.Load()},
+					{"remote messages", kernel.statSentRemote.Load(), ref.statSentRemote.Load()},
+				} {
+					if c[1] != c[2] {
+						t.Fatalf("%s: %s %d, the reference counted %d", name, c[0], c[1], c[2])
+					}
+				}
+				sent := drainBatches(kernel)
+				var logicalOut, wireOut int64
+				for dest := 1; dest < workers; dest++ {
+					kr, rr := testWorker(t, &s, net, dest), testWorker(t, &s, net, dest)
+					var logicalIn, wireIn, msgs, refMsgs int64
+					for _, b := range sent[dest] {
+						n, err := kr.decodeBatch(b)
+						if err != nil {
+							t.Fatalf("%s: the kernel's batch for worker %d: %v", name, dest, err)
+						}
+						logicalIn += n
+						logicalOut += logicalSize(b.Payload)
+						msgs += int64(b.Count)
+					}
+					for _, b := range wire.batches[dest] {
+						wireIn += b.wireSize()
+						refMsgs += int64(b.count)
+						if _, err := rr.decodeBatch(&transport.Batch{Count: b.count, Epoch: rr.epoch.Load(),
+							Payload: payload(int(b.wireSize()), b.payload)}); err != nil {
+							t.Fatalf("%s: the reference's batch for worker %d: %v", name, dest, err)
+						}
+					}
+					if msgs != refMsgs {
+						t.Fatalf("%s: worker %d: the kernel's batches carry %d messages, the reference's %d", name, dest, msgs, refMsgs)
+					}
+					if logicalIn != wireIn {
+						t.Fatalf("%s: worker %d decoded logical sizes summing to %d, the reference put %d on the wire", name, dest, logicalIn, wireIn)
+					}
+					wireOut += wireIn
+					checkSameInbox(t, fmt.Sprintf("%s: worker %d", name, dest), kr, rr)
+				}
+				if logicalOut != wireOut || kernel.statBytesOut.Load() != wireOut {
+					t.Fatalf("%s: logical batch sizes sum to %d (billed %d), the reference's batches to %d bytes of wire",
+						name, logicalOut, kernel.statBytesOut.Load(), wireOut)
+				}
+				checkSameInbox(t, name+": worker 0", kernel, ref)
+				net.Close()
+			}
+		}
+	}
+}
+
+// checkSameInbox merges got's and want's staged and received messages and
+// requires the same inbox, message bits in order, memory meter and traffic
+// counts.
+func checkSameInbox(t *testing.T, name string, got, want *worker[float64]) {
+	t.Helper()
+	inbox := func(w *worker[float64]) []string {
+		w.deliver()
+		out := []string{fmt.Sprintf("bytes %d traffic %v", w.in.bytes, w.vertexTraffic)}
+		for li := range w.owned {
+			for _, m := range w.in.msgs(int32(li)) {
+				out = append(out, fmt.Sprintf("%d:%x", li, msgBits(m)))
+			}
+		}
+		return out
+	}
+	if g, w := inbox(got), inbox(want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: the inbox differs from the per-message reference's:\nkernel %v\nref    %v", name, g, w)
 	}
 }
 

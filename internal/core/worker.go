@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math/bits"
@@ -83,8 +84,8 @@ type barrierMsg struct {
 	SentLocal   int64              `json:"sl"`
 	SentRemote  int64              `json:"sr"` // replay: messages re-sent
 	RecvRemote  int64              `json:"rr"`
-	BytesOut    int64              `json:"bo"` // replay: bytes re-sent
-	BytesIn     int64              `json:"bi"`
+	BytesOut    int64              `json:"bo"` // logical bytes (job.go); replay: bytes re-sent
+	BytesIn     int64              `json:"bi"` // logical bytes
 	PeakMemory  int64              `json:"mem"`
 	ComputeOps  int64              `json:"ops"`
 	Peers       int                `json:"peers"`
@@ -390,6 +391,9 @@ func newWorker[M any](spec *JobSpec[M], id int, lay *layout, ep transport.Endpoi
 	w.wakeCur.fill(len(owned))
 	for i := range w.recv {
 		w.recv[i].pointerFree = pointerFree
+		if lay.mirrors != nil {
+			w.recv[i].mirror = &lay.mirrors[id][i]
+		}
 	}
 	for i := range w.recvStreams {
 		w.recvStreams[i].next = 1 // senders stamp from 1 within each epoch
@@ -612,6 +616,9 @@ func (w *worker[M]) handleReplay(tok *stepToken) {
 	err := w.msglog.Replay(tok.Superstep,
 		func(dest int) bool { return failed[dest] && dest != w.id },
 		func(dest int, payload []byte, count int) error {
+			if len(payload) < logicalSizeLen {
+				return fmt.Errorf("logged batch for worker %d has a %d-byte payload", dest, len(payload))
+			}
 			// The payload is log-owned: copy into a fresh pooled buffer the
 			// send pipeline may recycle, and never PutPayload the original.
 			cp := transport.GetPayload(len(payload))
@@ -624,7 +631,7 @@ func (w *worker[M]) handleReplay(tok *stepToken) {
 			b.Epoch = w.epoch.Load()
 			b.Payload = cp
 			replayMsgs += int64(count)
-			replayBytes += b.WireSize()
+			replayBytes += logicalSize(payload)
 			// Enqueue directly (not enqueueBatch): replayed traffic must not
 			// be re-appended to the log. Blocking is fine — the sender drains.
 			w.outboxes[dest].ch <- outboxItem{batch: b}
@@ -897,14 +904,16 @@ func (w *worker[M]) slotContext(slot int) *Context[M] {
 	ctx := w.slots[slot]
 	if ctx == nil {
 		ctx = &Context[M]{
-			w:            w,
-			outRemoteBuf: make([][]byte, w.numWorkers),
-			outRemoteCnt: make([]int32, w.numWorkers),
-			aggs:         make(map[string]float64),
-			localRun:     run[M]{pointerFree: w.pointerFree},
+			w:        w,
+			out:      make([]staging, w.numWorkers),
+			aggs:     make(map[string]float64),
+			localRun: run[M]{pointerFree: w.pointerFree},
 		}
 		if w.combiner != nil {
 			ctx.stages = make([]stage[M], w.numWorkers)
+		}
+		if w.lay.mirrors != nil {
+			ctx.localRun.mirror = &w.lay.mirrors[w.id][w.id]
 		}
 		w.slots[slot] = ctx
 	}
@@ -951,10 +960,9 @@ func (w *worker[M]) finishSlot(ctx *Context[M]) {
 		st.combined(w.combiner, true, func(li int32, m M) { ctx.encodeRemote(dest, owned[li], m) })
 		st.reset()
 	}
-	for dest := range ctx.outRemoteBuf {
-		if len(ctx.outRemoteBuf[dest]) > 0 {
-			w.flushSlotBuffer(ctx, dest)
-		}
+	for dest := range ctx.out {
+		w.flushSlotBuffer(ctx, dest)
+		ctx.out[dest].open = 0
 	}
 	w.statComputeOps.Add(ctx.computeOps)
 	w.statSentLocal.Add(ctx.sentLocal)
@@ -969,24 +977,25 @@ func (w *worker[M]) injectedThisStep(li int32) bool {
 	return w.hasInjected && w.injectedBits[li>>6]&(1<<uint(li&63)) != 0
 }
 
-// flushSlotBuffer hands a slot's staged batch for one destination to that
-// destination's outbox. Enqueueing cannot fail — send errors surface at the
-// superstep's flush-and-drain (broadcastSentinels) — but it can block when
-// the outbox is full, which is the data plane's backpressure.
+// flushSlotBuffer hands a slot's staged batch for one destination, if any,
+// to that destination's outbox, billing its logical size. Enqueueing cannot
+// fail — send errors surface at the superstep's flush-and-drain
+// (broadcastSentinels) — but it can block when the outbox is full, which is
+// the data plane's backpressure.
 func (w *worker[M]) flushSlotBuffer(c *Context[M], dest int) {
-	buf := c.outRemoteBuf[dest]
-	if len(buf) == 0 {
+	st := &c.out[dest]
+	if len(st.buf) == 0 {
 		return
 	}
+	binary.LittleEndian.PutUint32(st.buf, uint32(st.logical))
 	b := transport.GetBatch()
 	b.From = int32(w.id)
 	b.To = int32(dest)
 	b.Superstep = int32(w.superstep)
-	b.Count = c.outRemoteCnt[dest]
-	b.Payload = buf
-	c.outRemoteBuf[dest] = nil
-	c.outRemoteCnt[dest] = 0
-	c.remoteBytesOut += b.WireSize()
+	b.Count = st.count
+	b.Payload = st.buf
+	c.remoteBytesOut += st.logical
+	st.buf, st.count, st.logical = nil, 0, 0
 	w.peersContacted[dest].Store(true)
 	w.enqueueBatch(b)
 }

@@ -5,5 +5,3 @@ var (
 	ReadBatch  = readBatch
 	WriteBatch = writeBatch
 )
-
-const BatchHeaderSize = batchHeaderSize

@@ -13,7 +13,7 @@ func TestBatchWireEpochSeq(t *testing.T) {
 	if err := writeBatch(&buf, b); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readBatch(&buf, make([]byte, batchHeaderSize))
+	got, err := readBatch(&buf, make([]byte, BatchHeaderSize))
 	if err != nil {
 		t.Fatal(err)
 	}

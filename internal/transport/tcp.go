@@ -119,7 +119,7 @@ func (ep *tcpEndpoint) acceptLoop() {
 
 func (ep *tcpEndpoint) readLoop(conn net.Conn) {
 	defer conn.Close()
-	var hdr [batchHeaderSize]byte // per-connection scratch: zero allocs per frame
+	var hdr [BatchHeaderSize]byte // per-connection scratch: zero allocs per frame
 	for {
 		b, err := readBatch(conn, hdr[:])
 		if err != nil {

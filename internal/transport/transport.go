@@ -34,13 +34,15 @@ type Batch struct {
 	Payload []byte
 }
 
-// WireSize returns the encoded size of the batch in bytes, used for network
-// cost accounting.
+// WireSize returns the encoded size of the batch in bytes: what it costs on
+// the wire.
 func (b *Batch) WireSize() int64 {
-	return int64(batchHeaderSize + len(b.Payload))
+	return int64(BatchHeaderSize + len(b.Payload))
 }
 
-const batchHeaderSize = 4 * 7 // from, to, superstep, count, epoch, seq, payload length
+// BatchHeaderSize is a batch's framing on the wire: from, to, superstep,
+// count, epoch, seq and payload length.
+const BatchHeaderSize = 4 * 7
 
 // ErrClosed is returned by endpoints after Close.
 var ErrClosed = fmt.Errorf("transport: endpoint closed")
@@ -207,7 +209,7 @@ func putHeader(hdr []byte, b *Batch) {
 // payloads past coalesceLimit fall back to a second Write.
 func writeBatch(w io.Writer, b *Batch) error {
 	bufp := frameBufPool.Get().(*[]byte)
-	buf := (*bufp)[:batchHeaderSize]
+	buf := (*bufp)[:BatchHeaderSize]
 	putHeader(buf, b)
 	var err error
 	if len(b.Payload) <= coalesceLimit {
@@ -231,11 +233,11 @@ func writeBatch(w io.Writer, b *Batch) error {
 const payloadStep = 256 << 10
 
 // readBatch reads one framed batch from r into hdr (a caller-owned scratch
-// buffer of at least batchHeaderSize bytes, reused across calls). The
+// buffer of at least BatchHeaderSize bytes, reused across calls). The
 // returned batch's payload comes from the payload pool; the consumer must
 // PutPayload it once decoded.
 func readBatch(r io.Reader, hdr []byte) (*Batch, error) {
-	hdr = hdr[:batchHeaderSize]
+	hdr = hdr[:BatchHeaderSize]
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}

@@ -19,7 +19,7 @@ func TestBatchWireRoundTrip(t *testing.T) {
 	if int64(buf.Len()) != b.WireSize() {
 		t.Errorf("wire size %d != %d", buf.Len(), b.WireSize())
 	}
-	got, err := readBatch(&buf, make([]byte, batchHeaderSize))
+	got, err := readBatch(&buf, make([]byte, BatchHeaderSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestBatchWireProperty(t *testing.T) {
 		if err := writeBatch(&buf, b); err != nil {
 			return false
 		}
-		got, err := readBatch(&buf, make([]byte, batchHeaderSize))
+		got, err := readBatch(&buf, make([]byte, BatchHeaderSize))
 		if err != nil {
 			return false
 		}
@@ -57,7 +57,7 @@ func TestReadBatchTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()[:buf.Len()-2]
-	if _, err := readBatch(bytes.NewReader(data), make([]byte, batchHeaderSize)); err == nil {
+	if _, err := readBatch(bytes.NewReader(data), make([]byte, BatchHeaderSize)); err == nil {
 		t.Error("expected error on truncated batch")
 	}
 }
