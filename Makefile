@@ -97,14 +97,16 @@ bench-compare:
 # benchmark-smoke runs the repo benchmark (benchmark/, BENCHMARK.json) at
 # test size on its two control-plane workloads, pr-transitions (checkpoint,
 # confined recovery, scale-out and scale-in) and sssp-grid-steps (a thousand
-# barriers), and on bc-swath-tcp (broadcast records over real sockets).
-# Every job is checked against a sequential oracle, so this proves the
-# transition protocol and the no-combiner message path end to end; the
-# numbers are not a measurement.
+# barriers), on bc-swath-tcp (broadcast records over real sockets) and on
+# wcc-sub-frontend (the text loader, multilevel partitioning and the
+# PartitionProgram path). Every job is checked against a sequential oracle,
+# so this proves the transition protocol, the no-combiner message path and
+# the front end end to end; the numbers are not a measurement.
 benchmark-smoke:
 	$(GO) run ./benchmark -tiny -seconds 1 -workload pr-transitions
 	$(GO) run ./benchmark -tiny -seconds 1 -workload sssp-grid-steps
 	$(GO) run ./benchmark -tiny -seconds 1 -workload bc-swath-tcp
+	$(GO) run ./benchmark -tiny -seconds 1 -workload wcc-sub-frontend
 
 # benchmark-selfcheck runs every workload twice in fresh processes at real
 # size and checks the spread against BENCHMARK.json's bounds and the exact

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 )
 
 // This file implements deterministic synthetic graph generators. The paper
@@ -90,16 +91,18 @@ func BarabasiAlbert(n, m int, seed int64) *Graph {
 			targets = append(targets, VertexID(u), VertexID(v))
 		}
 	}
-	chosen := make(map[VertexID]bool, m)
+	// chosen keeps the draw order: the targets appended below feed every
+	// later draw, so their order must depend on the seed alone.
+	chosen := make([]VertexID, 0, m)
 	for u := m + 1; u < n; u++ {
-		clear(chosen)
+		chosen = chosen[:0]
 		for len(chosen) < m {
 			v := targets[rng.Intn(len(targets))]
-			if v != VertexID(u) {
-				chosen[v] = true
+			if v != VertexID(u) && !slices.Contains(chosen, v) {
+				chosen = append(chosen, v)
 			}
 		}
-		for v := range chosen {
+		for _, v := range chosen {
 			b.AddUndirected(VertexID(u), v)
 			targets = append(targets, VertexID(u), v)
 		}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -89,6 +90,17 @@ func TestBarabasiAlbert(t *testing.T) {
 	// Connected by construction.
 	if c := Components(g); c.Count != 1 {
 		t.Errorf("BA graph has %d components, want 1", c.Count)
+	}
+}
+
+// The same seed builds the same graph: SD' (BarabasiAlbert(2048, 6, 42))
+// reads the same in every run.
+func TestBarabasiAlbertDeterministic(t *testing.T) {
+	want := BarabasiAlbert(2048, 6, 42)
+	for i := 0; i < 4; i++ {
+		if g := BarabasiAlbert(2048, 6, 42); !reflect.DeepEqual(g, want) {
+			t.Fatalf("build %d differs from the first", i+2)
+		}
 	}
 }
 

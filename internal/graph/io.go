@@ -2,13 +2,16 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"io/fs"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode/utf8"
 )
 
@@ -25,39 +28,149 @@ const maxEdgeListLine = 1 << 22
 // (source, then target, line by line). If undirected is true each edge is
 // added in both directions.
 //
-// The parser works on the bytes of a bufio.Reader's buffer: no per-line
-// string, no field slice, and edges go straight into the Builder.
+// The input is read into one buffer, sized from the reader when it reports
+// its size, and split at newlines into one chunk per core; an input under
+// minEdgeListChunk bytes per core uses fewer. The chunks parse in parallel
+// into raw ID pairs, and one pass in line order interns them, so the
+// numbering, and the error reported (the one on the lowest line), do not
+// depend on the chunking.
 func ReadEdgeList(r io.Reader, undirected bool) (*Graph, error) {
-	ids := make(map[int64]VertexID)
-	intern := func(x int64) VertexID {
-		id, ok := ids[x]
-		if !ok {
-			id = VertexID(len(ids))
-			ids[x] = id
-		}
-		return id
+	data, err := readInput(r)
+	chunks := min(runtime.GOMAXPROCS(0), 1+len(data)/minEdgeListChunk)
+	return parseEdgeList(data, err, undirected, chunks)
+}
+
+// minEdgeListChunk is the smallest input share worth a goroutine of its own.
+const minEdgeListChunk = 1 << 18
+
+// readInput reads r to its end into one buffer, allocated at the size r
+// reports when it reports one. On a read error it returns what it read
+// before the error, and the error.
+func readInput(r io.Reader) ([]byte, error) {
+	size, sized := remainingBytes(r)
+	if !sized {
+		return io.ReadAll(r)
 	}
-	b := &Builder{}
-	br := bufio.NewReaderSize(r, 1<<16)
-	var long []byte // a line that outgrew br's buffer
-	for lineNo := 1; ; lineNo++ {
-		line, err := br.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			long = append(long[:0], line...)
-			for err == bufio.ErrBufferFull && len(long) <= maxEdgeListLine {
-				line, err = br.ReadSlice('\n')
-				long = append(long, line...)
-			}
-			line = long
+	buf := make([]byte, size)
+	n, err := io.ReadFull(r, buf)
+	switch err {
+	case nil: // r may have grown since it reported its size
+		rest, err := io.ReadAll(r)
+		return append(buf, rest...), err
+	case io.EOF, io.ErrUnexpectedEOF:
+		return buf[:n], nil
+	}
+	return buf[:n], err
+}
+
+// parseEdgeList is ReadEdgeList after the read, over the given number of
+// chunks. A read error counts as if it were on the line after the input's
+// last complete one: a bad line before it is reported instead.
+func parseEdgeList(data []byte, readErr error, undirected bool, chunks int) (*Graph, error) {
+	complete := data
+	if readErr != nil {
+		complete = data[:bytes.LastIndexByte(data, '\n')+1]
+	}
+	parts := splitLines(complete, chunks)
+	pairs := make([][]rawEdge, len(parts))
+	errs := make([]error, len(parts))
+	var wg sync.WaitGroup
+	for i := 1; i < len(parts); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pairs[i], errs[i] = parts[i].parse()
+		}()
+	}
+	pairs[0], errs[0] = parts[0].parse()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		if n := len(line); n > 0 && line[n-1] == '\n' {
-			line = line[:n-1]
+	}
+	if readErr != nil {
+		if len(data)-len(complete) >= maxEdgeListLine {
+			readErr = bufio.ErrTooLong
+		}
+		return nil, fmt.Errorf("graph: reading edge list: %w", readErr)
+	}
+	return internEdges(pairs, undirected).Build(), nil
+}
+
+// internEdges numbers the chunks' IDs in line order into a Builder whose
+// edge slice is allocated once: one arc per pair, two if undirected.
+func internEdges(pairs [][]rawEdge, undirected bool) *Builder {
+	total := 0
+	for _, chunk := range pairs {
+		total += len(chunk)
+	}
+	if undirected {
+		total *= 2
+	}
+	edges := make([]edge, 0, total)
+	var ids interner
+	for _, chunk := range pairs {
+		for _, p := range chunk {
+			u, v := ids.id(p.src), ids.id(p.dst)
+			edges = append(edges, edge{u, v})
+			if undirected && u != v {
+				edges = append(edges, edge{v, u})
+			}
+		}
+	}
+	return &Builder{n: ids.n, edges: edges}
+}
+
+// lineChunk is a run of whole lines of an edge list.
+type lineChunk struct {
+	data      []byte
+	firstLine int // the file's line number of data's first line
+	lines     int
+}
+
+// splitLines cuts data at newlines into the given number of chunks of about
+// equal size. A chunk is empty when a line longer than its share covers it.
+func splitLines(data []byte, chunks int) []lineChunk {
+	parts := make([]lineChunk, 0, chunks)
+	line := 1
+	for left := chunks; left > 0; left-- {
+		end := len(data)
+		if left > 1 {
+			end = len(data) / left
+			if i := bytes.IndexByte(data[end:], '\n'); i >= 0 {
+				end += i + 1
+			} else {
+				end = len(data)
+			}
+		}
+		c := lineChunk{data: data[:end], firstLine: line, lines: bytes.Count(data[:end], []byte{'\n'})}
+		if end > 0 && data[end-1] != '\n' {
+			c.lines++
+		}
+		parts = append(parts, c)
+		line += c.lines
+		data = data[end:]
+	}
+	return parts
+}
+
+// rawEdge is an edge-list line's two IDs as the file spells them.
+type rawEdge struct{ src, dst int64 }
+
+// parse returns the chunk's edges, or the error on its first bad line.
+func (c lineChunk) parse() ([]rawEdge, error) {
+	pairs := make([]rawEdge, 0, c.lines)
+	data := c.data
+	for lineNo := c.firstLine; len(data) > 0; lineNo++ {
+		line := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			line, data = data[:i], data[i+1:]
+		} else {
+			data = nil
 		}
 		if len(line) >= maxEdgeListLine {
 			return nil, fmt.Errorf("graph: reading edge list: %w", bufio.ErrTooLong)
-		}
-		if err != nil && err != io.EOF {
-			return nil, fmt.Errorf("graph: reading edge list: %w", err)
 		}
 		src, dst, nf := edgeFields(line)
 		if nf == 1 {
@@ -72,67 +185,146 @@ func ReadEdgeList(r io.Reader, undirected bool) (*Graph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad target id: %v", lineNo, err)
 			}
-			u, v := intern(su), intern(sv)
-			b.edges = append(b.edges, edge{u, v})
-			if undirected && u != v {
-				b.edges = append(b.edges, edge{v, u})
-			}
-		}
-		if err == io.EOF {
-			break
+			pairs = append(pairs, rawEdge{su, sv})
 		}
 	}
-	b.n = len(ids)
-	return b.Build(), nil
+	return pairs, nil
+}
+
+// interner numbers raw vertex IDs densely in first-appearance order. A
+// non-negative ID below len(dense) is looked up in dense, which holds its
+// number plus one (zero: not seen yet); every other ID goes through sparse.
+// dense grows, by doubling, only to take an ID below twice the distinct IDs
+// seen so far plus denseSlack, so it stays O(distinct IDs) whatever values
+// the input claims. A growth moves the sparse entries it now covers into
+// dense; none moves twice.
+type interner struct {
+	dense  []VertexID
+	sparse map[int64]VertexID
+	n      int
+}
+
+// denseSlack is how far past twice the IDs seen the dense table may grow.
+const denseSlack = 1 << 10
+
+func (in *interner) id(x int64) VertexID {
+	if uint64(x) < uint64(len(in.dense)) && in.dense[x] != 0 {
+		return in.dense[x] - 1
+	}
+	return in.add(x)
+}
+
+// add interns an ID dense does not hold: into dense if it covers the ID or
+// may grow to, else through sparse.
+func (in *interner) add(x int64) VertexID {
+	if x >= int64(len(in.dense)) && x < 2*int64(in.n)+denseSlack {
+		size := max(2*len(in.dense), denseSlack)
+		for int64(size) <= x {
+			size *= 2
+		}
+		dense := make([]VertexID, size)
+		copy(dense, in.dense)
+		for raw, id := range in.sparse {
+			if raw >= 0 && raw < int64(size) {
+				dense[raw] = id + 1
+				delete(in.sparse, raw)
+			}
+		}
+		in.dense = dense
+		if in.dense[x] != 0 {
+			return in.dense[x] - 1
+		}
+	}
+	if uint64(x) < uint64(len(in.dense)) {
+		in.n++
+		in.dense[x] = VertexID(in.n)
+		return VertexID(in.n - 1)
+	}
+	id, ok := in.sparse[x]
+	if !ok {
+		if in.sparse == nil {
+			in.sparse = make(map[int64]VertexID)
+		}
+		id = VertexID(in.n)
+		in.sparse[x] = id
+		in.n++
+	}
+	return id
 }
 
 // edgeFields returns a line's first two whitespace-separated fields and how
 // many it has, counting at most two; a blank or '#' comment line has none.
 // Whitespace is what strings.Fields splits on: ASCII bytes are classified
-// here, and a line with any non-ASCII byte takes the strings path so Unicode
-// spaces (U+0085, U+00A0, ...) separate fields exactly as they always have.
+// here, and a non-ASCII byte met before the second field ends sends the line
+// down the strings path, so Unicode spaces (U+0085, U+00A0, ...) separate
+// fields exactly as they always have. Past the second field's end nothing
+// can change the first two fields, so the rest of the line is not read.
 func edgeFields(line []byte) (src, dst []byte, nf int) {
-	for _, c := range line {
-		if c >= utf8.RuneSelf {
-			s := strings.TrimSpace(string(line))
-			if s == "" || s[0] == '#' {
-				return nil, nil, 0
-			}
-			f := strings.Fields(s)
-			if len(f) < 2 {
-				return []byte(f[0]), nil, 1
-			}
-			return []byte(f[0]), []byte(f[1]), 2
-		}
+	i, c := skip(line, 0, classSpace)
+	if c == classOther {
+		return unicodeFields(line)
 	}
-	i := skipSpace(line, 0)
 	if i == len(line) || line[i] == '#' {
 		return nil, nil, 0
 	}
-	j := skipField(line, i)
-	k := skipSpace(line, j)
+	j, c := skip(line, i, classField)
+	if c == classOther {
+		return unicodeFields(line)
+	}
+	k, c := skip(line, j, classSpace)
+	if c == classOther {
+		return unicodeFields(line)
+	}
 	if k == len(line) {
 		return line[i:j], nil, 1
 	}
-	return line[i:j], line[k:skipField(line, k)], 2
-}
-
-func isASCIISpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
-}
-
-func skipSpace(line []byte, i int) int {
-	for i < len(line) && isASCIISpace(line[i]) {
-		i++
+	l, c := skip(line, k, classField)
+	if c == classOther {
+		return unicodeFields(line)
 	}
-	return i
+	return line[i:j], line[k:l], 2
 }
 
-func skipField(line []byte, i int) int {
-	for i < len(line) && !isASCIISpace(line[i]) {
-		i++
+// unicodeFields is edgeFields for a line with non-ASCII bytes.
+func unicodeFields(line []byte) (src, dst []byte, nf int) {
+	s := strings.TrimSpace(string(line))
+	if s == "" || s[0] == '#' {
+		return nil, nil, 0
 	}
-	return i
+	f := strings.Fields(s)
+	if len(f) < 2 {
+		return []byte(f[0]), nil, 1
+	}
+	return []byte(f[0]), []byte(f[1]), 2
+}
+
+// Byte classes for edgeFields: an ASCII space, any other ASCII byte, and a
+// byte of a multi-byte UTF-8 sequence (or an invalid one).
+const (
+	classField = iota
+	classSpace
+	classOther
+)
+
+var byteClass = func() (t [256]uint8) {
+	for c := utf8.RuneSelf; c < 256; c++ {
+		t[c] = classOther
+	}
+	for _, c := range []byte(" \t\n\v\f\r") {
+		t[c] = classSpace
+	}
+	return t
+}()
+
+// skip advances from i past bytes of class want and returns where it
+// stopped and the class of the byte there (want at the line's end).
+func skip(line []byte, i int, want uint8) (int, uint8) {
+	for ; i < len(line); i++ {
+		if c := byteClass[line[i]]; c != want {
+			return i, c
+		}
+	}
+	return i, want
 }
 
 // parseVertexID parses a decimal ID. Plain digits of up to 18 characters,

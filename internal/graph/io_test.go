@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -173,29 +175,155 @@ func edgeListSeeds(t testing.TB) []string {
 		"9223372036854775807 -9223372036854775808\n9999999999999999999 1\n",
 		"1 2\n 2 3\n",
 		"1 2\n"+strings.Repeat("3", maxEdgeListLine)+" 4\n",
+		// IDs the dense table does not cover at first, then enough dense
+		// ones that it grows over them and takes them out of the map.
+		"3000 4000\n"+pathLines(1500)+"4000 3000\n2999 3000\n",
+		"-1 -2\n4294967296 4294967297\n-1 4294967296\n0 -9223372036854775808\n1 1099511627776\n",
+		strings.Repeat("42 7\n", 8)+"7 42\n9 42\n",
+		"1 2\n3 x\n"+strings.Repeat("5 6\n", 4)+"y 7\n8 9\n",
+		"1 2\r\n# c\r\n3\u00a04\r\n5 6\r\n\u00856 7\n# \u00e9\n8 9\r\n",
+		"1 2\n1 "+strings.Repeat("2", maxEdgeListLine-3)+"\n3 4\n5\n",
 	)
 }
 
+// pathLines is a path over IDs 0..n as edge-list lines.
+func pathLines(n int) string {
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "%d %d\n", i, i+1)
+	}
+	return sb.String()
+}
+
 // ReadEdgeList returns what the Scanner-based parser it replaced returned:
-// the same graph, or the same error on the same line.
+// the same graph, or the same error on the same line; so does the parse
+// over 1 to 4 chunks, however the input's lines fall into them.
 func FuzzReadEdgeList(f *testing.F) {
 	for _, s := range edgeListSeeds(f) {
 		f.Add([]byte(s), false)
 		f.Add([]byte(s), true)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, undirected bool) {
-		g, err := ReadEdgeList(bytes.NewReader(data), undirected)
 		ref, refErr := readEdgeListScanner(bytes.NewReader(data), undirected)
-		if err != nil || refErr != nil {
-			if fmt.Sprint(err) != fmt.Sprint(refErr) {
-				t.Fatalf("error %v, reference error %v", err, refErr)
+		check := func(name string, g *Graph, err error) {
+			if err != nil || refErr != nil {
+				if fmt.Sprint(err) != fmt.Sprint(refErr) {
+					t.Fatalf("%s: error %v, reference error %v", name, err, refErr)
+				}
+				return
 			}
-			return
+			if !reflect.DeepEqual(g, ref) {
+				t.Fatalf("%s: graph differs from the reference:\n got %v %v\nwant %v %v", name, g.offsets, g.adj, ref.offsets, ref.adj)
+			}
 		}
-		if !reflect.DeepEqual(g, ref) {
-			t.Fatalf("graph differs from the reference:\n got %v %v\nwant %v %v", g.offsets, g.adj, ref.offsets, ref.adj)
+		g, err := ReadEdgeList(bytes.NewReader(data), undirected)
+		check("ReadEdgeList", g, err)
+		for chunks := 1; chunks <= 4; chunks++ {
+			g, err := parseEdgeList(data, nil, undirected, chunks)
+			check(fmt.Sprintf("%d chunks", chunks), g, err)
 		}
 	})
+}
+
+// IDs far beyond the number of vertices go through the map: reading them
+// allocates nothing in proportion to their values.
+func TestReadEdgeListHostileIDs(t *testing.T) {
+	for _, in := range []string{
+		"0 1099511627776\n",
+		"4611686018427387904 1\n1 4611686018427387904\n",
+		"1 1073741824\n2 2147483647\n3 4294967295\n",
+		"9223372036854775807 -9223372036854775808\n" + pathLines(3000) + "5000000 0\n",
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := ReadEdgeList(strings.NewReader(in), true)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%.40q: %v", in, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%.40q: allocated %d bytes for %d vertices", in, grew, g.NumVertices())
+		}
+	}
+}
+
+// The input buffer is allocated once at the size a sized reader reports,
+// and the edge slice once at one arc per line, two if undirected.
+func TestReadEdgeListExactCapacity(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteEdgeList(&buf, RMAT(10, 8, 0.57, 0.19, 0.19, 0.05, 1)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.txt")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, r := range []io.Reader{bytes.NewReader(buf.Bytes()), f, unsized{bytes.NewReader(buf.Bytes())}} {
+		data, err := readInput(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, buf.Bytes()) {
+			t.Fatalf("%T: read %d bytes, want %d", r, len(data), buf.Len())
+		}
+		if _, ok := r.(unsized); !ok && cap(data) != len(data) {
+			t.Errorf("%T: buffer capacity %d for %d bytes", r, cap(data), len(data))
+		}
+	}
+	pairs, err := splitLines(buf.Bytes(), 1)[0].parse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, undirected := range []bool{false, true} {
+		b := internEdges([][]rawEdge{pairs}, undirected)
+		want := len(pairs)
+		if undirected {
+			want *= 2 // RMAT has no self-loops
+		}
+		if len(b.edges) != want || cap(b.edges) != want {
+			t.Errorf("undirected=%v: %d edges in capacity %d, want %d", undirected, len(b.edges), cap(b.edges), want)
+		}
+	}
+}
+
+// failingReader delivers its data, then fails.
+type failingReader struct {
+	data []byte
+	err  error
+}
+
+func (r *failingReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, r.err
+	}
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// A read error is reported as if it were on the line after the last
+// complete one: a bad line before it wins, a line cut short by it does not
+// parse, and a cut line that is already too long is reported as too long.
+func TestReadEdgeListReadError(t *testing.T) {
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		in, want string
+	}{
+		{"1 2\nx 3\n4 5\n", "graph: line 2: bad source id: strconv.ParseInt: parsing \"x\": invalid syntax"},
+		{"1 2\n3 4\n", "graph: reading edge list: boom"},
+		{"1 2\n3 x", "graph: reading edge list: boom"},
+		{"1 2\n" + strings.Repeat("3", maxEdgeListLine), "graph: reading edge list: bufio.Scanner: token too long"},
+	} {
+		_, err := ReadEdgeList(&failingReader{[]byte(tc.in), boom}, false)
+		if fmt.Sprint(err) != tc.want {
+			t.Errorf("%.20q: error %v, want %s", tc.in, err, tc.want)
+		}
+	}
 }
 
 // A line's limit is the Scanner's: 4 MiB - 1 bytes before the newline pass,
@@ -306,4 +434,20 @@ func FuzzReadBinary(f *testing.F) {
 			t.Fatal("accepted input does not write back to the bytes read")
 		}
 	})
+}
+
+// BenchmarkReadEdgeList loads the wcc-sub-frontend benchmark workload's
+// input file (seed 1, 9.3 MB) from memory.
+func BenchmarkReadEdgeList(b *testing.B) {
+	var buf bytes.Buffer
+	if err := WriteEdgeList(&buf, Community(100000, 500, 4, 0.85, 1)); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := ReadEdgeList(bytes.NewReader(buf.Bytes()), false); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -2,7 +2,7 @@ package partition
 
 import (
 	"math/rand"
-	"slices"
+	"sort"
 
 	"pregelnet/internal/graph"
 )
@@ -60,6 +60,31 @@ func (w *wgraph) totalVWgt() int64 {
 	return t
 }
 
+// sortRows sorts every row by neighbour id, carrying the edge weights.
+func (w *wgraph) sortRows() {
+	var row weightedRow // one value for every row: one allocation, not n
+	for v := range w.vwgt {
+		lo, hi := w.offsets[v], w.offsets[v+1]
+		row.adj, row.ewgt = w.adj[lo:hi], w.ewgt[lo:hi]
+		sort.Sort(&row)
+	}
+}
+
+// weightedRow sorts a row's neighbours and their edge weights together.
+type weightedRow struct {
+	adj  []graph.VertexID
+	ewgt []int64
+}
+
+func (r *weightedRow) Len() int           { return len(r.adj) }
+func (r *weightedRow) Less(i, j int) bool { return r.adj[i] < r.adj[j] }
+func (r *weightedRow) Swap(i, j int) {
+	r.adj[i], r.adj[j] = r.adj[j], r.adj[i]
+	r.ewgt[i], r.ewgt[j] = r.ewgt[j], r.ewgt[i]
+}
+
+// fromGraph is level 0: the graph's own rows, which every constructor in
+// package graph sorts by neighbour id, minus self loops.
 func fromGraph(g *graph.Graph) *wgraph {
 	n := g.NumVertices()
 	w := &wgraph{
@@ -120,8 +145,10 @@ func (m *Multilevel) Partition(g *graph.Graph, k int) Assignment {
 		maps = append(maps, vmap)
 	}
 
-	// Initial partitioning on the coarsest graph.
+	// Initial partitioning on the coarsest graph. Region growing visits
+	// neighbours in row order, so it gets sorted rows.
 	coarsest := levels[len(levels)-1]
+	coarsest.sortRows()
 	assign := growRegions(coarsest, k, rng)
 	refine(coarsest, assign, k, m.BalanceTolerance, m.RefinePasses)
 
@@ -146,8 +173,10 @@ func (m *Multilevel) Partition(g *graph.Graph, k int) Assignment {
 // exists at the coarsest level.
 //
 // Contraction follows METIS's CreateCoarseGraph: each coarse vertex merges
-// its one or two members' adjacency through a dense weight accumulator,
-// then sorts only its own neighbour row, so a level costs O(m + Σ d log d).
+// its one or two members' adjacency through a dense weight accumulator, so a
+// level costs O(m). A coarse row keeps the accumulator's insertion order:
+// the matching's tie rule, refine and rebalance do not depend on row order,
+// and Partition sorts the coarsest graph's rows for growRegions.
 func coarsen(w *wgraph, rng *rand.Rand, maxVWgt int64) (*wgraph, []graph.VertexID) {
 	const unmatched = ^graph.VertexID(0)
 	n := w.n()
@@ -165,12 +194,13 @@ func coarsen(w *wgraph, rng *rand.Rand, maxVWgt int64) (*wgraph, []graph.VertexI
 			continue
 		}
 		// Find the unmatched neighbor with the heaviest connecting edge
-		// whose combined weight stays under the cap.
+		// whose combined weight stays under the cap; of equally heavy ones,
+		// the smallest id, so the choice does not depend on row order.
 		partner := v
 		var bestW int64 = -1
 		nbrs, wts := w.neighbors(v)
 		for j, u := range nbrs {
-			if vmap[u] == unmatched && u != v && wts[j] > bestW && w.vwgt[v]+w.vwgt[u] <= maxVWgt {
+			if vmap[u] == unmatched && u != v && (wts[j] > bestW || wts[j] == bestW && u < partner) && w.vwgt[v]+w.vwgt[u] <= maxVWgt {
 				partner, bestW = u, wts[j]
 			}
 		}
@@ -213,9 +243,7 @@ func coarsen(w *wgraph, rng *rand.Rand, maxVWgt int64) (*wgraph, []graph.VertexI
 				acc[cu] += wts[j]
 			}
 		}
-		row := coarse.adj[start:idx]
-		slices.Sort(row)
-		for i, cu := range row {
+		for i, cu := range coarse.adj[start:idx] {
 			coarse.ewgt[start+i] = acc[cu]
 			acc[cu] = 0
 		}
