@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-sarif vetcheck test-invariants bench bench-smoke bench-compare \
+.PHONY: build test race vet lint lint-sarif vetcheck test-invariants bench-smoke \
 	benchmark-smoke benchmark-selfcheck profile fuzz
 
 build:
@@ -59,40 +59,12 @@ vetcheck: bin/pregelvet
 test-invariants:
 	$(GO) test -race -tags pregel_invariants -timeout 45m ./...
 
-# bench runs the allocation-counting suite (internal/bench) and merges the
-# results into OUT under LABEL, so before/after pairs live in one committed
-# artifact (BENCH_PR3.json holds the baseline→pr3 pair). Override SAMPLES
-# for noisier machines.
-LABEL ?= pr10
-SAMPLES ?= 3
-OUT ?= BENCH_PR10.json
-bench:
-	$(GO) run ./cmd/bench -label $(LABEL) -samples $(SAMPLES) -out $(OUT)
-
-# bench-smoke is the CI variant: one iteration of every benchmark, just to
-# prove they run, plus a single-sample suite pass emitting the JSON artifact.
+# bench-smoke runs every go test benchmark once, to prove they run; the
+# numbers are not a measurement. BenchmarkHotPath's rows are the
+# allocation-counting suite: compare them parent against change on one
+# machine with `go test -run '^$' -bench HotPath -benchmem -count 10 .`.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-	$(GO) run ./cmd/bench -label ci-smoke -samples 1 -out bench-ci.json
-
-# bench-compare is the perf regression gate: measure the suite now and fail
-# (non-zero exit) if any benchmark's ns/op or allocs/op grew more than
-# THRESHOLD over the committed baseline artifact BASE. CI runs this against
-# the previous PR's artifact; locally, record a baseline with `make bench
-# LABEL=baseline OUT=base.json` before a change and compare after it.
-#
-# ALLOW carries known, accepted costs against a frozen baseline, each still
-# gated at its own ceiling (`-allow name:metric:ceiling`). None is needed
-# today: the two BC rows that once needed +25% allocs/op now allocate about
-# half of BENCH_PR8.json's count, since BC's per-root state stopped
-# allocating per root (BENCH_PR23.json).
-BASE ?= BENCH_PR8.json
-BASELABEL ?=
-THRESHOLD ?= 0.10
-ALLOW ?=
-bench-compare:
-	$(GO) run ./cmd/bench -label compare-head -samples $(SAMPLES) -out bench-compare.json \
-		-compare $(BASE) $(if $(BASELABEL),-baselabel $(BASELABEL)) -threshold $(THRESHOLD) $(ALLOW)
 
 # benchmark-smoke runs the repo benchmark (benchmark/, BENCHMARK.json) at
 # test size on its two control-plane workloads, pr-transitions (checkpoint,

@@ -1,67 +1,234 @@
 package pregelnet
 
-// Benchmark harness: one benchmark per table and figure in the paper's
-// evaluation (run via the experiment harness at reduced "quick" scale so
-// `go test -bench=. -benchmem` finishes in minutes; use
-// `go run ./cmd/experiments run all` for full-scale reports), plus ablation
-// benchmarks for the design choices DESIGN.md calls out and micro-benchmarks
-// of the engine hot paths.
+// Benchmark harness: the engine's hot-path rows (BenchmarkHotPath), ablation
+// benchmarks for the design choices DESIGN.md calls out, and
+// micro-benchmarks of the codecs, partitioners and generators. The paper's
+// tables and figures run through `go run ./cmd/experiments run <id>` and, at
+// quick scale, TestAllExperimentsQuick in internal/experiments.
 
 import (
 	"fmt"
 	"testing"
 
 	"pregelnet/internal/algorithms"
-	"pregelnet/internal/bench"
 	"pregelnet/internal/cloud"
 	"pregelnet/internal/core"
-	"pregelnet/internal/experiments"
 	"pregelnet/internal/graph"
 	"pregelnet/internal/partition"
+	"pregelnet/internal/transport"
 )
 
-// BenchmarkHotPath runs the shared allocation-counting suite (the same
-// definitions cmd/bench records into BENCH_PR3.json) under `go test -bench`,
-// so CI's bench smoke exercises the perf-trajectory benchmarks too.
+// BenchmarkHotPath is the allocation-counting suite: each op is one full
+// job run (or one batch round trip for the transport rows). Run it with
+// -benchmem for B/op and allocs/op; whole-job rows also report
+// supersteps/op, so per-superstep numbers are one division away.
 func BenchmarkHotPath(b *testing.B) {
-	for _, d := range bench.Defs() {
-		b.Run(d.Name, d.F)
-	}
+	b.Run("superstep/pagerank-channel", benchPageRankChannel)
+	b.Run("superstep/bc-channel", benchBCChannel)
+	b.Run("model/sssp-vertex-metis", benchSSSPVertexMetis)
+	b.Run("model/sssp-subgraph-metis", benchSSSPSubgraphMetis)
+	b.Run("model/wcc-vertex-metis", benchWCCVertexMetis)
+	b.Run("model/wcc-subgraph-metis", benchWCCSubgraphMetis)
+	b.Run("e2e/pagerank-tcp", benchPageRankTCP)
+	b.Run("e2e/bc-tcp", benchBCTCP)
+	b.Run("transport/tcp-batch-roundtrip", benchTCPBatchRoundTrip)
+	b.Run("transport/channel-batch-roundtrip", benchChannelBatchRoundTrip)
 }
 
-// benchExperiment runs a registered experiment once per iteration and
-// reports its wall time; the experiment's own simulated-time results are the
-// scientific output (printed tables come from cmd/experiments).
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e := experiments.ByID(id)
-	if e == nil {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	cfg := experiments.QuickConfig()
+// benchPageRankChannel measures a full PageRank job on SD' over the
+// in-process channel transport: the pure engine superstep hot path
+// (compute, combine, encode, deliver) without socket costs.
+func benchPageRankChannel(b *testing.B) {
+	g := graph.DatasetSD()
+	b.ReportAllocs()
 	b.ResetTimer()
+	var steps int
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(cfg); err != nil {
+		res, err := core.Run(algorithms.PageRank{Iterations: 10, Damping: 0.85}.Spec(g, 4))
+		if err != nil {
 			b.Fatal(err)
 		}
+		steps = res.Supersteps
 	}
+	b.ReportMetric(float64(steps), "supersteps/op")
 }
 
-func BenchmarkTable1DatasetProperties(b *testing.B)      { benchExperiment(b, "table1") }
-func BenchmarkTable2PartitionQuality(b *testing.B)       { benchExperiment(b, "table2") }
-func BenchmarkFig2AppRuntimes(b *testing.B)              { benchExperiment(b, "fig2") }
-func BenchmarkFig3MessageWaveforms(b *testing.B)         { benchExperiment(b, "fig3") }
-func BenchmarkFig4SwathSizeSpeedup(b *testing.B)         { benchExperiment(b, "fig4") }
-func BenchmarkFig5MemoryTimeline(b *testing.B)           { benchExperiment(b, "fig5") }
-func BenchmarkFig6InitiationSpeedup(b *testing.B)        { benchExperiment(b, "fig6") }
-func BenchmarkFig7InitiationTimeline(b *testing.B)       { benchExperiment(b, "fig7") }
-func BenchmarkFig8PartitioningRelativeTime(b *testing.B) { benchExperiment(b, "fig8") }
-func BenchmarkFig9And12TimeBreakdown(b *testing.B)       { benchExperiment(b, "fig9_12") }
-func BenchmarkFig10Through14WorkerImbalance(b *testing.B) {
-	benchExperiment(b, "fig10_14")
+// benchBCChannel measures a full BC job (8 roots, all at once) on SD' over
+// the channel transport: the message-heavy workload with per-root state.
+func benchBCChannel(b *testing.B) {
+	g := graph.DatasetSD()
+	roots := core.FirstNSources(g, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var steps int
+	for i := 0; i < b.N; i++ {
+		res, err := core.Run(algorithms.BC(g, 4, core.NewAllAtOnce(roots)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		steps = res.Supersteps
+	}
+	b.ReportMetric(float64(steps), "supersteps/op")
 }
-func BenchmarkFig15ElasticSpeedupProfile(b *testing.B) { benchExperiment(b, "fig15") }
-func BenchmarkFig16ElasticScalingModel(b *testing.B)   { benchExperiment(b, "fig16") }
+
+// benchPageRankTCP measures the end-to-end PageRank job over real loopback
+// TCP sockets — the configuration the paper's data plane targets.
+func benchPageRankTCP(b *testing.B) {
+	g := graph.DatasetSD()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var steps int
+	for i := 0; i < b.N; i++ {
+		net, err := transport.NewTCPNetwork(4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		spec := algorithms.PageRank{Iterations: 10, Damping: 0.85}.Spec(g, 4)
+		spec.Network = net
+		res, err := core.Run(spec)
+		net.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		steps = res.Supersteps
+	}
+	b.ReportMetric(float64(steps), "supersteps/op")
+}
+
+// benchBCTCP measures the end-to-end BC job over TCP.
+func benchBCTCP(b *testing.B) {
+	g := graph.DatasetSD()
+	roots := core.FirstNSources(g, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var steps int
+	for i := 0; i < b.N; i++ {
+		net, err := transport.NewTCPNetwork(4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		spec := algorithms.BC(g, 4, core.NewAllAtOnce(roots))
+		spec.Network = net
+		res, err := core.Run(spec)
+		net.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		steps = res.Supersteps
+	}
+	b.ReportMetric(float64(steps), "supersteps/op")
+}
+
+// benchBatchRoundTrip pushes 4 KiB batches through a 2-worker network and
+// waits for each on the receive side: framing, syscall, and per-batch
+// allocation costs in isolation.
+func benchBatchRoundTrip(b *testing.B, network transport.Network, cleanup func()) {
+	defer cleanup()
+	sender, err := network.Endpoint(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	receiver, err := network.Endpoint(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const payloadSize = 4 << 10
+	recvd := make(chan int64, 256)
+	go func() {
+		for {
+			batch, err := receiver.Recv()
+			if err != nil {
+				close(recvd)
+				return
+			}
+			size := batch.WireSize()
+			transport.PutBatch(batch)
+			recvd <- size
+		}
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		payload := make([]byte, payloadSize)
+		//pregelvet:ignore epochstamp raw wire benchmark, no recovery epochs in play
+		err := sender.Send(&transport.Batch{
+			From: 0, To: 1, Superstep: int32(i), Count: 64, Seq: int32(i + 1),
+			Payload: payload,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, ok := <-recvd; !ok {
+			b.Fatal("receiver closed early")
+		}
+	}
+	b.SetBytes(payloadSize)
+}
+
+func benchTCPBatchRoundTrip(b *testing.B) {
+	net, err := transport.NewTCPNetwork(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchBatchRoundTrip(b, net, func() { net.Close() })
+}
+
+func benchChannelBatchRoundTrip(b *testing.B) {
+	net := transport.NewChannelNetwork(2, 256)
+	benchBatchRoundTrip(b, net, func() { net.Close() })
+}
+
+// Programming-model benchmarks: the same traversal under the vertex-centric
+// and subgraph-centric execution paths, on a high-diameter graph with
+// multilevel (locality-preserving) partitioning — the regime where
+// partition-local convergence pays.
+
+// benchModelGraph is shared by the model/* benches: a 64x64 grid has
+// diameter 126 so vertex-centric traversals need >120 supersteps while the
+// subgraph path needs roughly the partition-hop diameter.
+func benchModelGraph() *graph.Graph { return graph.Grid(64, 64) }
+
+func runModelBench[M any](b *testing.B, mk func(g *graph.Graph) core.JobSpec[M]) {
+	g := benchModelGraph()
+	asn := partition.NewMultilevel().Partition(g, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var steps int
+	for i := 0; i < b.N; i++ {
+		spec := mk(g)
+		spec.Assignment = asn
+		res, err := core.Run(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		steps = res.Supersteps
+	}
+	b.ReportMetric(float64(steps), "supersteps/op")
+}
+
+func benchSSSPVertexMetis(b *testing.B) {
+	runModelBench(b, func(g *graph.Graph) core.JobSpec[uint32] {
+		return algorithms.SSSP(g, 4, 0)
+	})
+}
+
+func benchSSSPSubgraphMetis(b *testing.B) {
+	runModelBench(b, func(g *graph.Graph) core.JobSpec[uint32] {
+		return algorithms.SSSPSubgraph(g, 4, 0)
+	})
+}
+
+func benchWCCVertexMetis(b *testing.B) {
+	runModelBench(b, func(g *graph.Graph) core.JobSpec[uint32] {
+		return algorithms.WCC(g, 4)
+	})
+}
+
+func benchWCCSubgraphMetis(b *testing.B) {
+	runModelBench(b, func(g *graph.Graph) core.JobSpec[uint32] {
+		return algorithms.WCCSubgraph(g, 4)
+	})
+}
 
 // ---- Ablation benchmarks (design choices from DESIGN.md) ----
 
@@ -175,22 +342,6 @@ func bcSpec(g *graph.Graph, roots []graph.VertexID, model cloud.CostModel) core.
 }
 
 // ---- Engine micro-benchmarks ----
-
-// BenchmarkEnginePageRankStep measures raw engine throughput: messages
-// processed per wall second for PageRank on SD' (channel transport).
-func BenchmarkEnginePageRankStep(b *testing.B) {
-	g := graph.DatasetSD()
-	b.ResetTimer()
-	var msgs int64
-	for i := 0; i < b.N; i++ {
-		res, err := core.Run(algorithms.PageRank{Iterations: 10, Damping: 0.85}.Spec(g, 4))
-		if err != nil {
-			b.Fatal(err)
-		}
-		msgs = res.TotalMessages()
-	}
-	b.ReportMetric(float64(msgs)/b.Elapsed().Seconds()*float64(b.N)/float64(b.N), "msgs/s")
-}
 
 // BenchmarkEngineTCPvsChannel compares the two data planes on one workload.
 func BenchmarkEngineTCPvsChannel(b *testing.B) {
@@ -312,7 +463,3 @@ func BenchmarkAblationDiskBuffering(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkFigConfined(b *testing.B)     { benchExperiment(b, "figconfined") }
-func BenchmarkExtBuffering(b *testing.B)    { benchExperiment(b, "ext_buffering") }
-func BenchmarkExtPartitioners(b *testing.B) { benchExperiment(b, "ext_partitioners") }
