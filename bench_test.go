@@ -25,6 +25,7 @@ import (
 func BenchmarkHotPath(b *testing.B) {
 	b.Run("superstep/pagerank-channel", benchPageRankChannel)
 	b.Run("superstep/bc-channel", benchBCChannel)
+	b.Run("superstep/sssp-grid", benchSSSPGrid)
 	b.Run("model/sssp-vertex-metis", benchSSSPVertexMetis)
 	b.Run("model/sssp-subgraph-metis", benchSSSPSubgraphMetis)
 	b.Run("model/wcc-vertex-metis", benchWCCVertexMetis)
@@ -68,6 +69,29 @@ func benchBCChannel(b *testing.B) {
 		}
 		steps = res.Supersteps
 	}
+	b.ReportMetric(float64(steps), "supersteps/op")
+}
+
+// benchSSSPGrid measures SSSP on a 128x128 grid, 2 workers of one compute
+// slot each, over the channel transport: 256 supersteps whose frontier is
+// at most 128 vertices, so ns/superstep is mostly the fixed cost of a
+// superstep (step token, frontier, merge, barrier) that the repo
+// benchmark's sssp-grid-steps pays a thousand times.
+func benchSSSPGrid(b *testing.B) {
+	g := graph.Grid(128, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var steps int
+	for i := 0; i < b.N; i++ {
+		spec := algorithms.SSSP(g, 2, 0)
+		spec.ComputeParallelism = 1
+		res, err := core.Run(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		steps = res.Supersteps
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/superstep")
 	b.ReportMetric(float64(steps), "supersteps/op")
 }
 
