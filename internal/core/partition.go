@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"pregelnet/internal/graph"
 )
 
@@ -146,7 +148,11 @@ func (pc *PartitionContext[M]) VoteAllToHalt() {
 	for _, li := range pc.active {
 		halted[li] = true
 	}
-	pc.w.wakeNext.each(func(li int32) { halted[li] = true })
+	pc.w.wakeNext.eachWord(func(wi int, x uint64) {
+		for ; x != 0; x &= x - 1 {
+			halted[wi<<6+bits.TrailingZeros64(x)] = true
+		}
+	})
 }
 
 // AddComputeOps adds n abstract compute operations to the superstep's count,
