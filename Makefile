@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: build test race vet lint lint-sarif vetcheck test-invariants bench-smoke \
-	benchmark-smoke benchmark-selfcheck profile fuzz
+	cli-smoke benchmark-smoke benchmark-selfcheck profile fuzz
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,28 @@ test-invariants:
 # machine with `go test -run '^$' -bench HotPath -benchmem -count 10 .`.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# cli-smoke drives cmd/pregel, which has no tests of its own: every -algo
+# under both -model values on the small sd dataset with few roots and
+# iterations, one live elastic run (which must resize) and one checkpointed
+# run under global recovery. Any failing run stops the target; the numbers
+# are not a measurement. The binary and its output go to CLI_DIR, outside
+# the repository. About a second of runs after the build.
+CLI_DIR ?= $(or $(TMPDIR),/tmp)/pregelnet-cli
+CLI_ALGOS := pagerank bc apsp sssp wsssp wcc lpa
+cli-smoke:
+	@mkdir -p $(CLI_DIR)
+	$(GO) build -o $(CLI_DIR)/pregel ./cmd/pregel
+	@for algo in $(CLI_ALGOS); do for model in vertex subgraph; do \
+		echo "pregel -algo $$algo -model $$model -graph sd -workers 2"; \
+		$(CLI_DIR)/pregel -algo $$algo -model $$model -graph sd -workers 2 \
+			-roots 4 -iterations 3 -top 0 >$(CLI_DIR)/run.out || { cat $(CLI_DIR)/run.out; exit 1; }; \
+	done; done
+	$(CLI_DIR)/pregel -algo bc -graph sd -workers 2 -roots 8 -top 0 -elastic-high 3 >$(CLI_DIR)/run.out \
+		|| { cat $(CLI_DIR)/run.out; exit 1; }
+	@grep 'resize(s)' $(CLI_DIR)/run.out || { echo "cli-smoke: -elastic-high 3 did not resize"; exit 1; }
+	$(CLI_DIR)/pregel -algo pagerank -graph sd -workers 2 -iterations 6 -top 0 \
+		-checkpoint-every 2 -recovery global
 
 # benchmark-smoke runs the repo benchmark (benchmark/, BENCHMARK.json) at
 # test size on all five workloads: its two control-plane workloads,

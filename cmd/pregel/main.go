@@ -23,8 +23,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 
 	"pregelnet/internal/algorithms"
 	"pregelnet/internal/cloud"
@@ -55,10 +53,8 @@ func main() {
 		elasticHigh = flag.Int("elastic-high", 0, "live elastic scaling: scale between -workers and this count at superstep barriers (0 = off)")
 		elasticFrac = flag.Float64("elastic-threshold", 0.5, "scale out when active vertices exceed this fraction of the peak (with -elastic-high)")
 		repartName  = flag.String("repartitioner", "incremental", "layout strategy at resizes: incremental|hash|chunk|metis|ldg|fennel (with -elastic-high)")
-		reshuffle   = flag.Int("reshuffle-every", 0, "force a full reshuffle every Nth resize instead of a delta migration (0 = never)")
 		recovery    = flag.String("recovery", "confined", "worker-failure recovery: confined (failed workers only) | global (roll everyone back)")
 		ckptEvery   = flag.Int("checkpoint-every", 0, "checkpoint every N supersteps (0 = no checkpoints; recovery needs them)")
-		msglogMiB   = flag.Int64("msglog-budget-mib", 0, "in-memory budget per worker for the confined-recovery message log, MiB (0 = default 8)")
 	)
 	flag.Parse()
 
@@ -116,7 +112,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		ctrl.SetReshufflePeriod(*reshuffle)
 		elasticCtrl = ctrl
 		if elasticRepart = partition.ByName(*repartName); elasticRepart == nil {
 			fatal(fmt.Errorf("unknown repartitioner %q", *repartName))
@@ -144,7 +139,7 @@ func main() {
 			core.UseVertexAdapter(&spec)
 		}
 		applyElastic(&spec, elasticCtrl, elasticRepart)
-		if err := applyRecovery(&spec, *recovery, *ckptEvery, *msglogMiB); err != nil {
+		if err := applyRecovery(&spec, *recovery, *ckptEvery); err != nil {
 			fatal(err)
 		}
 		res, err := core.Run(spec)
@@ -163,7 +158,7 @@ func main() {
 			spec.CostModel = model
 			spec.Tracer = tracer
 			applyElastic(&spec, elasticCtrl, elasticRepart)
-			if err := applyRecovery(&spec, *recovery, *ckptEvery, *msglogMiB); err != nil {
+			if err := applyRecovery(&spec, *recovery, *ckptEvery); err != nil {
 				fatal(err)
 			}
 			res, err := core.Run(spec)
@@ -174,7 +169,7 @@ func main() {
 			printTop("betweenness", algorithms.BCSubgraphScores(res, g.NumVertices()), *showTop)
 			return
 		}
-		sched, err := buildScheduler(g, *roots, *swath, *initiate, model)
+		sched, err := core.ParseSwathScheduler(g, *roots, *swath, *initiate, model.Spec.MemoryBytes)
 		if err != nil {
 			fatal(err)
 		}
@@ -183,7 +178,7 @@ func main() {
 		spec.CostModel = model
 		spec.Tracer = tracer
 		applyElastic(&spec, elasticCtrl, elasticRepart)
-		if err := applyRecovery(&spec, *recovery, *ckptEvery, *msglogMiB); err != nil {
+		if err := applyRecovery(&spec, *recovery, *ckptEvery); err != nil {
 			fatal(err)
 		}
 		res, err := core.Run(spec)
@@ -193,7 +188,7 @@ func main() {
 		report(res.Steps, res.SimSeconds, res.CostDollars, res.VMSeconds, res.ScaleEvents, *stepsDetail)
 		printTop("betweenness", algorithms.BCScores(res, g.NumVertices()), *showTop)
 	case "apsp":
-		sched, err := buildScheduler(g, *roots, *swath, *initiate, model)
+		sched, err := core.ParseSwathScheduler(g, *roots, *swath, *initiate, model.Spec.MemoryBytes)
 		if err != nil {
 			fatal(err)
 		}
@@ -205,7 +200,7 @@ func main() {
 			core.UseVertexAdapter(&spec)
 		}
 		applyElastic(&spec, elasticCtrl, elasticRepart)
-		if err := applyRecovery(&spec, *recovery, *ckptEvery, *msglogMiB); err != nil {
+		if err := applyRecovery(&spec, *recovery, *ckptEvery); err != nil {
 			fatal(err)
 		}
 		res, err := core.Run(spec)
@@ -223,7 +218,7 @@ func main() {
 		spec.CostModel = model
 		spec.Tracer = tracer
 		applyElastic(&spec, elasticCtrl, elasticRepart)
-		if err := applyRecovery(&spec, *recovery, *ckptEvery, *msglogMiB); err != nil {
+		if err := applyRecovery(&spec, *recovery, *ckptEvery); err != nil {
 			fatal(err)
 		}
 		res, err := core.Run(spec)
@@ -257,7 +252,7 @@ func main() {
 		spec.CostModel = model
 		spec.Tracer = tracer
 		applyElastic(&spec, elasticCtrl, elasticRepart)
-		if err := applyRecovery(&spec, *recovery, *ckptEvery, *msglogMiB); err != nil {
+		if err := applyRecovery(&spec, *recovery, *ckptEvery); err != nil {
 			fatal(err)
 		}
 		res, err := core.Run(spec)
@@ -291,7 +286,7 @@ func main() {
 		spec.CostModel = model
 		spec.Tracer = tracer
 		applyElastic(&spec, elasticCtrl, elasticRepart)
-		if err := applyRecovery(&spec, *recovery, *ckptEvery, *msglogMiB); err != nil {
+		if err := applyRecovery(&spec, *recovery, *ckptEvery); err != nil {
 			fatal(err)
 		}
 		res, err := core.Run(spec)
@@ -319,7 +314,7 @@ func main() {
 			core.UseVertexAdapter(&spec)
 		}
 		applyElastic(&spec, elasticCtrl, elasticRepart)
-		if err := applyRecovery(&spec, *recovery, *ckptEvery, *msglogMiB); err != nil {
+		if err := applyRecovery(&spec, *recovery, *ckptEvery); err != nil {
 			fatal(err)
 		}
 		res, err := core.Run(spec)
@@ -359,39 +354,6 @@ func loadGraph(name, file string) (*graph.Graph, error) {
 	return g, nil
 }
 
-func buildScheduler(g *graph.Graph, roots int, swath, initiate string, model cloud.CostModel) (core.SwathScheduler, error) {
-	sources := core.FirstNSources(g, roots)
-	if swath == "none" {
-		return core.NewAllAtOnce(sources), nil
-	}
-	target := model.Spec.MemoryBytes * 6 / 7
-	var sizer core.SwathSizer
-	switch swath {
-	case "adaptive":
-		sizer = &core.AdaptiveSizer{Initial: max(2, roots/4), TargetMemoryBytes: target}
-	case "sampling":
-		sizer = &core.SamplingSizer{SampleSize: max(2, roots/4), Samples: 2, TargetMemoryBytes: target}
-	default:
-		return nil, fmt.Errorf("unknown swath sizing %q", swath)
-	}
-	var init core.SwathInitiator
-	switch {
-	case initiate == "seq":
-		init = core.SequentialInitiator{}
-	case initiate == "dynamic":
-		init = core.DynamicPeakInitiator{}
-	case strings.HasPrefix(initiate, "static"):
-		n, err := strconv.Atoi(strings.TrimPrefix(initiate, "static"))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad static initiation %q", initiate)
-		}
-		init = core.StaticNInitiator(n)
-	default:
-		return nil, fmt.Errorf("unknown initiation %q", initiate)
-	}
-	return core.NewSwathRunner(sources, sizer, init), nil
-}
-
 // applyElastic wires the live controller (if any) into a spec; resizes need
 // checkpoints to roll back failed migrations, so default them on.
 func applyElastic[M any](spec *core.JobSpec[M], ctrl core.ElasticController, repart partition.Partitioner) {
@@ -405,11 +367,10 @@ func applyElastic[M any](spec *core.JobSpec[M], ctrl core.ElasticController, rep
 	}
 }
 
-// applyRecovery wires the fault-tolerance flags: checkpoint cadence, the
+// applyRecovery wires the fault-tolerance flags: checkpoint cadence and the
 // recovery mode (confined rolls back only the failed workers; global rolls
-// back everyone), and the sender-side message-log budget confined recovery
-// replays from.
-func applyRecovery[M any](spec *core.JobSpec[M], mode string, every int, budgetMiB int64) error {
+// back everyone).
+func applyRecovery[M any](spec *core.JobSpec[M], mode string, every int) error {
 	switch mode {
 	case "confined":
 		spec.RecoveryMode = core.RecoverConfined
@@ -420,9 +381,6 @@ func applyRecovery[M any](spec *core.JobSpec[M], mode string, every int, budgetM
 	}
 	if every > 0 {
 		spec.CheckpointEvery = every
-	}
-	if budgetMiB > 0 {
-		spec.MsgLogBudgetBytes = budgetMiB << 20
 	}
 	return nil
 }

@@ -250,7 +250,6 @@ func TestRecoveryFromRepeatedFailures(t *testing.T) {
 func TestRecoveryGivesUpAfterMaxRecoveries(t *testing.T) {
 	g := graph.Ring(32)
 	spec := ckptSpec(g, 2, 0)
-	spec.MaxRecoveries = 2
 	spec.FailureInjector = func(worker, superstep int) error {
 		if worker == 0 && superstep == 3 {
 			return errors.New("chaos: permanent failure")
@@ -258,7 +257,7 @@ func TestRecoveryGivesUpAfterMaxRecoveries(t *testing.T) {
 		return nil
 	}
 	_, err := Run(spec)
-	if err == nil || !strings.Contains(err.Error(), "giving up after 2 recoveries") {
+	if err == nil || !strings.Contains(err.Error(), "giving up after 3 recoveries") {
 		t.Errorf("err = %v, want giving-up error", err)
 	}
 }
@@ -296,7 +295,6 @@ func TestRecoveryFromMemoryBlowout(t *testing.T) {
 	g := graph.Complete(48)
 	spec := ckptSpec(g, 2, 0)
 	spec.CostModel = cloud.DefaultCostModel(cloud.LargeVM().WithMemory(2048))
-	spec.MaxRecoveries = 2
 	_, err := Run(spec)
 	if err == nil {
 		t.Fatal("expected failure")
@@ -304,7 +302,7 @@ func TestRecoveryFromMemoryBlowout(t *testing.T) {
 	if !errors.Is(err, cloud.ErrMemoryBlowout) {
 		t.Errorf("err = %v, want wrapped ErrMemoryBlowout", err)
 	}
-	if !strings.Contains(err.Error(), "giving up after 2 recoveries") {
+	if !strings.Contains(err.Error(), "giving up after 3 recoveries") {
 		t.Errorf("err = %v, want recovery attempts first", err)
 	}
 }

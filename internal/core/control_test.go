@@ -17,8 +17,7 @@ import (
 // needs is the worker count, the deadline, and the barrier queue.
 func collectorManager(workers int, timeout time.Duration) *manager[uint32] {
 	return &manager[uint32]{
-		spec: &JobSpec[uint32]{NumWorkers: workers, BarrierTimeout: timeout,
-			QueueVisibility: 30 * time.Second},
+		spec:     &JobSpec[uint32]{NumWorkers: workers, BarrierTimeout: timeout},
 		barrierQ: cloud.NewQueue("barrier"),
 		ins:      newJobInstruments(nil, nil),
 	}

@@ -633,7 +633,7 @@ func (w *worker[M]) processBatch(b *transport.Batch) {
 	if err != nil {
 		w.failRecv(b.Superstep, err)
 	}
-	w.releaseRecv(b)
+	releaseBatch(b)
 }
 
 // failRecv records err as its superstep's receive error, keeping the first.

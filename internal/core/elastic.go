@@ -67,16 +67,6 @@ type ScaleEvent struct {
 	CutAfter  float64 `json:"cutAfter,omitempty"`
 }
 
-// ReshuffleDecider is optionally implemented by an ElasticController to pick,
-// per resize, between a delta migration (adapt the previous assignment, move
-// only what balance requires) and a full reshuffle (recompute the layout from
-// scratch). It is consulted only when the job's Repartitioner supports
-// incremental mode; eventIndex is the number of resizes already performed.
-// Controllers that do not implement it get delta migrations for every event.
-type ReshuffleDecider interface {
-	FullReshuffle(fromWorkers, toWorkers, eventIndex int) bool
-}
-
 // resizeRequest is the manager's instruction to Run: the migration blobs
 // for resumeStep are written, the old workers have been halted, tear the
 // segment down and start the next one at toWorkers.
@@ -109,7 +99,7 @@ type resizeRequest struct {
 // gets a fresh manager (new queues, new worker count) that resumes from it.
 type jobState struct {
 	steps []StepStats
-	// recoveries counts checkpoint rollbacks (bounded by MaxRecoveries).
+	// recoveries counts checkpoint rollbacks (bounded by maxRecoveries).
 	recoveries int
 	// dupsDropped counts at-least-once leftovers the restore, migration and
 	// replay collections dropped; barrier drops live in StepStats.

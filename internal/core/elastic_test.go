@@ -352,32 +352,3 @@ func TestResizeRecordsStrategyAndCut(t *testing.T) {
 		t.Errorf("ScaleEvents = %+v, want one hash(full) event", res2.ScaleEvents)
 	}
 }
-
-// reshuffleAlways wraps a controller and forces a full reshuffle on every
-// resize, exercising the ReshuffleDecider hook.
-type reshuffleAlways struct{ ElasticController }
-
-func (reshuffleAlways) FullReshuffle(fromWorkers, toWorkers, eventIndex int) bool { return true }
-
-func TestReshuffleDeciderForcesFull(t *testing.T) {
-	g := graph.ErdosRenyi(300, 900, 5)
-	want := graph.BFS(g, 0)
-	spec := ckptSpec(g, 2, 0)
-	spec.ElasticController = reshuffleAlways{stepAtController(1, 3)}
-	res, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := ckptDistances(res, g.NumVertices())
-	for v := range want {
-		if got[v] != want[v] {
-			t.Fatalf("vertex %d: dist %d after forced reshuffle, want %d", v, got[v], want[v])
-		}
-	}
-	if len(res.ScaleEvents) != 1 {
-		t.Fatalf("ScaleEvents = %+v, want exactly one", res.ScaleEvents)
-	}
-	if got := res.ScaleEvents[0].Strategy; got != "incremental(full)" {
-		t.Errorf("Strategy = %q, want incremental(full) when the decider forces a reshuffle", got)
-	}
-}

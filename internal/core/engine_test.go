@@ -300,8 +300,7 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 // aggProgram exercises aggregators: every vertex contributes its degree to
-// "deg/sum", its ID to "id/min" and "id/max", then halts after verifying the
-// previous step's global values.
+// "deg/sum", then halts after verifying the previous step's global value.
 type aggProgram struct {
 	t *testing.T
 	g *graph.Graph
@@ -313,18 +312,10 @@ func (p *aggProgram) Compute(ctx *Context[uint32], _ []uint32) {
 	switch ctx.Superstep() {
 	case 0:
 		ctx.Aggregate("deg/sum", float64(ctx.Degree()))
-		ctx.Aggregate("id/min", float64(ctx.Vertex()))
-		ctx.Aggregate("id/max", float64(ctx.Vertex()))
 	case 1:
 		if !p.checked.Swap(true) {
 			if v, ok := ctx.Agg("deg/sum"); !ok || v != float64(p.g.NumEdges()) {
 				p.t.Errorf("deg/sum = %v (%v), want %d", v, ok, p.g.NumEdges())
-			}
-			if v, ok := ctx.Agg("id/min"); !ok || v != 0 {
-				p.t.Errorf("id/min = %v (%v), want 0", v, ok)
-			}
-			if v, ok := ctx.Agg("id/max"); !ok || v != float64(p.g.NumVertices()-1) {
-				p.t.Errorf("id/max = %v (%v), want %d", v, ok, p.g.NumVertices()-1)
 			}
 		}
 		ctx.VoteToHalt()
@@ -339,26 +330,9 @@ func TestAggregators(t *testing.T) {
 		NewProgram:  func(int, *graph.Graph, []graph.VertexID) VertexProgram[uint32] { return &aggProgram{t: t, g: g} },
 		Codec:       Uint32Codec{},
 		ActivateAll: true,
-		AggregatorOps: map[string]AggOp{
-			"id/min": AggMin,
-			"id/max": AggMax,
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAggregatorPrefixOps(t *testing.T) {
-	w := &worker[uint32]{aggOps: map[string]AggOp{"min/*": AggMin, "exact": AggMax}}
-	if w.aggOp("min/anything") != AggMin {
-		t.Error("prefix op not matched")
-	}
-	if w.aggOp("exact") != AggMax {
-		t.Error("exact op not matched")
-	}
-	if w.aggOp("other") != AggSum {
-		t.Error("default should be AggSum")
 	}
 }
 

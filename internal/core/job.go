@@ -98,40 +98,25 @@ type JobSpec[M any] struct {
 	// communication (the paper's background send threads); a full queue
 	// applies backpressure by blocking the enqueueing compute goroutine.
 	OutboxDepth int
-	// AggregatorOps overrides reduction ops for named aggregators; any
-	// unlisted name uses AggSum. Names ending in '*' register a prefix.
-	AggregatorOps map[string]AggOp
 	// ComputeParallelism overrides the number of compute goroutines per
 	// worker (default: the cost model's VM core count).
 	ComputeParallelism int
 	// CheckpointEvery enables fault recovery: every Nth superstep each
 	// worker snapshots its state to the checkpoint store before computing.
-	// Requires the program to implement StateCodec. 0 disables.
+	// Requires the program to implement StateCodec. 0 disables. A job fails
+	// for good when a fourth recovery would be needed.
 	CheckpointEvery int
 	// CheckpointStore holds snapshots (nil allocates a private store).
 	CheckpointStore *cloud.BlobStore
-	// MaxRecoveries bounds rollback attempts before the job fails for good
-	// (default 3 when checkpointing is enabled).
-	MaxRecoveries int
 	// RecoveryMode selects the rollback strategy after a worker failure.
 	// RecoverConfined (the default) restores only the failed workers from the
 	// last checkpoint and re-executes the lost supersteps while survivors
 	// keep their live state and replay logged outbound traffic; RecoverGlobal
 	// forces the classic whole-job rollback. Confined recovery falls back to
-	// global automatically when it cannot apply (too many failures, no
-	// checkpoint, a survivor's log window insufficient, or a failure during
-	// the replay itself).
+	// global automatically when it cannot apply (more than half the workers
+	// failed, minimum 1; no checkpoint; a survivor's log window insufficient;
+	// or a failure during the replay itself).
 	RecoveryMode RecoveryMode
-	// MsgLogBudgetBytes bounds the in-memory window of each worker's
-	// sender-side message log (confined recovery's replay source); closed
-	// supersteps beyond the budget spill to the checkpoint blob store.
-	// Default 8 MiB per worker.
-	MsgLogBudgetBytes int64
-	// ConfinedMaxFailed is the largest failed-worker set confined recovery
-	// will handle; larger failures roll back globally (replaying most of the
-	// cluster costs more than re-executing it). Default: half the workers,
-	// minimum 1.
-	ConfinedMaxFailed int
 	// FailureInjector is a test/chaos hook: if non-nil it is consulted once
 	// per worker per superstep (after the superstep's work completes); a
 	// non-nil error simulates that worker's VM failing, triggering recovery.
@@ -142,14 +127,6 @@ type JobSpec[M any] struct {
 	// (see cloud.FaultPlan). The engine's retry and rollback machinery must
 	// absorb them all; results are identical to a failure-free run.
 	Chaos *cloud.Chaos
-	// Retry is the policy applied to transient faults in blob, queue, and
-	// transport operations (zero value = cloud defaults: 6 attempts,
-	// exponential backoff from 500µs with jitter, 50ms cap).
-	Retry cloud.RetryPolicy
-	// QueueVisibility is the control-plane lease visibility timeout
-	// (default 30s). Raise it if supersteps are expected to outlive it —
-	// an expired lease means the message is redelivered to someone else.
-	QueueVisibility time.Duration
 	// BarrierTimeout bounds every manager collection of worker check-ins —
 	// superstep barriers, restore acks, replay rounds, and migration acks —
 	// and how long a worker waits for peer sentinels (default 60s). A worker
@@ -316,19 +293,15 @@ func (s *JobSpec[M]) withDefaults() (JobSpec[M], error) {
 	if spec.Queues == nil {
 		spec.Queues = cloud.NewQueueService()
 	}
-	if spec.QueueVisibility <= 0 {
-		spec.QueueVisibility = 30 * time.Second
-	}
 	if spec.BarrierTimeout <= 0 {
 		spec.BarrierTimeout = 60 * time.Second
 	}
-	if spec.CheckpointEvery > 0 {
-		if spec.CheckpointStore == nil {
-			spec.CheckpointStore = cloud.NewBlobStore()
-		}
-		if spec.MaxRecoveries <= 0 {
-			spec.MaxRecoveries = 3
-		}
+	// Checkpoints and the migration blobs of resizes and suspensions live in
+	// the checkpoint store; a resumed run overrides it with the store its
+	// blobs were written to.
+	if spec.CheckpointStore == nil && (spec.CheckpointEvery > 0 || spec.ElasticController != nil ||
+		spec.BarrierPreempt != nil || spec.Resume != nil) {
+		spec.CheckpointStore = cloud.NewBlobStore()
 	}
 	switch spec.RecoveryMode {
 	case "":
@@ -337,22 +310,6 @@ func (s *JobSpec[M]) withDefaults() (JobSpec[M], error) {
 	default:
 		return spec, fmt.Errorf("core: unknown RecoveryMode %q (want %q or %q)",
 			spec.RecoveryMode, RecoverConfined, RecoverGlobal)
-	}
-	if spec.MsgLogBudgetBytes <= 0 {
-		spec.MsgLogBudgetBytes = 8 << 20
-	}
-	if spec.ConfinedMaxFailed <= 0 {
-		spec.ConfinedMaxFailed = spec.NumWorkers / 2
-		if spec.ConfinedMaxFailed < 1 {
-			spec.ConfinedMaxFailed = 1
-		}
-	}
-	if spec.BarrierPreempt != nil || spec.Resume != nil {
-		// Suspension state (migration blobs) lives in the checkpoint store; a
-		// resumed run overrides this with the store the blobs were written to.
-		if spec.CheckpointStore == nil {
-			spec.CheckpointStore = cloud.NewBlobStore()
-		}
 	}
 	if spec.ElasticController != nil {
 		if spec.Network != nil && spec.NetworkFactory == nil {
@@ -365,10 +322,6 @@ func (s *JobSpec[M]) withDefaults() (JobSpec[M], error) {
 			// silently hash-shuffled structure-aware layouts at the first
 			// scale event, cutting ≈(k-1)/k of the edges.
 			spec.Repartitioner = partition.NewIncremental()
-		}
-		// Migration blobs live in the checkpoint store.
-		if spec.CheckpointStore == nil {
-			spec.CheckpointStore = cloud.NewBlobStore()
 		}
 	}
 	if spec.NetworkFactory == nil {

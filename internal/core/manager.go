@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"pregelnet/internal/cloud"
@@ -22,20 +21,7 @@ type manager[M any] struct {
 	stepQs   []*cloud.Queue
 	barrierQ *cloud.Queue
 	fabric   *cloud.Fabric
-	aggOps   map[string]AggOp
 	ins      *jobInstruments
-}
-
-func (m *manager[M]) aggOp(name string) AggOp {
-	if op, ok := m.aggOps[name]; ok {
-		return op
-	}
-	for pat, op := range m.aggOps {
-		if strings.HasSuffix(pat, "*") && strings.HasPrefix(name, pat[:len(pat)-1]) {
-			return op
-		}
-	}
-	return AggSum
 }
 
 // runError marks an error that aborts the whole job; the manager still
@@ -251,7 +237,7 @@ func (m *manager[M]) rollback(js *jobState, superstep int, failed []int, cause e
 	if m.spec.CheckpointEvery <= 0 || js.lastCheckpoint < 0 {
 		return cause
 	}
-	if js.recoveries >= m.spec.MaxRecoveries {
+	if js.recoveries >= maxRecoveries {
 		return fmt.Errorf("giving up after %d recoveries: %w", js.recoveries, cause)
 	}
 	ev, span := m.beginRecovery(js, superstep, failed, false)
@@ -305,9 +291,9 @@ func (m *manager[M]) confinedRecover(js *jobState, superstep int, ckpt bool, sta
 	failed := stats.failedWorkers
 	if m.spec.RecoveryMode != RecoverConfined ||
 		m.spec.CheckpointEvery <= 0 || js.lastCheckpoint < 0 ||
-		len(failed) == 0 || len(failed) > m.spec.ConfinedMaxFailed ||
+		len(failed) == 0 || len(failed) > max(1, m.spec.NumWorkers/2) ||
 		len(failed) >= m.spec.NumWorkers ||
-		js.recoveries >= m.spec.MaxRecoveries {
+		js.recoveries >= maxRecoveries {
 		return false
 	}
 	m.ins.confined.Inc()
@@ -657,7 +643,7 @@ func (m *manager[M]) collect(what string, superstep, epoch int, want []bool,
 		var lease *cloud.QueueMessage
 		if remaining := time.Until(deadline); remaining > 0 {
 			waitStart := time.Now()
-			lease = m.barrierQ.GetWait(m.spec.QueueVisibility, remaining)
+			lease = m.barrierQ.GetWait(queueVisibility, remaining)
 			m.ins.barrier.Observe(time.Since(waitStart).Seconds())
 		}
 		if lease == nil {
@@ -776,7 +762,7 @@ func (m *manager[M]) mergeCheckIn(c *collected, msg barrierMsg) {
 			c.aggPartial = make(map[string]float64)
 		}
 		if prevV, ok := c.aggPartial[name]; ok {
-			c.aggPartial[name] = m.aggOp(name).combine(prevV, v)
+			c.aggPartial[name] = prevV + v
 		} else {
 			c.aggPartial[name] = v
 		}

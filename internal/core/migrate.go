@@ -66,13 +66,12 @@ func (w *worker[M]) writeTrafficSidecar(store *cloud.BlobStore, resumeStep int) 
 // loadResizeTraffic reassembles the per-vertex traffic counters from every
 // old worker's sidecar. Any missing or malformed sidecar yields nil — the
 // repartitioner then runs unweighted, which only costs layout quality.
-func loadResizeTraffic(store *cloud.BlobStore, retry cloud.RetryPolicy,
-	resumeStep, fromWorkers, n int) []int64 {
+func loadResizeTraffic(store *cloud.BlobStore, resumeStep, fromWorkers, n int) []int64 {
 	traffic := make([]int64, n)
 	for ow := 0; ow < fromWorkers; ow++ {
 		var data []byte
 		name := trafficBlob(resumeStep, ow)
-		if err := retry.Do(func() error {
+		if err := (cloud.RetryPolicy{}).Do(func() error {
 			var gerr error
 			data, gerr = store.Get(migrationContainer, name)
 			return gerr
@@ -116,11 +115,11 @@ func addTraffic(traffic []int64, data []byte) bool {
 // segments, before the new workers' goroutines start, so no locking is
 // needed on the inboxes or program state it populates.
 func adoptMigrations[M any](workers []*worker[M], store *cloud.BlobStore,
-	retry cloud.RetryPolicy, resumeStep int, from partition.Assignment, fromWorkers int) error {
+	resumeStep int, from partition.Assignment, fromWorkers int) error {
 	for ow, owned := range ownedLists(from, fromWorkers) {
 		var data []byte
 		name := migrationBlob(resumeStep, ow)
-		if err := retry.Do(func() error {
+		if err := (cloud.RetryPolicy{}).Do(func() error {
 			var gerr error
 			data, gerr = store.Get(migrationContainer, name)
 			return gerr

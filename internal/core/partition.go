@@ -161,8 +161,8 @@ func (pc *PartitionContext[M]) VoteAllToHalt() {
 // itself accounts one op per active vertex plus one per inbound message.
 func (pc *PartitionContext[M]) AddComputeOps(n int64) { pc.ctx.computeOps += n }
 
-// Aggregate contributes a value to the named aggregator. The reduced global
-// value is visible to all workers in the *next* superstep via Agg.
+// Aggregate adds v to the named aggregator's sum. The global sum is visible
+// to all workers in the *next* superstep via Agg.
 func (pc *PartitionContext[M]) Aggregate(name string, v float64) { pc.ctx.Aggregate(name, v) }
 
 // Agg returns the globally reduced value of the named aggregator from the

@@ -59,36 +59,6 @@ type StateReporter interface {
 	StateBytes() int64
 }
 
-// AggOp is the reduction applied to a named aggregator across vertices and
-// workers within a superstep.
-type AggOp int
-
-const (
-	// AggSum adds contributions (the default for unregistered names).
-	AggSum AggOp = iota
-	// AggMin keeps the minimum contribution.
-	AggMin
-	// AggMax keeps the maximum contribution.
-	AggMax
-)
-
-func (op AggOp) combine(a, b float64) float64 {
-	switch op {
-	case AggMin:
-		if b < a {
-			return b
-		}
-		return a
-	case AggMax:
-		if b > a {
-			return b
-		}
-		return a
-	default:
-		return a + b
-	}
-}
-
 // Context is the engine-facing API available to Compute. A Context is owned
 // by one compute goroutine and reused across vertices; programs must not
 // retain it after Compute returns.
@@ -242,11 +212,11 @@ func (c *Context[M]) broadcast(m M) {
 	}
 }
 
-// Aggregate contributes a value to the named aggregator. The reduced global
-// value is visible to all vertices in the *next* superstep via Agg.
+// Aggregate adds v to the named aggregator's sum. The global sum is visible
+// to all vertices in the *next* superstep via Agg.
 func (c *Context[M]) Aggregate(name string, v float64) {
 	if prev, ok := c.aggs[name]; ok {
-		c.aggs[name] = c.w.aggOp(name).combine(prev, v)
+		c.aggs[name] = prev + v
 	} else {
 		c.aggs[name] = v
 	}

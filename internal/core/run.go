@@ -162,12 +162,10 @@ func Run[M any](spec JobSpec[M]) (*JobResult[M], error) {
 		// New layout for the next segment, computed up front so the
 		// transition window can be priced on the state that actually
 		// changes owners. The previous assignment seeds an incremental
-		// repartitioner (retained vertices keep their owner); controllers
-		// implementing ReshuffleDecider can force a from-scratch layout
-		// for any given event instead.
-		resize.traffic = loadResizeTraffic(s.CheckpointStore, s.Retry,
-			resize.resumeStep, resize.fromWorkers, s.Graph.NumVertices())
-		newAssign, strategy := nextAssignment(&s, js, resize)
+		// repartitioner (retained vertices keep their owner).
+		resize.traffic = loadResizeTraffic(s.CheckpointStore, resize.resumeStep,
+			resize.fromWorkers, s.Graph.NumVertices())
+		newAssign, strategy := nextAssignment(&s, resize)
 		err := newAssign.Validate(resize.toWorkers)
 		if err == nil {
 			err = fitLayout(newAssign, resize.toWorkers)
@@ -319,20 +317,16 @@ func Run[M any](spec JobSpec[M]) (*JobResult[M], error) {
 
 // nextAssignment chooses the layout for a resize's new worker count. With a
 // RepartitionerFrom (the default), the previous assignment is adapted in
-// place — a delta migration — unless the controller's ReshuffleDecider asks
-// for a full reshuffle of this event. The returned strategy name lands in
-// the ScaleEvent: "<name>(full)" marks a from-scratch layout.
-func nextAssignment[M any](s *JobSpec[M], js *jobState, resize *resizeRequest) (partition.Assignment, string) {
+// place — a delta migration. The returned strategy name lands in the
+// ScaleEvent: "<name>(full)" marks a from-scratch layout.
+func nextAssignment[M any](s *JobSpec[M], resize *resizeRequest) (partition.Assignment, string) {
 	rf, incremental := s.Repartitioner.(partition.RepartitionerFrom)
 	if incremental && len(s.Assignment) == s.Graph.NumVertices() {
-		if dec, ok := s.ElasticController.(ReshuffleDecider); !ok ||
-			!dec.FullReshuffle(resize.fromWorkers, resize.toWorkers, len(js.scaleEvents)) {
-			if a, err := rf.PartitionFrom(s.Graph, s.Assignment, resize.toWorkers, resize.traffic); err == nil {
-				return a, rf.Name()
-			}
-			// A previous-assignment mismatch falls through to a full
-			// reshuffle rather than failing a running job.
+		if a, err := rf.PartitionFrom(s.Graph, s.Assignment, resize.toWorkers, resize.traffic); err == nil {
+			return a, rf.Name()
 		}
+		// A previous-assignment mismatch falls through to a full reshuffle
+		// rather than failing a running job.
 	}
 	return s.Repartitioner.Partition(s.Graph, resize.toWorkers), s.Repartitioner.Name() + "(full)"
 }
@@ -389,7 +383,7 @@ func runSegment[M any](s *JobSpec[M], js *jobState, fabric *cloud.Fabric,
 			closeNet()
 			return nil, nil, err
 		}
-		workers[w] = newWorker(s, w, lay, ep, s.AggregatorOps, ins)
+		workers[w] = newWorker(s, w, lay, ep, ins)
 	}
 	if (s.CheckpointEvery > 0 || s.ElasticController != nil || s.BarrierPreempt != nil || adopt != nil) &&
 		workers[0].state == nil {
@@ -405,7 +399,7 @@ func runSegment[M any](s *JobSpec[M], js *jobState, fabric *cloud.Fabric,
 			w.epoch.Store(int32(js.epoch))
 			w.doneThrough = adopt.resumeStep - 1
 		}
-		if err := adoptMigrations(workers, s.CheckpointStore, s.Retry, adopt.resumeStep, adopt.fromAssign, adopt.fromWorkers); err != nil {
+		if err := adoptMigrations(workers, s.CheckpointStore, adopt.resumeStep, adopt.fromAssign, adopt.fromWorkers); err != nil {
 			closeNet()
 			return nil, nil, fmt.Errorf("core: adopting migrated state: %w", err)
 		}
@@ -426,7 +420,6 @@ func runSegment[M any](s *JobSpec[M], js *jobState, fabric *cloud.Fabric,
 		stepQs:   make([]*cloud.Queue, s.NumWorkers),
 		barrierQ: s.Queues.Queue(barrierQueueName(s.segment)),
 		fabric:   fabric,
-		aggOps:   s.AggregatorOps,
 		ins:      ins,
 	}
 	for w := 0; w < s.NumWorkers; w++ {

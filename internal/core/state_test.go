@@ -16,7 +16,7 @@ func testWorker[M any](t testing.TB, s *JobSpec[M], net transport.Network, id in
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newWorker(s, id, specLayout(s), ep, s.AggregatorOps, nil)
+	return newWorker(s, id, specLayout(s), ep, nil)
 }
 
 // FuzzStateBlob feeds arbitrary bytes to the one state-blob parser through

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
+
 	"pregelnet/internal/graph"
 )
 
@@ -324,4 +328,42 @@ func FirstNSources(g *graph.Graph, n int) []graph.VertexID {
 		sources[i] = graph.VertexID(i)
 	}
 	return sources
+}
+
+// ParseSwathScheduler builds the scheduler for the first roots vertices of g
+// from the two options the CLI and the job service spell the same way:
+// swath sizing none|adaptive|sampling (none injects every root at once) and
+// initiation seq|dynamic|static<N>. The sizers aim at 6/7 of memoryBytes.
+func ParseSwathScheduler(g *graph.Graph, roots int, swath, initiate string, memoryBytes int64) (SwathScheduler, error) {
+	var sizer SwathSizer
+	target := memoryBytes * 6 / 7
+	switch swath {
+	case "none":
+	case "adaptive":
+		sizer = &AdaptiveSizer{Initial: max(2, roots/4), TargetMemoryBytes: target}
+	case "sampling":
+		sizer = &SamplingSizer{SampleSize: max(2, roots/4), Samples: 2, TargetMemoryBytes: target}
+	default:
+		return nil, fmt.Errorf("unknown swath mode %q (want none|adaptive|sampling)", swath)
+	}
+	var init SwathInitiator
+	switch {
+	case initiate == "seq":
+		init = SequentialInitiator{}
+	case initiate == "dynamic":
+		init = DynamicPeakInitiator{}
+	case strings.HasPrefix(initiate, "static"):
+		n, err := strconv.Atoi(strings.TrimPrefix(initiate, "static"))
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("bad initiation %q (want static<N>, N >= 1)", initiate)
+		}
+		init = StaticNInitiator(n)
+	default:
+		return nil, fmt.Errorf("unknown initiation %q (want seq|dynamic|static<N>)", initiate)
+	}
+	sources := FirstNSources(g, roots)
+	if sizer == nil {
+		return NewAllAtOnce(sources), nil
+	}
+	return NewSwathRunner(sources, sizer, init), nil
 }

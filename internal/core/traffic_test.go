@@ -82,7 +82,7 @@ func TestResizeTrafficRoundTrip(t *testing.T) {
 	}
 	sidecar(0, 1, 5, 3, 7)
 	sidecar(1, 3, 2, 0, 9)
-	got := loadResizeTraffic(store, cloud.RetryPolicy{}, 4, 2, 4)
+	got := loadResizeTraffic(store, 4, 2, 4)
 	if want := []int64{9, 5, 0, 9}; !slices.Equal(got, want) {
 		t.Fatalf("traffic %v, want %v", got, want)
 	}
@@ -95,7 +95,7 @@ func TestResizeTrafficRoundTrip(t *testing.T) {
 		if err := store.Put(migrationContainer, trafficBlob(4, 1), bad); err != nil {
 			t.Fatal(err)
 		}
-		if got := loadResizeTraffic(store, cloud.RetryPolicy{}, 4, 2, 4); got != nil {
+		if got := loadResizeTraffic(store, 4, 2, 4); got != nil {
 			t.Errorf("a sidecar with %s gave traffic %v", name, got)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/bits"
 	"reflect"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,6 +21,15 @@ const (
 	// manager closes the queues at job teardown, which unblocks waiters
 	// immediately; this is only a backstop against an orphaned worker.
 	queueMaxWait = 10 * time.Minute
+	// queueVisibility is the control-plane lease visibility timeout: an
+	// unacknowledged lease is redelivered after it.
+	queueVisibility = 30 * time.Second
+	// maxRecoveries bounds rollback attempts, confined or global, before the
+	// job fails for good.
+	maxRecoveries = 3
+	// msgLogBudget bounds the in-memory window of each worker's sender-side
+	// message log; closed supersteps beyond it spill to the checkpoint store.
+	msgLogBudget = 8 << 20
 )
 
 // kind tags both control-plane messages with the protocol step they belong
@@ -259,7 +267,6 @@ type worker[M any] struct {
 	// pointerFree records that M holds no pointers, decided once by
 	// reflection: message buffers then skip zeroing on reset.
 	pointerFree bool
-	aggOps      map[string]AggOp
 	parallel    int
 
 	lay    *layout
@@ -344,7 +351,6 @@ type worker[M any] struct {
 
 	// Robustness state (chaos substrate).
 	retry          cloud.RetryPolicy // retries transient faults; counts into statRetries
-	visibility     time.Duration     // control-plane lease visibility
 	barrierTimeout time.Duration     // sentinel-wait deadline (straggler bound)
 	doneThrough    int               // highest superstep executed; duplicate step tokens ≤ this are skipped
 	epoch          atomic.Int32      // recovery epoch stamped on outgoing batches at enqueue
@@ -394,7 +400,7 @@ type worker[M any] struct {
 }
 
 func newWorker[M any](spec *JobSpec[M], id int, lay *layout, ep transport.Endpoint,
-	aggOps map[string]AggOp, ins *jobInstruments) *worker[M] {
+	ins *jobInstruments) *worker[M] {
 	owned := lay.owned[id]
 	pointerFree := !hasPointers(reflect.TypeFor[M]())
 	w := &worker[M]{
@@ -405,7 +411,6 @@ func newWorker[M any](spec *JobSpec[M], id int, lay *layout, ep transport.Endpoi
 		combiner:       spec.Combiner,
 		fold:           foldKernel(spec.Combiner),
 		flushBytes:     spec.FlushBytes,
-		aggOps:         aggOps,
 		parallel:       spec.ComputeParallelism,
 		lay:            lay,
 		owned:          owned,
@@ -422,7 +427,6 @@ func newWorker[M any](spec *JobSpec[M], id int, lay *layout, ep transport.Endpoi
 		recvMsgs:       make(map[int]int64),
 		recvBytes:      make(map[int]int64),
 		recvErr:        make(map[int]error),
-		visibility:     spec.QueueVisibility,
 		barrierTimeout: spec.BarrierTimeout,
 		doneThrough:    -1,
 		recvStreams:    make([]recvStream, spec.NumWorkers),
@@ -465,8 +469,6 @@ func newWorker[M any](spec *JobSpec[M], id int, lay *layout, ep transport.Endpoi
 	}
 	w.tracer = spec.Tracer
 	w.ins = ins
-	w.retry = spec.Retry
-	userOnRetry := spec.Retry.OnRetry
 	w.retry.OnRetry = func(attempt int, err error) {
 		w.statRetries.Add(1)
 		w.ins.retries.Inc()
@@ -474,15 +476,12 @@ func newWorker[M any](spec *JobSpec[M], id int, lay *layout, ep transport.Endpoi
 			w.tracer.Emit(observe.KindRetry, w.id, w.superstep,
 				observe.Int("attempt", int64(attempt)), observe.Str("err", err.Error()))
 		}
-		if userOnRetry != nil {
-			userOnRetry(attempt, err)
-		}
 	}
 	for i := range w.halted {
 		w.halted[i] = !spec.ActivateAll
 	}
 	if spec.RecoveryMode == RecoverConfined && spec.CheckpointEvery > 0 && spec.CheckpointStore != nil {
-		w.msglog = transport.NewMessageLog(spec.MsgLogBudgetBytes,
+		w.msglog = transport.NewMessageLog(msgLogBudget,
 			&blobSpill{store: spec.CheckpointStore, retry: &w.retry},
 			fmt.Sprintf("seg%02d-w%04d", spec.segment, id))
 	}
@@ -493,18 +492,6 @@ func newWorker[M any](spec *JobSpec[M], id int, lay *layout, ep transport.Endpoi
 	}
 	w.state, _ = w.programAny().(StateCodec)
 	return w
-}
-
-func (w *worker[M]) aggOp(name string) AggOp {
-	if op, ok := w.aggOps[name]; ok {
-		return op
-	}
-	for pat, op := range w.aggOps {
-		if strings.HasSuffix(pat, "*") && strings.HasPrefix(name, pat[:len(pat)-1]) {
-			return op
-		}
-	}
-	return AggSum
 }
 
 // run executes the worker loop until a halt token arrives or an error makes
@@ -521,7 +508,7 @@ func (w *worker[M]) run() {
 	for {
 		waitSpan := w.tracer.Start(observe.KindQueueWait, w.id, w.doneThrough+1)
 		waitStart := time.Now()
-		lease := w.stepQ.GetWait(w.visibility, queueMaxWait)
+		lease := w.stepQ.GetWait(queueVisibility, queueMaxWait)
 		w.ins.stepWait.Observe(time.Since(waitStart).Seconds())
 		waitSpan.End()
 		if lease == nil {
@@ -668,22 +655,25 @@ func (w *worker[M]) handleReplay(tok *stepToken) {
 			// send pipeline may recycle, and never PutPayload the original.
 			cp := transport.GetPayload(len(payload))
 			copy(cp, payload)
-			b := transport.GetBatch()
-			b.From = int32(w.id)
-			b.To = int32(dest)
-			b.Superstep = int32(tok.Superstep)
-			b.Count = int32(count)
-			b.Epoch = w.epoch.Load()
-			b.Payload = cp
 			replayMsgs += int64(count)
 			replayBytes += logicalSize(payload)
 			// Enqueue directly (not enqueueBatch): replayed traffic must not
 			// be re-appended to the log. Blocking is fine — the sender drains.
-			w.outboxes[dest].ch <- outboxItem{batch: b}
+			w.outboxes[dest].ch <- outboxItem{batch: w.newBatch(dest, tok.Superstep, int32(count), cp)}
 			return nil
 		})
 	if err == nil {
-		err = w.flushTo(failed, tok.Superstep)
+		// Fence only the failed set: a sentinel to a survivor would pollute
+		// its barrier counts.
+		var dest int
+		if _, dest, err = w.flushOutboxes(tok.Superstep, func(dest int) flushMode {
+			if failed[dest] {
+				return flushSentinel
+			}
+			return flushSkip
+		}); err != nil {
+			err = fmt.Errorf("replay flush to worker %d: %w", dest, err)
+		}
 	}
 	if err != nil {
 		// A truncated log window or an undeliverable replay: report it so the
@@ -698,36 +688,6 @@ func (w *worker[M]) handleReplay(tok *stepToken) {
 	}
 	w.replayEpoch, w.replayHandled = int32(tok.Epoch), tok.Superstep
 	w.checkIn(msg)
-}
-
-// flushTo flushes the outboxes of the given destinations and fences each
-// with a sentinel for the superstep, returning the first send error. The
-// scoped counterpart of broadcastSentinels, used by survivors during replay
-// (a sentinel to a non-recovering peer would pollute its barrier counts).
-func (w *worker[M]) flushTo(targets []bool, superstep int) error {
-	epoch := w.epoch.Load()
-	for dest, ob := range w.outboxes {
-		if ob == nil || !targets[dest] {
-			continue
-		}
-		b := transport.GetBatch()
-		b.From = int32(w.id)
-		b.To = int32(dest)
-		b.Superstep = int32(superstep)
-		b.Count = -1
-		b.Epoch = epoch
-		ob.ch <- outboxItem{batch: b, ack: ob.ack}
-	}
-	var firstErr error
-	for dest, ob := range w.outboxes {
-		if ob == nil || !targets[dest] {
-			continue
-		}
-		if err := <-ob.ack; err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("replay flush to worker %d: %w", dest, err)
-		}
-	}
-	return firstErr
 }
 
 func (w *worker[M]) runSuperstep(tok *stepToken) {
@@ -1035,24 +995,28 @@ func (w *worker[M]) flushSlotBuffer(c *Context[M], dest int) {
 		return
 	}
 	binary.LittleEndian.PutUint32(st.buf, uint32(st.logical))
-	b := transport.GetBatch()
-	b.From = int32(w.id)
-	b.To = int32(dest)
-	b.Superstep = int32(w.superstep)
-	b.Count = st.count
-	b.Payload = st.buf
+	b := w.newBatch(dest, w.superstep, st.count, st.buf)
 	c.remoteBytesOut += st.logical
 	st.buf, st.count, st.logical = nil, 0, 0
 	w.peersContacted[dest].Store(true)
 	w.enqueueBatch(b)
 }
 
-// enqueueBatch stamps a batch with the worker's recovery epoch and queues it
-// on the destination's outbox. The fast path is a non-blocking channel send;
-// when the outbox is full the stall is measured and traced before blocking
-// (backpressure on compute is a signal worth seeing).
+// newBatch takes a pooled batch from this worker to dest for superstep,
+// carrying count messages (-1 marks a sentinel) in payload and stamped with
+// the worker's recovery epoch.
+func (w *worker[M]) newBatch(dest, superstep int, count int32, payload []byte) *transport.Batch {
+	b := transport.GetBatch()
+	b.From, b.To, b.Superstep = int32(w.id), int32(dest), int32(superstep)
+	b.Count, b.Epoch, b.Payload = count, w.epoch.Load(), payload
+	return b
+}
+
+// enqueueBatch queues a batch from newBatch, which stamped its recovery
+// epoch, on the destination's outbox. The fast path is a non-blocking
+// channel send; when the outbox is full the stall is measured and traced
+// before blocking (backpressure on compute is a signal worth seeing).
 func (w *worker[M]) enqueueBatch(b *transport.Batch) {
-	b.Epoch = w.epoch.Load()
 	// Log the batch for confined recovery (Append copies; ownership of b and
 	// its payload is unchanged). Logging happens even for deliveries
 	// suppressed below, so a recovering worker's rebuilt log stays complete
@@ -1062,7 +1026,7 @@ func (w *worker[M]) enqueueBatch(b *transport.Batch) {
 		// Confined-recovery re-execution: the destination is a survivor that
 		// already processed this superstep's traffic in the original
 		// execution; delivering again would double-count messages.
-		w.releaseUnsent(b)
+		releaseBatch(b)
 		return
 	}
 	ob := w.outboxes[b.To]
@@ -1105,17 +1069,15 @@ func (w *worker[M]) senderLoop(dest int, ob *outbox) {
 				err := w.retry.Do(func() error { return w.endpoint.Send(b) })
 				if err != nil {
 					pendingErr = err
-					w.releaseUnsent(b)
+					releaseBatch(b)
 				} else if w.sendCopies {
 					// Endpoint copied the payload to the wire: the buffer and
 					// the batch struct are dead here; recycle both. (With the
 					// in-process transport the receiver owns them now.)
-					transport.PutPayload(b.Payload)
-					b.Payload = nil
-					transport.PutBatch(b)
+					releaseBatch(b)
 				}
 			} else {
-				w.releaseUnsent(b)
+				releaseBatch(b)
 			}
 		}
 		if item.ack != nil {
@@ -1125,60 +1087,69 @@ func (w *worker[M]) senderLoop(dest int, ob *outbox) {
 	}
 }
 
-// releaseUnsent recycles a batch that was never handed off to the transport.
-func (w *worker[M]) releaseUnsent(b *transport.Batch) {
-	if b.Payload != nil {
-		transport.PutPayload(b.Payload)
-		b.Payload = nil
+// flushMode is what flushOutboxes does to one destination's outbox.
+type flushMode uint8
+
+const (
+	// flushSkip leaves the outbox untouched.
+	flushSkip flushMode = iota
+	// flushAck waits until the outbox has shipped what it holds.
+	flushAck
+	// flushSentinel queues a zero-payload sentinel (Count == -1) marking
+	// this worker done sending for the superstep, then waits as flushAck.
+	flushSentinel
+)
+
+// flushOutboxes flushes every outbox mode does not skip, all concurrently:
+// it posts one item per outbox, then waits for each ack. It returns the
+// outboxes' queued batches before the flush and the first send error since
+// each outbox's previous flush (mid-step enqueued batches included), with
+// the destination that reported it.
+func (w *worker[M]) flushOutboxes(superstep int, mode func(dest int) flushMode) (queued, errDest int, err error) {
+	for dest, ob := range w.outboxes {
+		if ob == nil || mode(dest) == flushSkip {
+			continue
+		}
+		queued += len(ob.ch)
+		item := outboxItem{ack: ob.ack}
+		if mode(dest) == flushSentinel {
+			item.batch = w.newBatch(dest, superstep, -1, nil)
+		}
+		ob.ch <- item
 	}
-	transport.PutBatch(b)
+	for dest, ob := range w.outboxes {
+		if ob == nil || mode(dest) == flushSkip {
+			continue
+		}
+		if aerr := <-ob.ack; aerr != nil && err == nil {
+			errDest, err = dest, aerr
+		}
+	}
+	return queued, errDest, err
 }
 
 // broadcastSentinels flushes and drains every outbox: each peer receives all
-// queued data batches followed by a zero-payload sentinel (Count == -1)
-// marking this worker done sending for the superstep. All outboxes flush
-// concurrently; the call returns the first send failure of the whole
-// superstep (mid-step enqueued batches included), if any.
+// queued data batches followed by a sentinel for the superstep. It returns
+// the first send failure of the whole superstep, if any.
 func (w *worker[M]) broadcastSentinels() error {
 	if w.numWorkers == 1 {
 		return nil
 	}
 	span := w.tracer.Start(observe.KindOutboxFlush, w.id, w.superstep)
-	depth := 0
-	for dest, ob := range w.outboxes {
-		if ob == nil {
-			continue
-		}
-		depth += len(ob.ch)
+	depth, _, err := w.flushOutboxes(w.superstep, func(dest int) flushMode {
 		if w.replayFailed != nil && !w.replayFailed[dest] {
 			// Re-executing under confined recovery: survivors are not waiting
 			// at this superstep's barrier, so they get no sentinel — but the
 			// outbox is still flushed so any send error surfaces here.
-			ob.ch <- outboxItem{ack: ob.ack}
-			continue
+			return flushAck
 		}
-		b := transport.GetBatch()
-		b.From = int32(w.id)
-		b.To = int32(dest)
-		b.Superstep = int32(w.superstep)
-		b.Count = -1
-		b.Epoch = w.epoch.Load()
-		ob.ch <- outboxItem{batch: b, ack: ob.ack}
-	}
+		return flushSentinel
+	})
 	w.ins.outboxDepthGauge(w.id).Set(float64(depth))
-	var firstErr error
-	for _, ob := range w.outboxes {
-		if ob == nil {
-			continue
-		}
-		if err := <-ob.ack; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
 	if span.Active() {
 		span.End(observe.Int("queued", int64(depth)))
 	}
-	return firstErr
+	return err
 }
 
 // drainOutboxes waits for every outbox to empty, discarding any send errors
@@ -1186,16 +1157,7 @@ func (w *worker[M]) broadcastSentinels() error {
 // (a) no sender is still shipping pre-rollback batches when the epoch moves
 // and (b) a stale send failure cannot poison the first replayed superstep.
 func (w *worker[M]) drainOutboxes() {
-	for _, ob := range w.outboxes {
-		if ob != nil {
-			ob.ch <- outboxItem{ack: ob.ack}
-		}
-	}
-	for _, ob := range w.outboxes {
-		if ob != nil {
-			<-ob.ack
-		}
-	}
+	w.flushOutboxes(0, func(int) flushMode { return flushAck })
 }
 
 // closeOutboxes shuts down the sender goroutines. Remaining queued batches
@@ -1262,7 +1224,7 @@ func (w *worker[M]) receiveLoop() {
 func (w *worker[M]) receive(b *transport.Batch) {
 	cur := w.epoch.Load()
 	if b.Epoch != cur {
-		w.releaseRecv(b) // dead stream from before a rollback
+		releaseBatch(b) // dead stream from before a rollback
 		return
 	}
 	if b.Seq == 0 {
@@ -1274,7 +1236,7 @@ func (w *worker[M]) receive(b *transport.Batch) {
 	from := b.From // processBatch recycles b; don't touch it afterwards
 	if from < 0 || int(from) >= w.numWorkers {
 		w.failRecv(b.Superstep, fmt.Errorf("batch %d from unknown worker %d", b.Seq, from))
-		w.releaseRecv(b)
+		releaseBatch(b)
 		return
 	}
 	st := &w.recvStreams[from]
@@ -1285,18 +1247,18 @@ func (w *worker[M]) receive(b *transport.Batch) {
 		st.next = 1
 		for s, p := range st.pending {
 			delete(st.pending, s)
-			w.releaseRecv(p)
+			releaseBatch(p)
 		}
 	}
 	switch {
 	case b.Seq < st.next: // duplicate of a processed batch (retried send)
-		w.releaseRecv(b)
+		releaseBatch(b)
 	case b.Seq > st.next: // overtook the gap: hold until it fills
 		if st.pending == nil {
 			st.pending = make(map[int32]*transport.Batch)
 		}
 		if _, dup := st.pending[b.Seq]; dup {
-			w.releaseRecv(b)
+			releaseBatch(b)
 		} else {
 			st.pending[b.Seq] = b
 		}
@@ -1316,10 +1278,11 @@ func (w *worker[M]) receive(b *transport.Batch) {
 	}
 }
 
-// releaseRecv recycles a fully consumed incoming batch. The receiver is the
-// final owner on every transport: TCP batches were allocated by the framing
-// reader, in-process batches were handed off by the sending worker.
-func (w *worker[M]) releaseRecv(b *transport.Batch) {
+// releaseBatch recycles a batch and its payload. It is the final owner's
+// step: a batch never handed off to the transport is its sender's, and a
+// received batch is its receiver's on every transport (TCP batches were
+// allocated by the framing reader, in-process ones handed off by the sender).
+func releaseBatch(b *transport.Batch) {
 	if b.Payload != nil {
 		transport.PutPayload(b.Payload)
 		b.Payload = nil
@@ -1362,7 +1325,7 @@ func (w *worker[M]) mergeAggs(slot map[string]float64) {
 	}
 	for name, v := range slot {
 		if prev, ok := w.stepAggs[name]; ok {
-			w.stepAggs[name] = w.aggOp(name).combine(prev, v)
+			w.stepAggs[name] = prev + v
 		} else {
 			w.stepAggs[name] = v
 		}

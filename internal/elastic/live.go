@@ -32,9 +32,6 @@ type LiveController struct {
 	// from the current count (for reporting/tests).
 	consults  int
 	decisions int
-	// reshufflePeriod > 0 makes every nth resize a full reshuffle instead of
-	// a delta migration (see FullReshuffle).
-	reshufflePeriod int
 }
 
 // NewLiveController returns a live controller that chooses between the low
@@ -74,23 +71,6 @@ func (c *LiveController) Workers(prev *core.StepStats, current int) int {
 	return w
 }
 
-// SetReshufflePeriod makes every nth resize a full from-scratch reshuffle
-// instead of an incremental delta migration. Delta migrations preserve each
-// vertex's owner, so many in a row can slowly drift the layout away from
-// what a fresh partitioning would produce; a periodic reshuffle resets that
-// drift at full migration cost. 0 (the default) never reshuffles.
-func (c *LiveController) SetReshufflePeriod(n int) { c.reshufflePeriod = n }
-
-// FullReshuffle implements core.ReshuffleDecider: resizes are delta
-// migrations except every reshufflePeriod-th event (1-indexed), which
-// recomputes the layout from scratch.
-func (c *LiveController) FullReshuffle(fromWorkers, toWorkers, eventIndex int) bool {
-	if c.reshufflePeriod <= 0 {
-		return false
-	}
-	return (eventIndex+1)%c.reshufflePeriod == 0
-}
-
 // Profile returns the profile accumulated so far (both columns alias the
 // live run's stats). Useful for post-run reporting.
 func (c *LiveController) Profile() *Profile { return c.p }
@@ -101,7 +81,4 @@ func (c *LiveController) Consults() (total, changed int) {
 	return c.consults, c.decisions
 }
 
-var (
-	_ core.ElasticController = (*LiveController)(nil)
-	_ core.ReshuffleDecider  = (*LiveController)(nil)
-)
+var _ core.ElasticController = (*LiveController)(nil)

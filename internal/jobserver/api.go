@@ -108,7 +108,8 @@ func validate(req *JobRequest) error {
 	default:
 		return fmt.Errorf("unknown algorithm %q", req.Algorithm)
 	}
-	if graph.Dataset(req.Graph) == nil {
+	g := graph.Dataset(req.Graph)
+	if g == nil {
 		return fmt.Errorf("unknown graph %q (want sd|wg|cp|lj)", req.Graph)
 	}
 	if req.Workers == 0 {
@@ -144,6 +145,9 @@ func validate(req *JobRequest) error {
 	}
 	if req.Initiate == "" {
 		req.Initiate = "dynamic"
+	}
+	if _, err := core.ParseSwathScheduler(g, req.Roots, req.Swath, req.Initiate, 0); err != nil {
+		return err
 	}
 	if req.ElasticHigh != 0 {
 		if req.ElasticHigh <= req.Workers || req.ElasticHigh > 64 {

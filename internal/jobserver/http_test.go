@@ -105,6 +105,8 @@ var invalidRequests = []JobRequest{
 	{Algorithm: "pagerank", Graph: "nope"},
 	{Algorithm: "pagerank", Graph: "sd", Workers: 1000},
 	{Algorithm: "pagerank", Graph: "sd", Partitioner: "nope"},
+	{Algorithm: "bc", Graph: "sd", Swath: "bogus"},
+	{Algorithm: "bc", Graph: "sd", Initiate: "static0"},
 }
 
 func TestValidationErrors(t *testing.T) {

@@ -3,8 +3,6 @@ package jobserver
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"pregelnet/internal/algorithms"
 	"pregelnet/internal/cloud"
@@ -122,7 +120,7 @@ func executeJob(req JobRequest, h *runHooks) (*Summary, error) {
 			sum.TopVertices = top(algorithms.BCSubgraphScores(res, g.NumVertices()), 10)
 			return sum, nil
 		}
-		sched, err := swathScheduler(g, req, model)
+		sched, err := core.ParseSwathScheduler(g, req.Roots, req.Swath, req.Initiate, model.Spec.MemoryBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -137,7 +135,7 @@ func executeJob(req JobRequest, h *runHooks) (*Summary, error) {
 		sum.TopVertices = top(algorithms.BCScores(res, g.NumVertices()), 10)
 		return sum, nil
 	case "apsp":
-		sched, err := swathScheduler(g, req, model)
+		sched, err := core.ParseSwathScheduler(g, req.Roots, req.Swath, req.Initiate, model.Spec.MemoryBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -235,38 +233,4 @@ func summarizeResult[M any](req JobRequest, res *core.JobResult[M]) *Summary {
 		Preemptions:    res.Preemptions,
 		PreemptSeconds: res.PreemptSeconds,
 	}
-}
-
-// swathScheduler builds the bc/apsp source scheduler the request asked for.
-func swathScheduler(g *graph.Graph, req JobRequest, model cloud.CostModel) (core.SwathScheduler, error) {
-	sources := core.FirstNSources(g, req.Roots)
-	if req.Swath == "none" {
-		return core.NewAllAtOnce(sources), nil
-	}
-	target := model.Spec.MemoryBytes * 6 / 7
-	var sizer core.SwathSizer
-	switch req.Swath {
-	case "adaptive":
-		sizer = &core.AdaptiveSizer{Initial: max(2, req.Roots/4), TargetMemoryBytes: target}
-	case "sampling":
-		sizer = &core.SamplingSizer{SampleSize: max(2, req.Roots/4), Samples: 2, TargetMemoryBytes: target}
-	default:
-		return nil, fmt.Errorf("unknown swath mode %q", req.Swath)
-	}
-	var init core.SwathInitiator
-	switch {
-	case req.Initiate == "seq":
-		init = core.SequentialInitiator{}
-	case req.Initiate == "dynamic":
-		init = core.DynamicPeakInitiator{}
-	case strings.HasPrefix(req.Initiate, "static"):
-		n, err := strconv.Atoi(strings.TrimPrefix(req.Initiate, "static"))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad initiation %q", req.Initiate)
-		}
-		init = core.StaticNInitiator(n)
-	default:
-		return nil, fmt.Errorf("unknown initiation %q", req.Initiate)
-	}
-	return core.NewSwathRunner(sources, sizer, init), nil
 }

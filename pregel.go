@@ -112,8 +112,6 @@ type (
 	Chaos = cloud.Chaos
 	// FaultStats counts faults a Chaos actually injected (JobResult.Faults).
 	FaultStats = cloud.FaultStats
-	// RetryPolicy tunes transient-fault retry/backoff (JobSpec.Retry).
-	RetryPolicy = cloud.RetryPolicy
 	// VMRestart scripts one fabric VM restart (FaultPlan.VMRestarts).
 	VMRestart = cloud.VMRestart
 	// ConnDrop scripts one dropped data-plane connection (FaultPlan.ConnDrops).
