@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-sarif vetcheck test-invariants bench-smoke \
+.PHONY: build test race vet fmt-check lint lint-sarif vetcheck test-invariants bench-smoke \
 	cli-smoke benchmark-smoke benchmark-selfcheck profile fuzz
 
 build:
@@ -14,6 +14,11 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any Go file in the tree is not gofmt-formatted, and
+# names the files.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # lint runs the full static gauntlet: stock go vet, the pregelvet suite
 # (internal/analysis — interprocedural pool ownership, context/view escapes,
@@ -70,7 +75,8 @@ bench-smoke:
 # under both -model values on the small sd dataset with few roots and
 # iterations, one live elastic run (which must resize) and one checkpointed
 # run under global recovery. Any failing run stops the target; the numbers
-# are not a measurement. The binary and its output go to CLI_DIR, outside
+# are not a measurement. Requests that cannot run (no workers, negative
+# roots) must exit with status 1 and a message, not panic (status 2). The binary and its output go to CLI_DIR, outside
 # the repository. About a second of runs after the build.
 CLI_DIR ?= $(or $(TMPDIR),/tmp)/pregelnet-cli
 CLI_ALGOS := pagerank bc apsp sssp wsssp wcc lpa
@@ -87,6 +93,13 @@ cli-smoke:
 	@grep 'resize(s)' $(CLI_DIR)/run.out || { echo "cli-smoke: -elastic-high 3 did not resize"; exit 1; }
 	$(CLI_DIR)/pregel -algo pagerank -graph sd -workers 2 -iterations 6 -top 0 \
 		-checkpoint-every 2 -recovery global
+	@for args in "-workers 0" "-algo bc -roots -3"; do \
+		echo "pregel -graph sd $$args (must be refused)"; \
+		$(CLI_DIR)/pregel -graph sd $$args >$(CLI_DIR)/run.out 2>&1; status=$$?; \
+		if [ $$status -ne 1 ] || ! grep -q '^pregel: ' $(CLI_DIR)/run.out; then \
+			cat $(CLI_DIR)/run.out; echo "cli-smoke: want exit status 1 and a message, got $$status"; exit 1; \
+		fi; \
+	done
 
 # benchmark-smoke runs the repo benchmark (benchmark/, BENCHMARK.json) at
 # test size on all five workloads: its two control-plane workloads,

@@ -103,14 +103,9 @@ func benchPageRankTCP(b *testing.B) {
 	b.ResetTimer()
 	var steps int
 	for i := 0; i < b.N; i++ {
-		net, err := transport.NewTCPNetwork(4)
-		if err != nil {
-			b.Fatal(err)
-		}
 		spec := algorithms.PageRank{Iterations: 10, Damping: 0.85}.Spec(g, 4)
-		spec.Network = net
+		spec.NetworkFactory = tcpNetwork
 		res, err := core.Run(spec)
-		net.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,14 +122,9 @@ func benchBCTCP(b *testing.B) {
 	b.ResetTimer()
 	var steps int
 	for i := 0; i < b.N; i++ {
-		net, err := transport.NewTCPNetwork(4)
-		if err != nil {
-			b.Fatal(err)
-		}
 		spec := algorithms.BC(g, 4, core.NewAllAtOnce(roots))
-		spec.Network = net
+		spec.NetworkFactory = tcpNetwork
 		res, err := core.Run(spec)
-		net.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -374,11 +364,7 @@ func BenchmarkEngineTCPvsChannel(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			spec := algorithms.SSSP(g, 4, 0)
 			if tcp {
-				net, err := NewTCPNetwork(4)
-				if err != nil {
-					b.Fatal(err)
-				}
-				spec.Network = net
+				spec.NetworkFactory = tcpNetwork
 			}
 			if _, err := core.Run(spec); err != nil {
 				b.Fatal(err)

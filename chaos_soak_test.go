@@ -21,6 +21,10 @@ import (
 // per worker, whose batches to one peer interleave in a run-dependent
 // order; TestBitExactDelivery covers the exact single-slot case).
 
+// tcpNetwork builds a loopback TCP data plane; as a JobSpec.NetworkFactory
+// it gives every run segment fresh sockets, which the engine closes.
+func tcpNetwork(n int) (transport.Network, error) { return transport.NewTCPNetwork(n) }
+
 func soakBCSpec(g *Graph, roots []VertexID) JobSpec[BCMessage] {
 	spec := BCSpec(g, 4, AllSourcesAtOnce(roots))
 	spec.CheckpointEvery = 3
@@ -38,12 +42,7 @@ func TestChaosSoakBCOverTCP(t *testing.T) {
 	want := BCScoresOf(clean, g.NumVertices())
 
 	spec := soakBCSpec(g, roots)
-	network, err := transport.NewTCPNetwork(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer network.Close()
-	spec.Network = network
+	spec.NetworkFactory = tcpNetwork
 	tracer, recorder := NewTraceRecorder(1 << 17)
 	spec.Tracer = tracer
 	spec.Chaos = NewChaos(FaultPlan{
@@ -156,12 +155,7 @@ func TestChaosSoakAsyncOutboxTCP(t *testing.T) {
 	spec := soakBCSpec(g, roots)
 	spec.OutboxDepth = 1
 	spec.FlushBytes = 256
-	network, err := transport.NewTCPNetwork(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer network.Close()
-	spec.Network = network
+	spec.NetworkFactory = tcpNetwork
 	metrics := NewEngineMetrics()
 	spec.Metrics = metrics
 	tracer, recorder := NewTraceRecorder(1 << 17)
@@ -225,12 +219,7 @@ func TestChaosSoakConfinedRecovery(t *testing.T) {
 	want := BCScoresOf(clean, g.NumVertices())
 
 	spec := soakBCSpec(g, roots)
-	network, err := transport.NewTCPNetwork(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer network.Close()
-	spec.Network = network
+	spec.NetworkFactory = tcpNetwork
 	spec.CheckpointStore = cloud.NewBlobStore()
 	tracer, recorder := NewTraceRecorder(1 << 17)
 	spec.Tracer = tracer

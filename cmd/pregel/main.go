@@ -14,18 +14,18 @@
 // partition-hop diameter. Algorithms without a native port (pagerank, apsp,
 // lpa) run their vertex programs under the engine's adapter.
 //
-// Prints the result summary and per-superstep statistics.
+// The command parses flags, loads and partitions the graph, and hands the
+// job to the algorithm catalog (algorithms.Execute), which the job service
+// uses too. Prints the result summary and per-superstep statistics; any
+// error exits with status 1.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"sort"
 
 	"pregelnet/internal/algorithms"
-	"pregelnet/internal/cloud"
 	"pregelnet/internal/core"
 	"pregelnet/internal/elastic"
 	"pregelnet/internal/graph"
@@ -58,14 +58,39 @@ func main() {
 	)
 	flag.Parse()
 
+	req := algorithms.Request{Algorithm: *algo, Model: *modelName, Roots: *roots,
+		Iterations: *iterations, Swath: *swath, Initiate: *initiate}
+	if err := req.Validate(*workers); err != nil {
+		fatal(err)
+	}
+	env := algorithms.Env{MemoryMiB: *memoryMiB, RecoveryMode: core.RecoveryMode(*recovery),
+		CheckpointEvery: *ckptEvery}
+	if env.RecoveryMode != core.RecoverConfined && env.RecoveryMode != core.RecoverGlobal {
+		fatal(fmt.Errorf("unknown -recovery mode %q (want confined or global)", *recovery))
+	}
+	p := partition.ByName(*partName)
+	if p == nil {
+		fatal(fmt.Errorf("unknown partitioner %q", *partName))
+	}
+	// -elastic-high enables live elastic scaling: the job starts at -workers
+	// and the threshold controller may resize it at any superstep barrier.
+	if *elasticHigh > 0 {
+		ctrl, err := elastic.NewLiveController(*workers, *elasticHigh,
+			elastic.ThresholdPolicy{Fraction: *elasticFrac})
+		if err != nil {
+			fatal(err)
+		}
+		env.Elastic = ctrl
+		if env.Repartitioner = partition.ByName(*repartName); env.Repartitioner == nil {
+			fatal(fmt.Errorf("unknown repartitioner %q", *repartName))
+		}
+	}
+
 	// -trace records every engine span (supersteps, barriers, compute,
 	// flushes, faults) into a flight recorder and dumps it on exit.
-	var (
-		tracer   *observe.Tracer
-		recorder *observe.Recorder
-	)
 	if *traceFile != "" {
-		tracer, recorder = observe.NewTraceRecorder(1 << 18)
+		var recorder *observe.Recorder
+		env.Tracer, recorder = observe.NewTraceRecorder(1 << 18)
 		// Flush through fatal() too: the flight recorder's whole point is
 		// that the events leading up to a failure survive it.
 		flushTrace = func() {
@@ -84,252 +109,30 @@ func main() {
 	}
 	fmt.Printf("graph %s: %d vertices, %d directed edges\n", g.Name(), g.NumVertices(), g.NumEdges())
 
-	p := partition.ByName(*partName)
-	if p == nil {
-		fatal(fmt.Errorf("unknown partitioner %q", *partName))
-	}
-	assign := p.Partition(g, *workers)
-	q, err := partition.Evaluate(g, assign, *workers, p.Name())
+	env.Assignment = p.Partition(g, *workers)
+	q, err := partition.Evaluate(g, env.Assignment, *workers, p.Name())
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("partitioning %s: %.0f%% remote edges, balance %.3f\n", p.Name(), 100*q.CutFraction, q.Balance)
-
-	model := cloud.DefaultCostModel(cloud.LargeVM())
-	if *memoryMiB > 0 {
-		model.Spec = model.Spec.WithMemory(*memoryMiB << 20)
-	}
-
-	// -elastic-high enables live elastic scaling: the job starts at -workers
-	// and the threshold controller may resize it at any superstep barrier.
-	var (
-		elasticCtrl   core.ElasticController
-		elasticRepart partition.Partitioner
-	)
-	if *elasticHigh > 0 {
-		ctrl, err := elastic.NewLiveController(*workers, *elasticHigh,
-			elastic.ThresholdPolicy{Fraction: *elasticFrac})
-		if err != nil {
-			fatal(err)
-		}
-		elasticCtrl = ctrl
-		if elasticRepart = partition.ByName(*repartName); elasticRepart == nil {
-			fatal(fmt.Errorf("unknown repartitioner %q", *repartName))
-		}
+	if env.Elastic != nil {
 		fmt.Printf("elastic: live threshold scaling %d <-> %d workers at %.0f%% of peak active (%s repartitioning)\n",
-			*workers, *elasticHigh, 100**elasticFrac, elasticRepart.Name())
+			*workers, *elasticHigh, 100**elasticFrac, env.Repartitioner.Name())
 	}
 
-	subgraph := false
-	switch *modelName {
-	case "vertex":
-	case "subgraph":
-		subgraph = true
-	default:
-		fatal(fmt.Errorf("unknown -model %q (want vertex or subgraph)", *modelName))
+	out, err := algorithms.Execute(g, *workers, req, env)
+	if err != nil {
+		fatal(err)
 	}
-
-	switch *algo {
-	case "pagerank":
-		spec := algorithms.PageRank{Iterations: *iterations, Damping: 0.85}.Spec(g, *workers)
-		spec.Assignment = assign
-		spec.CostModel = model
-		spec.Tracer = tracer
-		if subgraph {
-			core.UseVertexAdapter(&spec)
-		}
-		applyElastic(&spec, elasticCtrl, elasticRepart)
-		if err := applyRecovery(&spec, *recovery, *ckptEvery); err != nil {
-			fatal(err)
-		}
-		res, err := core.Run(spec)
-		if err != nil {
-			fatal(err)
-		}
-		report(res.Steps, res.SimSeconds, res.CostDollars, res.VMSeconds, res.ScaleEvents, *stepsDetail)
-		printTop("rank", algorithms.Ranks(res, g.NumVertices()), *showTop)
-	case "bc":
-		if subgraph {
-			// The subgraph port keeps per-root state in partition-local
-			// maps and batches all roots in one sweep; swath scheduling
-			// does not apply.
-			spec := algorithms.BCSubgraph(g, *workers, core.FirstNSources(g, *roots))
-			spec.Assignment = assign
-			spec.CostModel = model
-			spec.Tracer = tracer
-			applyElastic(&spec, elasticCtrl, elasticRepart)
-			if err := applyRecovery(&spec, *recovery, *ckptEvery); err != nil {
-				fatal(err)
-			}
-			res, err := core.Run(spec)
-			if err != nil {
-				fatal(err)
-			}
-			report(res.Steps, res.SimSeconds, res.CostDollars, res.VMSeconds, res.ScaleEvents, *stepsDetail)
-			printTop("betweenness", algorithms.BCSubgraphScores(res, g.NumVertices()), *showTop)
-			return
-		}
-		sched, err := core.ParseSwathScheduler(g, *roots, *swath, *initiate, model.Spec.MemoryBytes)
-		if err != nil {
-			fatal(err)
-		}
-		spec := algorithms.BC(g, *workers, sched)
-		spec.Assignment = assign
-		spec.CostModel = model
-		spec.Tracer = tracer
-		applyElastic(&spec, elasticCtrl, elasticRepart)
-		if err := applyRecovery(&spec, *recovery, *ckptEvery); err != nil {
-			fatal(err)
-		}
-		res, err := core.Run(spec)
-		if err != nil {
-			fatal(err)
-		}
-		report(res.Steps, res.SimSeconds, res.CostDollars, res.VMSeconds, res.ScaleEvents, *stepsDetail)
-		printTop("betweenness", algorithms.BCScores(res, g.NumVertices()), *showTop)
-	case "apsp":
-		sched, err := core.ParseSwathScheduler(g, *roots, *swath, *initiate, model.Spec.MemoryBytes)
-		if err != nil {
-			fatal(err)
-		}
-		spec := algorithms.APSP(g, *workers, sched)
-		spec.Assignment = assign
-		spec.CostModel = model
-		spec.Tracer = tracer
-		if subgraph {
-			core.UseVertexAdapter(&spec)
-		}
-		applyElastic(&spec, elasticCtrl, elasticRepart)
-		if err := applyRecovery(&spec, *recovery, *ckptEvery); err != nil {
-			fatal(err)
-		}
-		res, err := core.Run(spec)
-		if err != nil {
-			fatal(err)
-		}
-		report(res.Steps, res.SimSeconds, res.CostDollars, res.VMSeconds, res.ScaleEvents, *stepsDetail)
-		fmt.Printf("computed distances from %d roots\n", *roots)
-	case "sssp":
-		spec := algorithms.SSSP(g, *workers, 0)
-		if subgraph {
-			spec = algorithms.SSSPSubgraph(g, *workers, 0)
-		}
-		spec.Assignment = assign
-		spec.CostModel = model
-		spec.Tracer = tracer
-		applyElastic(&spec, elasticCtrl, elasticRepart)
-		if err := applyRecovery(&spec, *recovery, *ckptEvery); err != nil {
-			fatal(err)
-		}
-		res, err := core.Run(spec)
-		if err != nil {
-			fatal(err)
-		}
-		report(res.Steps, res.SimSeconds, res.CostDollars, res.VMSeconds, res.ScaleEvents, *stepsDetail)
-		var dist []int32
-		if subgraph {
-			dist = algorithms.SSSPSubgraphDistances(res, g.NumVertices())
-		} else {
-			dist = algorithms.SSSPDistances(res, g.NumVertices())
-		}
-		reach, maxd := 0, int32(0)
-		for _, d := range dist {
-			if d >= 0 {
-				reach++
-				if d > maxd {
-					maxd = d
-				}
-			}
-		}
-		fmt.Printf("reached %d/%d vertices, eccentricity %d\n", reach, g.NumVertices(), maxd)
-	case "wsssp":
-		wg := graph.RandomWeights(g, 1, 10, 99)
-		spec := algorithms.WeightedSSSP(wg, *workers, 0)
-		if subgraph {
-			spec = algorithms.WeightedSSSPSubgraph(wg, *workers, 0)
-		}
-		spec.Assignment = assign
-		spec.CostModel = model
-		spec.Tracer = tracer
-		applyElastic(&spec, elasticCtrl, elasticRepart)
-		if err := applyRecovery(&spec, *recovery, *ckptEvery); err != nil {
-			fatal(err)
-		}
-		res, err := core.Run(spec)
-		if err != nil {
-			fatal(err)
-		}
-		report(res.Steps, res.SimSeconds, res.CostDollars, res.VMSeconds, res.ScaleEvents, *stepsDetail)
-		var dist []float64
-		if subgraph {
-			dist = algorithms.WeightedSubgraphDistances(res, g.NumVertices())
-		} else {
-			dist = algorithms.WeightedDistances(res, g.NumVertices())
-		}
-		reach := 0
-		maxd := 0.0
-		for _, d := range dist {
-			if !math.IsInf(d, 1) {
-				reach++
-				if d > maxd {
-					maxd = d
-				}
-			}
-		}
-		fmt.Printf("reached %d/%d vertices, weighted eccentricity %.2f\n", reach, g.NumVertices(), maxd)
-	case "wcc":
-		spec := algorithms.WCC(g, *workers)
-		if subgraph {
-			spec = algorithms.WCCSubgraph(g, *workers)
-		}
-		spec.Assignment = assign
-		spec.CostModel = model
-		spec.Tracer = tracer
-		applyElastic(&spec, elasticCtrl, elasticRepart)
-		if err := applyRecovery(&spec, *recovery, *ckptEvery); err != nil {
-			fatal(err)
-		}
-		res, err := core.Run(spec)
-		if err != nil {
-			fatal(err)
-		}
-		report(res.Steps, res.SimSeconds, res.CostDollars, res.VMSeconds, res.ScaleEvents, *stepsDetail)
-		var labels []int32
-		if subgraph {
-			labels = algorithms.WCCSubgraphLabels(res, g.NumVertices())
-		} else {
-			labels = algorithms.WCCLabels(res, g.NumVertices())
-		}
-		comps := map[int32]int{}
-		for _, l := range labels {
-			comps[l]++
-		}
-		fmt.Printf("%d connected components\n", len(comps))
-	case "lpa":
-		spec := algorithms.LPA(g, *workers, *iterations)
-		spec.Assignment = assign
-		spec.CostModel = model
-		spec.Tracer = tracer
-		if subgraph {
-			core.UseVertexAdapter(&spec)
-		}
-		applyElastic(&spec, elasticCtrl, elasticRepart)
-		if err := applyRecovery(&spec, *recovery, *ckptEvery); err != nil {
-			fatal(err)
-		}
-		res, err := core.Run(spec)
-		if err != nil {
-			fatal(err)
-		}
-		report(res.Steps, res.SimSeconds, res.CostDollars, res.VMSeconds, res.ScaleEvents, *stepsDetail)
-		labels := algorithms.LPALabels(res, g.NumVertices())
-		comms := map[int32]int{}
-		for _, l := range labels {
-			comms[l]++
-		}
-		fmt.Printf("%d communities detected\n", len(comms))
-	default:
-		fatal(fmt.Errorf("unknown algorithm %q", *algo))
+	report(out, *stepsDetail)
+	if out.Scores == nil {
+		fmt.Println(out.Summary)
+		return
+	}
+	top := algorithms.Top(out.Scores, *showTop)
+	fmt.Printf("top %d vertices by %s:\n", len(top), out.ScoreName)
+	for _, tv := range top {
+		fmt.Printf("  %8d  %.6g\n", tv.Vertex, tv.Score)
 	}
 }
 
@@ -354,83 +157,27 @@ func loadGraph(name, file string) (*graph.Graph, error) {
 	return g, nil
 }
 
-// applyElastic wires the live controller (if any) into a spec; resizes need
-// checkpoints to roll back failed migrations, so default them on.
-func applyElastic[M any](spec *core.JobSpec[M], ctrl core.ElasticController, repart partition.Partitioner) {
-	if ctrl == nil {
-		return
-	}
-	spec.ElasticController = ctrl
-	spec.Repartitioner = repart
-	if spec.CheckpointEvery <= 0 {
-		spec.CheckpointEvery = 4
-	}
-}
-
-// applyRecovery wires the fault-tolerance flags: checkpoint cadence and the
-// recovery mode (confined rolls back only the failed workers; global rolls
-// back everyone).
-func applyRecovery[M any](spec *core.JobSpec[M], mode string, every int) error {
-	switch mode {
-	case "confined":
-		spec.RecoveryMode = core.RecoverConfined
-	case "global":
-		spec.RecoveryMode = core.RecoverGlobal
-	default:
-		return fmt.Errorf("unknown -recovery mode %q (want confined or global)", mode)
-	}
-	if every > 0 {
-		spec.CheckpointEvery = every
-	}
-	return nil
-}
-
-func report(steps []core.StepStats, simSec, cost, vmSec float64, scales []core.ScaleEvent, detail bool) {
-	var msgs int64
-	for i := range steps {
-		msgs += steps[i].TotalSent()
-	}
+func report(out *algorithms.Outcome, detail bool) {
 	fmt.Printf("completed in %d supersteps, %d messages, %.2f simulated seconds, $%.4f simulated cost\n",
-		len(steps), msgs, simSec, cost)
-	if len(scales) > 0 {
-		fmt.Printf("elastic: %d resize(s), %.1f VM-seconds billed\n", len(scales), vmSec)
-		for _, ev := range scales {
+		len(out.Steps), out.Messages(), out.SimSeconds, out.CostDollars)
+	if len(out.ScaleEvents) > 0 {
+		fmt.Printf("elastic: %d resize(s), %.1f VM-seconds billed\n", len(out.ScaleEvents), out.VMSeconds)
+		for _, ev := range out.ScaleEvents {
 			fmt.Printf("  superstep %3d: %d -> %d workers via %s (%d vertices / %d bytes migrated, cut %.1f%% -> %.1f%%, +%.2fs)\n",
 				ev.Superstep, ev.FromWorkers, ev.ToWorkers, ev.Strategy,
 				ev.MovedVertices, ev.MigratedBytes, 100*ev.CutBefore, 100*ev.CutAfter, ev.SimSeconds)
 		}
 	}
-	fmt.Printf("messages/superstep: %s\n", metrics.Sparkline(metrics.MessagesPerStep(steps)))
+	fmt.Printf("messages/superstep: %s\n", metrics.Sparkline(metrics.MessagesPerStep(out.Steps)))
 	if detail {
 		metrics.SeriesTable("per-superstep",
-			metrics.MessagesPerStep(steps),
-			metrics.ActivePerStep(steps),
-			metrics.PeakMemoryPerStep(steps),
-			metrics.SimTimePerStep(steps),
+			metrics.MessagesPerStep(out.Steps),
+			metrics.ActivePerStep(out.Steps),
+			metrics.PeakMemoryPerStep(out.Steps),
+			metrics.SimTimePerStep(out.Steps),
 		).Render(os.Stdout)
 	}
 }
-
-func printTop(what string, scores []float64, n int) {
-	type kv struct {
-		v VertexID
-		s float64
-	}
-	all := make([]kv, len(scores))
-	for v, s := range scores {
-		all[v] = kv{VertexID(v), s}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].s > all[j].s })
-	if n > len(all) {
-		n = len(all)
-	}
-	fmt.Printf("top %d vertices by %s:\n", n, what)
-	for i := 0; i < n; i++ {
-		fmt.Printf("  %8d  %.6g\n", all[i].v, all[i].s)
-	}
-}
-
-type VertexID = graph.VertexID
 
 func writeTrace(path string, rec *observe.Recorder) error {
 	f, err := os.Create(path)

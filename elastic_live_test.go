@@ -9,7 +9,6 @@ import (
 	"pregelnet/internal/algorithms"
 	"pregelnet/internal/observe"
 	"pregelnet/internal/partition"
-	"pregelnet/internal/transport"
 )
 
 // Live elastic-scaling determinism tests: a job whose worker count changes
@@ -127,18 +126,7 @@ func TestLiveScalingBCOverTCP(t *testing.T) {
 	spec := BCSpec(g, 2, AllSourcesAtOnce(roots))
 	spec.CheckpointEvery = 3
 	spec.ElasticController = mustLiveThreshold(t, 2, 5)
-	network, err := transport.NewTCPNetwork(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer network.Close()
-	spec.Network = network
-	// Resizes rebuild the data plane: each post-resize segment gets a fresh
-	// loopback TCP network sized for the new worker count (closed by the
-	// engine when the segment ends).
-	spec.NetworkFactory = func(n int) (transport.Network, error) {
-		return transport.NewTCPNetwork(n)
-	}
+	spec.NetworkFactory = tcpNetwork
 	res, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -171,15 +159,7 @@ func TestChaosSoakElasticResizeTCP(t *testing.T) {
 	spec := BCSpec(g, 2, AllSourcesAtOnce(roots))
 	spec.CheckpointEvery = 3
 	spec.ElasticController = mustLiveThreshold(t, 2, 5)
-	network, err := transport.NewTCPNetwork(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer network.Close()
-	spec.Network = network
-	spec.NetworkFactory = func(n int) (transport.Network, error) {
-		return transport.NewTCPNetwork(n)
-	}
+	spec.NetworkFactory = tcpNetwork
 	tracer, recorder := NewTraceRecorder(1 << 17)
 	spec.Tracer = tracer
 	spec.Chaos = NewChaos(FaultPlan{
@@ -264,15 +244,7 @@ func TestLiveResizeRepartitioners(t *testing.T) {
 					t.Fatalf("unknown repartitioner %q", repart)
 				}
 				if net == "tcp" {
-					network, err := transport.NewTCPNetwork(2)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer network.Close()
-					spec.Network = network
-					spec.NetworkFactory = func(n int) (transport.Network, error) {
-						return transport.NewTCPNetwork(n)
-					}
+					spec.NetworkFactory = tcpNetwork
 				}
 				res, err := Run(spec)
 				if err != nil {
@@ -308,15 +280,7 @@ func TestLiveResizeRepartitioners(t *testing.T) {
 			spec.CheckpointEvery = 2
 			spec.ElasticController = mustLiveThreshold(t, 2, 5)
 			if net == "tcp" {
-				network, err := transport.NewTCPNetwork(2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer network.Close()
-				spec.Network = network
-				spec.NetworkFactory = func(n int) (transport.Network, error) {
-					return transport.NewTCPNetwork(n)
-				}
+				spec.NetworkFactory = tcpNetwork
 			}
 			res, err := Run(spec)
 			if err != nil {
@@ -356,19 +320,11 @@ func TestChaosSoakIncrementalResizeTCP(t *testing.T) {
 		spec.CheckpointEvery = 3
 		spec.Assignment = append(Assignment(nil), initial...)
 		spec.ElasticController = mustLiveThreshold(t, 4, 5)
-		spec.NetworkFactory = func(n int) (transport.Network, error) {
-			return transport.NewTCPNetwork(n)
-		}
+		spec.NetworkFactory = tcpNetwork
 		return spec
 	}
 
 	spec := mkSpec(t)
-	network, err := transport.NewTCPNetwork(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer network.Close()
-	spec.Network = network
 	tracer, recorder := NewTraceRecorder(1 << 17)
 	spec.Tracer = tracer
 	spec.Chaos = NewChaos(FaultPlan{
@@ -416,23 +372,11 @@ func TestChaosSoakIncrementalResizeTCP(t *testing.T) {
 		return total
 	}
 	incSpec := mkSpec(t)
-	incNet, err := transport.NewTCPNetwork(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer incNet.Close()
-	incSpec.Network = incNet
 	incRes, err := Run(incSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hashSpec := mkSpec(t)
-	hashNet, err := transport.NewTCPNetwork(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hashNet.Close()
-	hashSpec.Network = hashNet
 	hashSpec.Repartitioner = HashPartitioner
 	hashRes, err := Run(hashSpec)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"pregelnet/internal/cloud"
 	"pregelnet/internal/core"
 	"pregelnet/internal/graph"
-	"pregelnet/internal/transport"
 )
 
 // TestBitExactDelivery: at a fixed assignment and ComputeParallelism 1, the
@@ -56,7 +55,7 @@ func checkBitExact[M any](t *testing.T, mk func() core.JobSpec[M], values func(*
 		{"chan-2", nil, nil},
 		{"chan-3", nil, nil},
 		{"tcp", func(s *core.JobSpec[M]) {
-			s.NetworkFactory = func(n int) (transport.Network, error) { return transport.NewTCPNetwork(n) }
+			s.NetworkFactory = tcpNetwork
 		}, nil},
 		{"confined", restart(core.RecoverConfined), func(res *core.JobResult[M]) bool {
 			return len(res.RecoveryEvents) == 1 && res.RecoveryEvents[0].Confined

@@ -58,13 +58,17 @@ func main() {
 	g := pregelnet.GenerateWattsStrogatz(5000, 6, 0.1, 42)
 	const workers = 4
 
-	network, err := pregelnet.NewTCPNetwork(workers)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer network.Close()
-	for w := 0; w < workers; w++ {
-		fmt.Printf("worker %d data endpoint: %s\n", w, network.Addr(w))
+	// The engine builds the data plane through the factory and closes it
+	// when the job ends.
+	tcp := func(n int) (pregelnet.Network, error) {
+		network, err := pregelnet.NewTCPNetwork(n)
+		if err != nil {
+			return nil, err
+		}
+		for w := 0; w < n; w++ {
+			fmt.Printf("worker %d data endpoint: %s\n", w, network.Addr(w))
+		}
+		return network, nil
 	}
 
 	rng := rand.New(rand.NewSource(7))
@@ -74,11 +78,11 @@ func main() {
 	}
 
 	spec := pregelnet.JobSpec[uint32]{
-		Graph:      g,
-		NumWorkers: workers,
-		Network:    network,
-		Codec:      uint32Codec{},
-		Combiner:   maxCombiner{},
+		Graph:          g,
+		NumWorkers:     workers,
+		NetworkFactory: tcp,
+		Codec:          uint32Codec{},
+		Combiner:       maxCombiner{},
 		NewProgram: func(_ int, _ *pregelnet.Graph, owned []pregelnet.VertexID) pregelnet.VertexProgram[uint32] {
 			p := &maxProgram{values: make([]uint32, len(owned)), seed: make([]uint32, len(owned))}
 			for li, v := range owned {

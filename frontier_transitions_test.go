@@ -58,7 +58,7 @@ func TestSparseFrontierTransitions(t *testing.T) {
 		factory func(n int) (transport.Network, error)
 	}{
 		{"chan", nil},
-		{"tcp", func(n int) (transport.Network, error) { return transport.NewTCPNetwork(n) }},
+		{"tcp", tcpNetwork},
 	}
 	for _, model := range models {
 		base := model.spec(g)

@@ -126,6 +126,14 @@ func (p *pageRankProgram) ReadVertex(li int32, src []byte) (int, error) {
 }
 
 // AppendVertex implements core.StateCodec.
+func (p *wssspProgram) AppendVertex(dst []byte, li int32) []byte { return appendF64(dst, p.dist[li]) }
+
+// ReadVertex implements core.StateCodec.
+func (p *wssspProgram) ReadVertex(li int32, src []byte) (int, error) {
+	return readF64(&p.dist[li], src)
+}
+
+// AppendVertex implements core.StateCodec.
 func (p *ssspProgram) AppendVertex(dst []byte, li int32) []byte { return appendI32(dst, p.dist[li]) }
 
 // ReadVertex implements core.StateCodec.

@@ -172,7 +172,7 @@ func stateProgramFor[M any](name string, spec core.JobSpec[M]) stateProgram {
 	}
 }
 
-// statePrograms lists all ten built-in programs with per-vertex state.
+// statePrograms lists all eleven built-in programs with per-vertex state.
 func statePrograms() []stateProgram {
 	g := graph.ErdosRenyi(16, 40, 3)
 	roots := Sources(g, 3)
@@ -187,6 +187,7 @@ func statePrograms() []stateProgram {
 		stateProgramFor("wcc-subgraph", WCCSubgraph(g, 1)),
 		stateProgramFor("wsssp-subgraph", WeightedSSSPSubgraph(graph.RandomWeights(g, 1, 4, 5), 1, 0)),
 		stateProgramFor("bc-subgraph", BCSubgraph(g, 1, roots)),
+		stateProgramFor("wsssp", WeightedSSSP(graph.RandomWeights(g, 1, 4, 5), 1, 0)),
 	}
 }
 

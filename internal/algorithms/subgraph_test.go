@@ -18,16 +18,15 @@ import (
 // deterministic but accumulates floats in a different (id-sorted) order
 // than the vertex program, so it is compared with an ULP-scale tolerance.
 
+// tcpNetwork builds a loopback TCP data plane; as a JobSpec.NetworkFactory
+// it gives every run segment fresh sockets, which the engine closes.
+func tcpNetwork(n int) (transport.Network, error) { return transport.NewTCPNetwork(n) }
+
 // subgraphHarness runs spec under the named transport and partitioner.
 func subgraphHarness[M any](t *testing.T, spec core.JobSpec[M], transportName string, part partition.Partitioner, workers int) *core.JobResult[M] {
 	t.Helper()
 	if transportName == "tcp" {
-		net, err := transport.NewTCPNetwork(workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec.Network = net
-		defer net.Close()
+		spec.NetworkFactory = tcpNetwork
 	}
 	if part != nil {
 		spec.Assignment = part.Partition(spec.Graph, workers)
@@ -258,12 +257,7 @@ func TestChaosSoakSubgraphTCP(t *testing.T) {
 		QueueDuplicateProb: 1,
 		VMRestarts:         []cloud.VMRestart{{Worker: 1, Superstep: 3}},
 	})
-	net, err := transport.NewTCPNetwork(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	spec.Network = net
+	spec.NetworkFactory = tcpNetwork
 
 	res, err := core.Run(spec)
 	if err != nil {

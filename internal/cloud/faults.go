@@ -141,8 +141,8 @@ type Chaos struct {
 	stats    FaultStats
 	observer func(kind, detail string)
 
-	firedRestarts     map[VMRestart]bool
-	firedDrops        map[ConnDrop]bool
+	firedRestarts      map[VMRestart]bool
+	firedDrops         map[ConnDrop]bool
 	scriptedWriteFails int64
 }
 

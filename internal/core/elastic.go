@@ -26,8 +26,7 @@ import (
 // it) keeps the deployment unchanged. Implementations may keep state; the
 // manager calls Workers from a single goroutine.
 //
-// Live scaling requires the program to implement StateCodec and, if
-// a custom Network is supplied, a NetworkFactory to rebuild it.
+// Live scaling requires the program to implement StateCodec.
 type ElasticController interface {
 	Workers(prev *StepStats, current int) int
 }

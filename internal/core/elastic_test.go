@@ -196,17 +196,6 @@ func TestLiveResizeRequiresMigratableProgram(t *testing.T) {
 	}
 }
 
-func TestLiveResizeWithCustomNetworkRequiresFactory(t *testing.T) {
-	g := graph.Ring(16)
-	spec := ckptSpec(g, 2, 0)
-	spec.Network = transport.NewChannelNetwork(2, 64)
-	spec.ElasticController = stepAtController(0, 4)
-	_, err := Run(spec)
-	if err == nil || !strings.Contains(err.Error(), "NetworkFactory") {
-		t.Errorf("err = %v, want NetworkFactory requirement error", err)
-	}
-}
-
 func TestLiveResizeSurvivesFaultDuringMigration(t *testing.T) {
 	// A VM restart scripted for the exact superstep the resize resumes at
 	// fires inside the migrate handler: the resize attempt must be absorbed

@@ -7,7 +7,6 @@ import (
 
 	"pregelnet/internal/graph"
 	"pregelnet/internal/partition"
-	"pregelnet/internal/transport"
 )
 
 // TestTinyFlushForcesManyBatches drives the bulk-transfer path with a flush
@@ -44,17 +43,12 @@ func TestTinyFlushForcesManyBatches(t *testing.T) {
 // communicate over real sockets (values travel via the control plane).
 func TestAggregatorsOverTCP(t *testing.T) {
 	g := graph.Ring(32)
-	network, err := transport.NewTCPNetwork(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer network.Close()
 	var checked atomic.Int64
 	spec := JobSpec[uint32]{
-		Graph:      g,
-		NumWorkers: 4,
-		Network:    network,
-		Codec:      Uint32Codec{},
+		Graph:          g,
+		NumWorkers:     4,
+		NetworkFactory: tcpNetwork,
+		Codec:          Uint32Codec{},
 		NewProgram: func(int, *graph.Graph, []graph.VertexID) VertexProgram[uint32] {
 			return computeFunc[uint32](func(ctx *Context[uint32], msgs []uint32) {
 				switch ctx.Superstep() {
@@ -179,13 +173,8 @@ func TestMultiRootInjectionAcrossSteps(t *testing.T) {
 // TCP with a multilevel partition must agree with the sequential reference.
 func TestEngineWithMETISAssignment(t *testing.T) {
 	g := graph.WattsStrogatz(500, 6, 0.1, 5)
-	network, err := transport.NewTCPNetwork(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer network.Close()
 	spec := bfsSpec(g, 4, 7)
-	spec.Network = network
+	spec.NetworkFactory = tcpNetwork
 	spec.Assignment = partition.NewMultilevel().Partition(g, 4)
 	res, err := Run(spec)
 	if err != nil {

@@ -116,13 +116,8 @@ func TestBFSMultiWorkerRemoteMessaging(t *testing.T) {
 
 func TestBFSOverTCP(t *testing.T) {
 	g := graph.ErdosRenyi(150, 500, 7)
-	network, err := transport.NewTCPNetwork(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer network.Close()
 	spec := bfsSpec(g, 3, 1)
-	spec.Network = network
+	spec.NetworkFactory = tcpNetwork
 	res, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -411,3 +406,7 @@ func TestLargeParallelism(t *testing.T) {
 	}
 	checkBFSMatches(t, g, res, 0)
 }
+
+// tcpNetwork builds a loopback TCP data plane; as a JobSpec.NetworkFactory
+// it gives every run segment fresh sockets, which the engine closes.
+func tcpNetwork(n int) (transport.Network, error) { return transport.NewTCPNetwork(n) }

@@ -114,11 +114,10 @@ func RunBatchFuzz[M any](f *testing.F, spec JobSpec[M]) {
 	spec.NumWorkers = 2
 	rec := &recordingNetwork{Network: transport.NewChannelNetwork(2, 64)}
 	seed := spec
-	seed.Network = rec
+	seed.NetworkFactory = func(int) (transport.Network, error) { return rec, nil }
 	if _, err := Run(seed); err != nil {
 		f.Fatal(err)
 	}
-	rec.Close()
 	if len(rec.batches) == 0 {
 		f.Fatal("the seed run sent worker 0 no data")
 	}

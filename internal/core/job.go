@@ -83,9 +83,6 @@ type JobSpec[M any] struct {
 	// CostModel prices resource usage into simulated time. Zero value means
 	// cloud.DefaultCostModel(cloud.LargeVM()).
 	CostModel cloud.CostModel
-	// Network is the data plane; nil defaults to an in-process channel
-	// network.
-	Network transport.Network
 	// Queues is the control plane namespace; nil allocates a private one.
 	Queues *cloud.QueueService
 	// MaxSupersteps aborts runaway jobs (default 100000).
@@ -160,14 +157,14 @@ type JobSpec[M any] struct {
 	// implement StateCodec. Use elastic.NewLiveController (or the pregel
 	// facade) to adapt a scaling policy.
 	ElasticController ElasticController
-	// NetworkFactory builds the data plane for a given worker count; live
-	// resizes close the old network and invoke it for the new count. Nil
-	// defaults to fresh in-process channel networks. Required when
-	// ElasticController is combined with a custom Network (the initial
-	// segment still uses Network if both are set).
+	// NetworkFactory builds the data plane for a given worker count: once
+	// per run segment (the initial one, and again after every live resize
+	// or resume). The engine owns every network it builds and closes it
+	// when the segment ends. Nil defaults to fresh in-process channel
+	// networks.
 	NetworkFactory func(numWorkers int) (transport.Network, error)
 	// Repartitioner chooses vertex placement for the new worker count at
-	// each live resize (default partition.Hash).
+	// each live resize (default partition.NewIncremental()).
 	Repartitioner partition.Partitioner
 	// BarrierPreempt, when non-nil, makes the job preemptible: the manager
 	// consults it after every completed superstep barrier (after the elastic
@@ -312,9 +309,6 @@ func (s *JobSpec[M]) withDefaults() (JobSpec[M], error) {
 			spec.RecoveryMode, RecoverConfined, RecoverGlobal)
 	}
 	if spec.ElasticController != nil {
-		if spec.Network != nil && spec.NetworkFactory == nil {
-			return spec, fmt.Errorf("core: ElasticController with a custom Network requires a NetworkFactory to rebuild it after a resize")
-		}
 		if spec.Repartitioner == nil {
 			// Incremental by default: a resize adapts the current assignment
 			// (whatever produced it — METIS, LDG, a caller-supplied layout)

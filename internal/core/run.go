@@ -342,26 +342,14 @@ func runSegment[M any](s *JobSpec[M], js *jobState, fabric *cloud.Fabric,
 	n := s.Graph.NumVertices()
 	lay := specLayout(s)
 
-	// The data plane: the caller's Network for the initial segment if one
-	// was supplied, otherwise (and for every post-resize segment) a fresh
-	// build from the factory, owned and closed by this segment.
-	network := s.Network
-	ownNetwork := false
-	if network == nil || s.segment > 0 {
-		var err error
-		network, err = s.NetworkFactory(s.NumWorkers)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: building network for %d workers: %w", s.NumWorkers, err)
-		}
-		ownNetwork = true
+	// The data plane: a fresh build from the factory, owned and closed by
+	// this segment.
+	network, err := s.NetworkFactory(s.NumWorkers)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: building network for %d workers: %w", s.NumWorkers, err)
 	}
-	closeNet := func() {
-		if ownNetwork {
-			network.Close()
-		}
-	}
+	defer network.Close()
 	if network.NumWorkers() < s.NumWorkers {
-		closeNet()
 		return nil, nil, fmt.Errorf("core: network has %d endpoints, need %d", network.NumWorkers(), s.NumWorkers)
 	}
 	if s.Tracer.Enabled() || s.Metrics.Enabled() {
@@ -380,14 +368,12 @@ func runSegment[M any](s *JobSpec[M], js *jobState, fabric *cloud.Fabric,
 	for w := 0; w < s.NumWorkers; w++ {
 		ep, err := network.Endpoint(w)
 		if err != nil {
-			closeNet()
 			return nil, nil, err
 		}
 		workers[w] = newWorker(s, w, lay, ep, ins)
 	}
 	if (s.CheckpointEvery > 0 || s.ElasticController != nil || s.BarrierPreempt != nil || adopt != nil) &&
 		workers[0].state == nil {
-		closeNet()
 		return nil, nil, fmt.Errorf("core: checkpointing, live resizes and preemption need a program implementing StateCodec; %T does not", workers[0].programAny())
 	}
 	if adopt != nil {
@@ -400,7 +386,6 @@ func runSegment[M any](s *JobSpec[M], js *jobState, fabric *cloud.Fabric,
 			w.doneThrough = adopt.resumeStep - 1
 		}
 		if err := adoptMigrations(workers, s.CheckpointStore, adopt.resumeStep, adopt.fromAssign, adopt.fromWorkers); err != nil {
-			closeNet()
 			return nil, nil, fmt.Errorf("core: adopting migrated state: %w", err)
 		}
 		// Carry the traffic counters across the resize so the affinity
@@ -442,7 +427,6 @@ func runSegment[M any](s *JobSpec[M], js *jobState, fabric *cloud.Fabric,
 		s.Queues.CloseAll()
 	}
 	wg.Wait()
-	closeNet()
 	return resize, workers, runErr
 }
 

@@ -334,7 +334,11 @@ func FirstNSources(g *graph.Graph, n int) []graph.VertexID {
 // from the two options the CLI and the job service spell the same way:
 // swath sizing none|adaptive|sampling (none injects every root at once) and
 // initiation seq|dynamic|static<N>. The sizers aim at 6/7 of memoryBytes.
+// Fewer than one root is an error.
 func ParseSwathScheduler(g *graph.Graph, roots int, swath, initiate string, memoryBytes int64) (SwathScheduler, error) {
+	if roots < 1 {
+		return nil, fmt.Errorf("roots %d: need at least 1", roots)
+	}
 	var sizer SwathSizer
 	target := memoryBytes * 6 / 7
 	switch swath {

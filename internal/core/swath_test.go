@@ -239,3 +239,34 @@ func TestFirstNSourcesClamps(t *testing.T) {
 		t.Errorf("sources = %v", got)
 	}
 }
+
+func TestParseSwathScheduler(t *testing.T) {
+	g := graph.Ring(16)
+	for _, tc := range []struct {
+		roots           int
+		swath, initiate string
+		wantErr         bool
+		wantAllAtOnce   bool
+	}{
+		{4, "none", "dynamic", false, true},
+		{4, "adaptive", "seq", false, false},
+		{4, "sampling", "static2", false, false},
+		{4, "bogus", "dynamic", true, false},
+		{4, "adaptive", "static0", true, false},
+		{4, "adaptive", "later", true, false},
+		{0, "adaptive", "dynamic", true, false},
+		{-3, "none", "dynamic", true, false},
+	} {
+		s, err := ParseSwathScheduler(g, tc.roots, tc.swath, tc.initiate, 1<<30)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("roots %d, %s/%s: err = %v, want error %v", tc.roots, tc.swath, tc.initiate, err, tc.wantErr)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		if _, all := s.(*AllAtOnce); all != tc.wantAllAtOnce {
+			t.Errorf("roots %d, %s/%s: scheduler %T", tc.roots, tc.swath, tc.initiate, s)
+		}
+	}
+}

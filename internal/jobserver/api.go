@@ -3,6 +3,7 @@ package jobserver
 import (
 	"fmt"
 
+	"pregelnet/internal/algorithms"
 	"pregelnet/internal/core"
 	"pregelnet/internal/graph"
 	"pregelnet/internal/partition"
@@ -10,7 +11,8 @@ import (
 
 // JobRequest is the submission payload.
 type JobRequest struct {
-	// Algorithm: pagerank | bc | apsp | sssp | wcc | lpa.
+	// Algorithm: pagerank | bc | apsp | sssp | wsssp | wcc | lpa (the
+	// algorithm catalog, algorithms.Names).
 	Algorithm string `json:"algorithm"`
 	// Graph: built-in dataset name (sd | wg | cp | lj).
 	Graph string `json:"graph"`
@@ -23,7 +25,7 @@ type JobRequest struct {
 	// Iterations for pagerank/lpa (default 30/10).
 	Iterations int `json:"iterations,omitempty"`
 	// Model selects the programming model: vertex | subgraph (default
-	// vertex). Under subgraph, traversal algorithms (sssp, wcc, bc) run
+	// vertex). Under subgraph, traversal algorithms (sssp, wsssp, wcc, bc) run
 	// their partition-centric ports — local convergence between barriers,
 	// boundary-only messages — and the rest run their vertex programs under
 	// the engine's adapter, so results match the vertex model either way.
@@ -88,30 +90,17 @@ type Summary struct {
 	// at a barrier; PreemptSeconds is the billed suspend/resume overhead
 	// (kept out of SimSeconds, so the per-superstep timeline matches an
 	// uninterrupted run exactly).
-	Preemptions    int         `json:"preemptions,omitempty"`
-	PreemptSeconds float64     `json:"preemptSeconds,omitempty"`
-	TopVertices    []TopVertex `json:"topVertices,omitempty"`
-	Extra          string      `json:"extra,omitempty"`
-}
-
-// TopVertex is one row of a ranked result.
-type TopVertex struct {
-	Vertex graph.VertexID `json:"vertex"`
-	Score  float64        `json:"score"`
+	Preemptions    int     `json:"preemptions,omitempty"`
+	PreemptSeconds float64 `json:"preemptSeconds,omitempty"`
+	// TopVertices are the ten best-scoring vertices of pagerank and bc.
+	TopVertices []algorithms.TopVertex `json:"topVertices,omitempty"`
+	// Extra is the result of the other algorithms in one line.
+	Extra string `json:"extra,omitempty"`
 }
 
 // validate normalizes a request in place, filling defaults and rejecting
 // out-of-range values.
 func validate(req *JobRequest) error {
-	switch req.Algorithm {
-	case "pagerank", "bc", "apsp", "sssp", "wcc", "lpa":
-	default:
-		return fmt.Errorf("unknown algorithm %q", req.Algorithm)
-	}
-	g := graph.Dataset(req.Graph)
-	if g == nil {
-		return fmt.Errorf("unknown graph %q (want sd|wg|cp|lj)", req.Graph)
-	}
 	if req.Workers == 0 {
 		req.Workers = 8
 	}
@@ -137,14 +126,18 @@ func validate(req *JobRequest) error {
 	if req.Model == "" {
 		req.Model = "vertex"
 	}
-	if req.Model != "vertex" && req.Model != "subgraph" {
-		return fmt.Errorf("unknown model %q (want vertex|subgraph)", req.Model)
-	}
 	if req.Swath == "" {
 		req.Swath = "adaptive"
 	}
 	if req.Initiate == "" {
 		req.Initiate = "dynamic"
+	}
+	if err := req.job().Validate(req.Workers); err != nil {
+		return err
+	}
+	g := graph.Dataset(req.Graph)
+	if g == nil {
+		return fmt.Errorf("unknown graph %q (want sd|wg|cp|lj)", req.Graph)
 	}
 	if _, err := core.ParseSwathScheduler(g, req.Roots, req.Swath, req.Initiate, 0); err != nil {
 		return err
@@ -167,6 +160,12 @@ func validate(req *JobRequest) error {
 		return fmt.Errorf("priority %d out of range [0,9]", req.Priority)
 	}
 	return nil
+}
+
+// job is the catalog request a validated JobRequest names.
+func (req *JobRequest) job() algorithms.Request {
+	return algorithms.Request{Algorithm: req.Algorithm, Model: req.Model, Roots: req.Roots,
+		Iterations: req.Iterations, Swath: req.Swath, Initiate: req.Initiate}
 }
 
 // slotsNeeded is the fleet reservation a request demands: its full elastic

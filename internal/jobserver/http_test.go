@@ -80,6 +80,27 @@ func TestSubmitAndCompletePageRank(t *testing.T) {
 	}
 }
 
+// TestSubmitWeightedSSSP runs the one catalog algorithm the service used to
+// reject: its request validates, the job completes, and its result line is
+// the one the command line tool prints.
+func TestSubmitWeightedSSSP(t *testing.T) {
+	s := newTestServer(t, Config{MaxConcurrent: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, model := range []string{"vertex", "subgraph"} {
+		id := postJob(t, ts, JobRequest{Algorithm: "wsssp", Graph: "sd", Workers: 2, Model: model})
+		st := awaitJob(t, ts, id)
+		if st.State != StateDone {
+			t.Fatalf("%s: state = %s (%s)", model, st.State, st.Error)
+		}
+		if !strings.HasPrefix(st.Result.Extra, "reached 2048/2048 vertices, weighted eccentricity ") {
+			t.Errorf("%s: extra = %q", model, st.Result.Extra)
+		}
+	}
+}
+
 func TestSubmitBCWithSwaths(t *testing.T) {
 	s := newTestServer(t, Config{MaxConcurrent: 1})
 	defer s.Close()
@@ -102,6 +123,7 @@ func TestSubmitBCWithSwaths(t *testing.T) {
 // invalidRequests are rejected at submission.
 var invalidRequests = []JobRequest{
 	{Algorithm: "nope", Graph: "sd"},
+	{Algorithm: "kcore", Graph: "sd"}, // in the algorithms package, not in its catalog
 	{Algorithm: "pagerank", Graph: "nope"},
 	{Algorithm: "pagerank", Graph: "sd", Workers: 1000},
 	{Algorithm: "pagerank", Graph: "sd", Partitioner: "nope"},

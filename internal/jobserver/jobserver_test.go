@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"pregelnet/internal/algorithms"
 	"pregelnet/internal/cloud"
 )
 
@@ -38,7 +39,7 @@ func mustValidate(t *testing.T, req JobRequest) JobRequest {
 // bit-identical baseline.
 func isolatedRun(t *testing.T, req JobRequest) *Summary {
 	t.Helper()
-	sum, err := executeJob(req, &runHooks{queues: cloud.NewQueueService()})
+	sum, err := executeJob(req, algorithms.Env{Queues: cloud.NewQueueService()})
 	if err != nil {
 		t.Fatalf("isolated run: %v", err)
 	}

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"pregelnet/internal/algorithms"
 	"pregelnet/internal/cloud"
 	"pregelnet/internal/core"
 	"pregelnet/internal/observe"
@@ -356,19 +357,19 @@ func (s *Server) runJob(j *job) {
 	s.mu.Unlock()
 	j.events.append(Event{Type: "state", State: StateRunning}, false)
 
-	summary, err := executeJob(req, &runHooks{
-		tracer:  j.tracer,
-		metrics: s.metrics,
-		queues:  queues,
-		barrierPreempt: func(int) bool {
+	summary, err := executeJob(req, algorithms.Env{
+		Tracer:  j.tracer,
+		Metrics: s.metrics,
+		Queues:  queues,
+		BarrierPreempt: func(int) bool {
 			return j.preemptFlag.Load()
 		},
-		onStep: func(st core.StepStats) {
+		OnStep: func(st core.StepStats) {
 			j.events.append(Event{Type: "superstep", Superstep: st.Superstep,
 				ActiveVertices: st.ActiveVertices, Messages: st.TotalSent(),
 				SimSeconds: st.SimSeconds}, false)
 		},
-		onSuspend: func(susp *core.Suspension) {
+		OnSuspend: func(susp *core.Suspension) {
 			s.waitForResume(j, susp)
 		},
 	})

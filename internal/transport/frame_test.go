@@ -90,18 +90,17 @@ func (e *framingEndpoint) Send(b *transport.Batch) error {
 // bytes it consumed. The seeds are frames of a small BC job over real
 // sockets: data batches and sentinels.
 func FuzzTCPFrame(f *testing.F) {
-	tcp, err := transport.NewTCPNetwork(2)
-	if err != nil {
-		f.Fatal(err)
-	}
-	net := &framingNetwork{Network: tcp}
+	net := &framingNetwork{}
 	g := graph.ErdosRenyi(30, 90, 3)
 	spec := algorithms.BC(g, 2, core.NewAllAtOnce(algorithms.Sources(g, 3)))
-	spec.Network = net
+	spec.NetworkFactory = func(n int) (transport.Network, error) {
+		tcp, err := transport.NewTCPNetwork(n)
+		net.Network = tcp
+		return net, err
+	}
 	if _, err := core.Run(spec); err != nil {
 		f.Fatal(err)
 	}
-	net.Close()
 	if len(net.frames) == 0 {
 		f.Fatal("the seed run sent no frames")
 	}
