@@ -17,7 +17,8 @@ import (
 //
 //	t+d   : vertices at distance d receive forward messages from all their
 //	        predecessors at once, fix sigma and dist, record predecessors,
-//	        ack each predecessor, and forward to neighbors;
+//	        ack all predecessors with one SendToAll, and forward to
+//	        neighbors;
 //	t+d+2 : acks from every successor have arrived, so the successor count
 //	        is final; a vertex with zero successors (leaf) fires its
 //	        backward contribution immediately;
@@ -85,7 +86,7 @@ type bcRootState struct {
 	back       int32
 	sigma      float64
 	delta      float64
-	preds      []uint32
+	preds      []graph.VertexID
 }
 
 const bcStateBaseBytes = 72
@@ -191,9 +192,8 @@ func (p *bcProgram) Compute(ctx *core.Context[BCMsg], msgs []BCMsg) {
 			// cross or back edge discovered late.
 			if int32(m.Aux) == st.dist && st.discovered == step {
 				st.sigma += m.Value
-				st.preds = append(st.preds, m.From)
+				st.preds = append(st.preds, graph.VertexID(m.From))
 				grew += 8
-				ctx.Send(graph.VertexID(m.From), BCMsg{Root: m.Root, Kind: bcAck})
 			}
 		case bcAck:
 			if ok {
@@ -210,10 +210,13 @@ func (p *bcProgram) Compute(ctx *core.Context[BCMsg], msgs []BCMsg) {
 
 	// Both loops below walk the roots in ascending order: they send messages
 	// and accumulate floating-point scores, so replay after recovery must
-	// repeat the original run's order. Newly discovered traversals forward
-	// their sigma down the tree.
+	// repeat the original run's order. Newly discovered traversals ack their
+	// predecessors, one ack per accepted forward (an ack only counts a
+	// successor, so when it is sent cannot move a bit), and forward their
+	// sigma down the tree.
 	for i := range states {
 		if st := &states[i]; st.discovered == step {
+			ctx.SendToAll(st.preds, BCMsg{Root: st.root, Kind: bcAck})
 			ctx.SendToNeighbors(BCMsg{Root: st.root, Kind: bcForward, From: self, Aux: uint32(st.dist + 1), Value: st.sigma})
 		}
 	}
@@ -231,10 +234,7 @@ func (p *bcProgram) Compute(ctx *core.Context[BCMsg], msgs []BCMsg) {
 		}
 		if st.dist > 0 {
 			p.scores[li] += st.delta
-			contribution := (1 + st.delta) / st.sigma
-			for _, pred := range st.preds {
-				ctx.Send(graph.VertexID(pred), BCMsg{Root: st.root, Kind: bcBackward, Value: contribution})
-			}
+			ctx.SendToAll(st.preds, BCMsg{Root: st.root, Kind: bcBackward, Value: (1 + st.delta) / st.sigma})
 		} else {
 			// The root finished: the whole traversal is complete.
 			ctx.Aggregate("bc/rootsDone", 1)

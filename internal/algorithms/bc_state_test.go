@@ -23,7 +23,7 @@ type checkedBC struct {
 
 // predsBase returns the first element of preds' backing array (nil when it
 // has none), which two slots must never share.
-func predsBase(preds []uint32) *uint32 {
+func predsBase(preds []graph.VertexID) *graph.VertexID {
 	if cap(preds) == 0 {
 		return nil
 	}
@@ -33,7 +33,7 @@ func predsBase(preds []uint32) *uint32 {
 func (c *checkedBC) Compute(ctx *core.Context[BCMsg], msgs []BCMsg) {
 	li := ctx.LocalIndex()
 	before := c.states[li]
-	spare := map[*uint32]bool{}
+	spare := map[*graph.VertexID]bool{}
 	for _, st := range before[len(before):cap(before)] {
 		if p := predsBase(st.preds); p != nil {
 			spare[p] = true
@@ -41,7 +41,7 @@ func (c *checkedBC) Compute(ctx *core.Context[BCMsg], msgs []BCMsg) {
 	}
 	c.bcProgram.Compute(ctx, msgs)
 	states := c.states[li]
-	seen := map[*uint32]int{}
+	seen := map[*graph.VertexID]int{}
 	for i, st := range states[:cap(states)] {
 		if i > 0 && i < len(states) && st.root <= states[i-1].root {
 			c.t.Errorf("vertex %d superstep %d: root %d follows root %d", ctx.Vertex(), ctx.Superstep(), st.root, states[i-1].root)

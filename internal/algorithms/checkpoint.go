@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"pregelnet/internal/core"
+	"pregelnet/internal/graph"
 )
 
 // Per-vertex state codecs (core.StateCodec) for every built-in vertex
@@ -226,9 +227,9 @@ func (p *bcProgram) ReadVertex(li int32, src []byte) (int, error) {
 		st.root = r.root(j, &prev)
 		st.dist, st.discovered, st.succ, st.back = r.i32(), r.i32(), r.i32(), r.i32()
 		st.sigma, st.delta = r.f64(), r.f64()
-		st.preds = make([]uint32, r.count(8))
+		st.preds = make([]graph.VertexID, r.count(8))
 		for k := range st.preds {
-			st.preds[k] = r.u32()
+			st.preds[k] = graph.VertexID(r.u32())
 		}
 		added += st.bytes()
 	}

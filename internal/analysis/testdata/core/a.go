@@ -1,10 +1,11 @@
 // Fixture for the mapiter analyzer's engine scope: in the core package's
-// message path — Context.Send, SendToNeighbors and the send kernel (send,
-// the span send broadcast, appendRecord, appendBroadcast, stageRecord,
-// encodeRemote, the fold kernels and the fold count's mark/markRare), a
-// run's span add (addSpan), finishSlot, the barrier merge (deliver,
-// install) and the receive-side decode (processBatch, decodeBatch) — a map
-// range must not decide the wire order or the order combiners fold in.
+// message path — Context.Send, SendToAll, SendToNeighbors and the send
+// kernel (send, multicast, the span send broadcast, appendRecord,
+// appendBroadcast, stageRecord, encodeRemote, the fold kernels and the fold
+// count's mark/markRare), a run's span and list adds (addSpan, addList),
+// finishSlot, the barrier merge (deliver, install) and the receive-side
+// decode (processBatch, decodeBatch, checkList) — a map range must not
+// decide the wire order or the order combiners fold in.
 package core
 
 import "sort"
@@ -68,6 +69,25 @@ type run[M any] struct {
 	spans [][]int32
 	sizes map[int32]float64
 	bytes float64
+}
+
+func (r *run[M]) addList(idx []byte, m M, size int64) {}
+
+// SendToAll staging each destination worker's list in map order.
+func (c *Context[M]) SendToAll(lists map[int][]int32, m M) {
+	for dest, lis := range lists { // want "message sends"
+		c.multicast(dest, lis, nil)
+	}
+}
+
+func (c *Context[M]) multicast(dest int, lis []int32, body []byte) {}
+
+// A multicast decode adding its lists to a run in map order: the inbox's
+// order is the map's.
+func (w *worker[M]) checkList(lists map[int32][]byte, r *run[M], m M) {
+	for _, idx := range lists { // want "message sends"
+		r.addList(idx, m, 8)
+	}
 }
 
 // A span add metering in map order.

@@ -21,6 +21,18 @@ func (v *vertex) Compute(ctx *core.Context[float64]) {
 	}
 }
 
+// One message to every vertex of a list, lists taken in map order: the
+// multicast records' order is the map's.
+type ackVertex struct {
+	preds map[uint32][]core.VertexID
+}
+
+func (v *ackVertex) Compute(ctx *core.Context[float64]) {
+	for root, preds := range v.preds { // want "message sends"
+		ctx.SendToAll(preds, float64(root))
+	}
+}
+
 // Aggregator folds in map order.
 type aggVertex struct {
 	counts map[string]float64

@@ -19,6 +19,7 @@ func (c *Context[M]) Superstep() int                   { return 0 }
 func (c *Context[M]) Vertex() VertexID                 { return 0 }
 func (c *Context[M]) Neighbors() []VertexID            { return c.neighbors }
 func (c *Context[M]) Send(to VertexID, m M)            {}
+func (c *Context[M]) SendToAll(dsts []VertexID, m M)   {}
 func (c *Context[M]) SendToNeighbors(m M)              {}
 func (c *Context[M]) Aggregate(name string, v float64) {}
 func (c *Context[M]) Agg(name string) (float64, bool)  { return 0, false }

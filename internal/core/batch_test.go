@@ -33,6 +33,16 @@ func broadcastRecord(from graph.VertexID, size int, body ...byte) []byte {
 	return append(appendMsgHeader(nil, from, size|broadcastFlag), body...)
 }
 
+// multicastRecord encodes one multicast record claiming k vertices and size
+// bytes, followed by body and then the local indices lis.
+func multicastRecord(k uint32, size int, body []byte, lis ...uint32) []byte {
+	rec := append(appendMsgHeader(nil, graph.VertexID(k), size|multicastFlag), body...)
+	for _, li := range lis {
+		rec = binary.LittleEndian.AppendUint32(rec, li)
+	}
+	return rec
+}
+
 // payload is a data batch payload: the logical size, then the records.
 func payload(logical int, records ...[]byte) []byte {
 	out := binary.LittleEndian.AppendUint32(nil, uint32(logical))
@@ -80,10 +90,19 @@ func TestHostileBatchFailsCheckIn(t *testing.T) {
 		{"broadcast from outside the graph", 1, 1, payload(one, broadcastRecord(1000, 4, 1, 0, 0, 0)), "broadcast from vertex 1000, which worker 1 does not own"},
 		{"broadcast from a vertex with no span here", 1, 1, payload(one, broadcastRecord(6, 4, 1, 0, 0, 0)), "broadcast from vertex 6, which has no neighbour on worker 0"},
 		{"broadcast size past the payload", 1, 2, payload(bcast, broadcastRecord(1, 100, 1, 2, 3, 4)), "message claims 100 bytes, 4 remain"},
-		{"broadcast size with the flag alone", 1, 2, payload(bcast, broadcastRecord(1, 0x7fffffff, 1, 2, 3, 4)), "message claims 2147483647 bytes, 4 remain"},
+		{"broadcast size with the flag alone", 1, 2, payload(bcast, broadcastRecord(1, 0x7fffffff, 1, 2, 3, 4)), "record flagged both broadcast and multicast"},
 		{"long broadcast", 1, 2, payload(bcast, broadcastRecord(1, 5, 1, 0, 0, 0, 0)), "message decoded 4 of 5 bytes"},
 		{"short broadcast", 1, 2, payload(bcast, broadcastRecord(1, 1, 7)), "decode panicked"},
 		{"broadcast count mismatch", 1, 1, payload(bcast, broadcastRecord(1, 4, 1, 0, 0, 0)), "2 messages, header says 1"},
+		{"both flags", 1, 1, payload(one, record(2, 4|broadcastFlag|multicastFlag, 1, 0, 0, 0)), "record flagged both broadcast and multicast"},
+		{"multicast of no vertices", 1, 1, payload(one, multicastRecord(0, 4, []byte{1, 0, 0, 0})), "multicast record lists no vertices"},
+		{"multicast list past the payload", 1, 3, payload(one, multicastRecord(3, 4, []byte{1, 0, 0, 0}, 0, 1)), "multicast record lists 3 vertices, 8 bytes remain"},
+		{"multicast list of a huge count", 1, 1, payload(one, multicastRecord(0xffffffff, 4, []byte{1, 0, 0, 0}, 0)), "multicast record lists 4294967295 vertices, 4 bytes remain"},
+		{"multicast of an index past the partition", 1, 2, payload(bcast, multicastRecord(2, 4, []byte{1, 0, 0, 0}, 0, 3)), "multicast record lists local index 3, worker 0 owns 3 vertices"},
+		{"multicast size past the payload", 1, 2, payload(bcast, multicastRecord(2, 100, []byte{1, 0, 0, 0}, 0, 1)), "message claims 100 bytes, 12 remain"},
+		{"long multicast", 1, 2, payload(bcast, multicastRecord(2, 5, []byte{1, 0, 0, 0, 0}, 0, 1)), "message decoded 4 of 5 bytes"},
+		{"multicast logical size counts the record once", 1, 2, payload(one, multicastRecord(2, 4, []byte{1, 0, 0, 0}, 0, 1)), "logical size 40 is not 24 bytes of records"},
+		{"multicast count mismatch", 1, 2, payload(bcast+one-transport.BatchHeaderSize, multicastRecord(3, 4, []byte{1, 0, 0, 0}, 0, 1, 2)), "3 messages, header says 2"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := bfsSpec(graph.Ring(8), 2, 0)

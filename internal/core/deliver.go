@@ -36,18 +36,26 @@ import (
 // across supersteps, so a run grows without copying and what it allocates
 // tracks its largest superstep, not twice that.
 //
-// An entry is either (li, m), one message for local vertex li, or (^u, m),
-// m for every vertex of the mirror span of the producer's vertex u (its
-// local index on the producing worker): a SendToNeighbors call, staged as
-// one entry by the sending slot's local run or a broadcast record decoded
-// into a receive run. A run holds one producer's messages, so every span
-// entry resolves through the one mirror the run is bound to. The merge
-// expands a span where it stands, so a run delivers exactly what its
-// messages one by one would have.
+// An entry is one of:
+//   - (li, m), one message for local vertex li;
+//   - (^u, m), m for every vertex of the mirror span of the producer's
+//     vertex u (its local index on the producing worker): a
+//     SendToNeighbors call, staged as one entry by the sending slot's local
+//     run or a broadcast record decoded into a receive run. A run holds one
+//     producer's messages, so every span entry resolves through the one
+//     mirror the run is bound to;
+//   - (listEntry, m), m for every vertex of the run's next list: a
+//     multicast record decoded into a receive run.
+//
+// The merge expands a span or a list where it stands, so a run delivers
+// exactly what its messages one by one would have.
 type run[M any] struct {
 	chunks []*runChunk[M]
 	n      int // entries held
-	msgs   int // messages held: one per plain entry, len(span) per span entry
+	msgs   int // messages held: one per plain entry, one per vertex of a span or list
+	// lists holds the list entries' local indices in entry order, each list
+	// behind its length.
+	lists []int32
 	// mirror holds the spans of the producer's vertices on this worker;
 	// nil for a run that takes no span entries.
 	mirror *mirror
@@ -65,6 +73,11 @@ type run[M any] struct {
 }
 
 const runChunkLen = 1 << 9
+
+// listEntry marks a list entry. No span entry collides with it: layouts
+// build mirror spans only for graphs of at most math.MaxInt32 vertices, so
+// a span's vertex u is below math.MaxInt32 and ^u above math.MinInt32.
+const listEntry = math.MinInt32
 
 type runChunk[M any] struct {
 	lis  [runChunkLen]int32
@@ -87,6 +100,26 @@ func (r *run[M]) addSpan(u int32, m M, size int64) {
 	r.bytes += int64(k) * size
 }
 
+// addList appends one entry standing for m to every vertex of the list
+// encoded in idx, 4-byte local indices as a multicast record carries them,
+// metering size bytes per message.
+func (r *run[M]) addList(idx []byte, m M, size int64) {
+	k := len(idx) / listIndexLen
+	r.lists = append(r.lists, int32(k))
+	for i := 0; i < len(idx); i += listIndexLen {
+		r.lists = append(r.lists, int32(binary.LittleEndian.Uint32(idx[i:])))
+	}
+	r.put(listEntry, m)
+	r.msgs += k
+	r.bytes += int64(k) * size
+}
+
+// list returns the list at offset at of r.lists and the offset of the next.
+func (r *run[M]) list(at int) ([]int32, int) {
+	k := int(r.lists[at])
+	return r.lists[at+1 : at+1+k], at + 1 + k
+}
+
 func (r *run[M]) put(li int32, m M) {
 	c, i := r.n/runChunkLen, r.n%runChunkLen
 	if c == len(r.chunks) {
@@ -107,11 +140,11 @@ func (r *run[M]) seg(c int) ([]int32, []M) {
 
 // runPos is how much a run holds: what truncate restores.
 type runPos struct {
-	n, msgs int
-	bytes   int64
+	n, msgs, lists int
+	bytes          int64
 }
 
-func (r *run[M]) pos() runPos { return runPos{r.n, r.msgs, r.bytes} }
+func (r *run[M]) pos() runPos { return runPos{r.n, r.msgs, len(r.lists), r.bytes} }
 
 // truncate drops everything appended since the run was at p, zeroing the
 // dropped messages (unless pointerFree) so they pin no memory.
@@ -120,13 +153,14 @@ func (r *run[M]) truncate(p runPos) {
 		_, msgs := r.seg(c)
 		clear(msgs[max(p.n-c*runChunkLen, 0):])
 	}
-	r.n, r.msgs, r.bytes = p.n, p.msgs, p.bytes
+	r.n, r.msgs, r.lists, r.bytes = p.n, p.msgs, r.lists[:p.lists], p.bytes
 }
 
 func (r *run[M]) reset() { r.truncate(runPos{}) }
 
 // countInto adds one to counts[li] for every message the run holds for li.
 func (r *run[M]) countInto(counts []int64) {
+	at := 0
 	for c := range r.segs() {
 		lis, _ := r.seg(c)
 		for _, li := range lis {
@@ -134,7 +168,13 @@ func (r *run[M]) countInto(counts []int64) {
 				counts[li]++
 				continue
 			}
-			for _, x := range r.mirror.span(^li) {
+			var xs []int32
+			if li == listEntry {
+				xs, at = r.list(at)
+			} else {
+				xs = r.mirror.span(^li)
+			}
+			for _, x := range xs {
 				counts[x]++
 			}
 		}
@@ -571,6 +611,7 @@ func (w *worker[M]) install(stages []*stage[M], runs []*run[M]) {
 	} else {
 		total := 0
 		for _, r := range runs {
+			at := 0
 			for c := range r.segs() {
 				lis, _ := r.seg(c)
 				for _, li := range lis {
@@ -578,7 +619,13 @@ func (w *worker[M]) install(stages []*stage[M], runs []*run[M]) {
 						in.count(li)
 						continue
 					}
-					for _, x := range r.mirror.span(^li) {
+					var xs []int32
+					if li == listEntry {
+						xs, at = r.list(at)
+					} else {
+						xs = r.mirror.span(^li)
+					}
+					for _, x := range xs {
 						in.count(x)
 					}
 				}
@@ -587,6 +634,7 @@ func (w *worker[M]) install(stages []*stage[M], runs []*run[M]) {
 		}
 		in.layout(total)
 		for _, r := range runs {
+			at := 0
 			for c := range r.segs() {
 				lis, msgs := r.seg(c)
 				for i, li := range lis {
@@ -595,8 +643,14 @@ func (w *worker[M]) install(stages []*stage[M], runs []*run[M]) {
 						in.hi[li]++
 						continue
 					}
+					var xs []int32
+					if li == listEntry {
+						xs, at = r.list(at)
+					} else {
+						xs = r.mirror.span(^li)
+					}
 					m := msgs[i]
-					for _, x := range r.mirror.span(^li) {
+					for _, x := range xs {
 						in.pages[in.pg[x]][in.hi[x]] = m
 						in.hi[x]++
 					}
@@ -648,13 +702,14 @@ func (w *worker[M]) failRecv(superstep int32, err error) {
 // decodeBatch appends a data batch's messages to its sender's run and
 // returns the batch's logical size, what the cost model bills for it. The
 // bytes are untrusted: the sender must be a peer and the payload must lead
-// with a logical size; every record must fit in what is left and decode to
-// exactly its size; a plain record must name a vertex this worker owns, a
-// broadcast record a vertex the sender owns with a mirror span here; the
-// batch must carry Count messages, and its logical size must be their
-// per-message records plus at most one batch header per message. On any
-// failure — a codec panic included, caught once per batch — the run is
-// left as it was.
+// with a logical size; every record must fit in what is left, carry at
+// most one kind flag and decode to exactly its size; a plain record must
+// name a vertex this worker owns, a broadcast record a vertex the sender
+// owns with a mirror span here, and a multicast record, in a job without a
+// combiner, a list of at least one vertex this worker owns; the batch must
+// carry Count messages, and its logical size must be their per-message
+// records plus at most one batch header per message. On any failure — a
+// codec panic included, caught once per batch — the run is left as it was.
 func (w *worker[M]) decodeBatch(b *transport.Batch) (logical int64, err error) {
 	if b.From < 0 || int(b.From) >= w.numWorkers || int(b.From) == w.id {
 		return 0, fmt.Errorf("batch from unknown worker %d", b.From)
@@ -687,8 +742,11 @@ func (w *worker[M]) decodeBatch(b *transport.Batch) (logical int64, err error) {
 		}
 		v, size := readMsgHeader(data)
 		data = data[msgWireOverhead:]
-		broadcast := size&broadcastFlag != 0
-		size &^= broadcastFlag
+		kind := size & recordFlags
+		size &^= recordFlags
+		if kind == recordFlags {
+			return 0, fmt.Errorf("record flagged both broadcast and multicast")
+		}
 		if size > len(data) {
 			return 0, fmt.Errorf("message claims %d bytes, %d remain", size, len(data))
 		}
@@ -696,12 +754,19 @@ func (w *worker[M]) decodeBatch(b *transport.Batch) (logical int64, err error) {
 			li int32
 			ok bool
 		)
-		if broadcast {
+		switch kind {
+		case broadcastFlag:
 			if li, err = w.mirrorSource(b.From, v); err != nil {
 				return 0, err
 			}
-		} else if li, ok = w.local(v); !ok {
-			return 0, fmt.Errorf("message for vertex %d, which worker %d does not own", v, w.id)
+		case multicastFlag:
+			if err = w.checkList(v, size, data); err != nil {
+				return 0, err
+			}
+		default:
+			if li, ok = w.local(v); !ok {
+				return 0, fmt.Errorf("message for vertex %d, which worker %d does not own", v, w.id)
+			}
 		}
 		m, n := w.codec.Decode(data[:size])
 		if n != size {
@@ -709,10 +774,16 @@ func (w *worker[M]) decodeBatch(b *transport.Batch) (logical int64, err error) {
 		}
 		data = data[size:]
 		rec := int64(size) + msgWireOverhead
-		if broadcast {
+		switch kind {
+		case broadcastFlag:
 			r.addSpan(li, m, rec)
 			perMsg += int64(len(r.mirror.span(li))) * rec
-		} else {
+		case multicastFlag:
+			k := int64(v)
+			r.addList(data[:listIndexLen*k], m, rec)
+			data = data[listIndexLen*k:]
+			perMsg += k * rec
+		default:
 			r.add(li, m, rec)
 			perMsg += rec
 		}
@@ -725,6 +796,29 @@ func (w *worker[M]) decodeBatch(b *transport.Batch) (logical int64, err error) {
 		return 0, fmt.Errorf("logical size %d is not %d bytes of records plus at most %d batch headers", logical, perMsg, got)
 	}
 	return logical, nil
+}
+
+// checkList checks a multicast record's list of k vertices, which follows
+// the record's size-byte body at the head of data: it must list at least
+// one vertex, fit in data, and name only local indices of this worker, in a
+// job without a combiner, whose merge expands lists.
+func (w *worker[M]) checkList(k graph.VertexID, size int, data []byte) error {
+	if w.combiner != nil {
+		return fmt.Errorf("multicast record, but this job combines its messages")
+	}
+	if k == 0 {
+		return fmt.Errorf("multicast record lists no vertices")
+	}
+	if rest := len(data) - size; int64(k)*listIndexLen > int64(rest) {
+		return fmt.Errorf("multicast record lists %d vertices, %d bytes remain", k, rest)
+	}
+	idx := data[size : size+listIndexLen*int(k)]
+	for i := 0; i < len(idx); i += listIndexLen {
+		if li := binary.LittleEndian.Uint32(idx[i:]); li >= uint32(len(w.owned)) {
+			return fmt.Errorf("multicast record lists local index %d, worker %d owns %d vertices", li, w.id, len(w.owned))
+		}
+	}
+	return nil
 }
 
 // mirrorSource returns the sender-local index of v, the vertex a broadcast

@@ -108,8 +108,9 @@ func pendingInbox[M any](w *worker[M]) [][]M {
 // leaves the run's entries, message count and bytes where they were, or in
 // exactly count messages whose records — each plain entry as a record for
 // its vertex, each span entry as a broadcast record from the vertex whose
-// span it is — behind the returned logical size re-encode to the payload
-// byte for byte.
+// span it is, each list entry as a multicast record listing its local
+// indices — behind the returned logical size re-encode to the payload byte
+// for byte.
 func RunBatchFuzz[M any](f *testing.F, spec JobSpec[M]) {
 	spec.NumWorkers = 2
 	rec := &recordingNetwork{Network: transport.NewChannelNetwork(2, 64)}
@@ -151,17 +152,26 @@ func RunBatchFuzz[M any](f *testing.F, spec JobSpec[M]) {
 			t.Fatalf("accepted %d messages, header says %d", got, count)
 		}
 		enc := binary.LittleEndian.AppendUint32(nil, uint32(logical))
+		at := base.lists
 		for i := base.n; i < r.n; i++ {
 			li, m := r.chunks[i/runChunkLen].lis[i%runChunkLen], r.chunks[i/runChunkLen].msgs[i%runChunkLen]
 			v, size := uint32(0), uint32(w.codec.Size(m))
-			if li >= 0 {
+			var list []int32
+			switch {
+			case li >= 0:
 				v = uint32(w.owned[li])
-			} else {
+			case li == listEntry:
+				list, at = r.list(at)
+				v, size = uint32(len(list)), size|multicastFlag
+			default:
 				v, size = uint32(w.lay.owned[1][^li]), size|broadcastFlag
 			}
 			var hdr [msgWireOverhead]byte
 			putMsgHeader(hdr[:], v, size)
 			enc = w.codec.Append(append(enc, hdr[:]...), m)
+			for _, x := range list {
+				enc = binary.LittleEndian.AppendUint32(enc, uint32(x))
+			}
 		}
 		if !bytes.Equal(enc, payload) {
 			t.Fatalf("accepted payload re-encodes to %x, want %x", enc, payload)

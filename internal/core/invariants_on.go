@@ -108,9 +108,10 @@ func checkActiveAfter[M any](w *worker[M], n int64) {
 
 // Delivery invariants: the merge installs exactly what its producers staged.
 // recountDelivery counts, before the merge, how many messages each owned
-// vertex is owed — every run entry, a span entry once per vertex of its
-// span, and every staged combine slot — and panics on a local index the
-// worker does not own or a span entry naming a vertex its producer lacks; checkDelivery then
+// vertex is owed — every run entry, a span or list entry once per vertex of
+// its span or list, and every staged combine slot — and panics on a local
+// index the worker does not own, a span entry naming a vertex its producer
+// lacks or a list entry without a list; checkDelivery then
 // compares every vertex's installed messages with that count (at most one,
 // and one exactly when owed any, under a combiner) and checks that the
 // arena extents are disjoint. A vertex holding messages nobody sent it — an
@@ -133,11 +134,24 @@ func recountDelivery[M any](w *worker[M], stages []*stage[M], runs []*run[M]) []
 		st.dense.each(func(li int32) { owe(li, "a combine stage") })
 	}
 	for _, r := range runs {
+		at := 0
 		for c := range r.segs() {
 			lis, _ := r.seg(c)
 			for _, li := range lis {
 				if li >= 0 {
 					owe(li, "a run")
+					continue
+				}
+				if li == listEntry {
+					if at >= len(r.lists) || at+1+int(r.lists[at]) > len(r.lists) {
+						panic(fmt.Sprintf("core: delivery invariant: worker %d superstep %d: a run's list entry has no list",
+							w.id, w.superstep))
+					}
+					var xs []int32
+					xs, at = r.list(at)
+					for _, x := range xs {
+						owe(x, "a run's list")
+					}
 					continue
 				}
 				if r.mirror == nil || int(^li) >= len(r.mirror.off)-1 {

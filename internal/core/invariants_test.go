@@ -3,6 +3,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"slices"
 	"strings"
 	"testing"
@@ -133,6 +134,24 @@ func TestDeliveryInvariantCatchesForeignIndex(t *testing.T) {
 	mustPanic(t, "worker 0 superstep 0: a run names local index 9 of 4", func() { w.deliver() })
 }
 
+// listIndices encodes local indices as a multicast record lists them.
+func listIndices(lis ...int32) []byte {
+	var out []byte
+	for _, li := range lis {
+		out = binary.LittleEndian.AppendUint32(out, uint32(li))
+	}
+	return out
+}
+
+// TestDeliveryInvariantCatchesForeignListIndex: a list entry (a decoded
+// multicast record) naming a local index the worker does not own is named
+// before the merge indexes with it.
+func TestDeliveryInvariantCatchesForeignListIndex(t *testing.T) {
+	w := frontierWorker(t, nil)
+	w.recv[1].addList(listIndices(1, 9, 0), 5, 12)
+	mustPanic(t, "worker 0 superstep 0: a run's list names local index 9 of 4", func() { w.deliver() })
+}
+
 // TestDeliveryInvariantQuiet: local sends, then sender 1's run, in that
 // order; folded under the combiner.
 func TestDeliveryInvariantQuiet(t *testing.T) {
@@ -162,8 +181,8 @@ func TestDeliveryInvariantQuiet(t *testing.T) {
 // TestArenaTrafficMatchesRecount: without a combiner the merge reads each
 // vertex's vertexTraffic off its installed arena extent. Over two
 // supersteps of local sends, neighbour sends (span entries, expanded in
-// the merge) and a peer's plain and broadcast entries, the counts must
-// accumulate exactly recountDelivery's per-vertex counts of what the
+// the merge) and a peer's plain, broadcast and list entries, the counts
+// must accumulate exactly recountDelivery's per-vertex counts of what the
 // producers staged.
 func TestArenaTrafficMatchesRecount(t *testing.T) {
 	spec := bfsSpec(graph.BarabasiAlbert(200, 3, 7), 2, 0)
@@ -176,7 +195,7 @@ func TestArenaTrafficMatchesRecount(t *testing.T) {
 	t.Cleanup(func() { net.Close() })
 	w := testWorker(t, &s, net, 0)
 	want := make([]int64, len(w.owned))
-	spans := 0
+	spans, lists := 0, 0
 	for step := range 2 {
 		w.superstep = step
 		for slot := range 2 {
@@ -195,13 +214,19 @@ func TestArenaTrafficMatchesRecount(t *testing.T) {
 				peer.addSpan(u, 9, 12)
 			}
 			peer.add(u%int32(len(w.owned)), 3, 12)
+			if n := int32(len(w.owned)); u%3 == 0 {
+				peer.addList(listIndices(u%n, u*5%n, u%n), 4, 12)
+			}
 		}
 		runs := []*run[uint32]{&w.slots[0].localRun, &w.slots[1].localRun, peer}
 		for _, r := range runs {
 			for c := range r.segs() {
 				lis, _ := r.seg(c)
 				for _, li := range lis {
-					if li < 0 {
+					switch {
+					case li == listEntry:
+						lists++
+					case li < 0:
 						spans++
 					}
 				}
@@ -215,7 +240,7 @@ func TestArenaTrafficMatchesRecount(t *testing.T) {
 			t.Fatalf("superstep %d: vertexTraffic %v, recount %v", step, w.vertexTraffic, want)
 		}
 	}
-	if spans == 0 {
-		t.Fatal("no span entry reached the merge")
+	if spans == 0 || lists == 0 {
+		t.Fatalf("%d span and %d list entries reached the merge, want some of each", spans, lists)
 	}
 }

@@ -15,11 +15,15 @@ import (
 )
 
 // A data batch's payload is its logical size (4 bytes), then records. A
-// record is an 8-byte header — 4 bytes vertex, 4 bytes body length — and
-// the encoded message. A plain record is one message to its vertex. A
-// broadcast record, flagged by the length's top bit, is one message from
-// its vertex, a vertex of the sender, to every vertex of that vertex's
-// mirror span on the receiver (layout.mirrors).
+// record is an 8-byte header — 4 bytes vertex, 4 bytes body length, whose
+// top two bits flag the record's kind — and the encoded message. A plain
+// record is one message to its vertex. A broadcast record, flagged by bit
+// 31, is one message from its vertex, a vertex of the sender, to every
+// vertex of that vertex's mirror span on the receiver (layout.mirrors). A
+// multicast record, flagged by bit 30, is one message to each of a list of
+// the receiver's vertices: its vertex field holds the list's length k (1 to
+// maxMulticast, as the sender writes it), and the body is followed by the k
+// receiver-local indices, 4 bytes each. A body is under 1 GiB.
 //
 // The logical size is what the cost model bills for the batch: its records'
 // bytes as one plain record per message, plus a batch header for every
@@ -31,6 +35,15 @@ const (
 	msgWireOverhead = 8
 	logicalSizeLen  = 4
 	broadcastFlag   = 1 << 31
+	multicastFlag   = 1 << 30
+	recordFlags     = broadcastFlag | multicastFlag
+	// listIndexLen is the bytes of one receiver-local index a multicast
+	// record lists.
+	listIndexLen = 4
+	// maxMulticast is the most indices one multicast record lists: a longer
+	// list travels as several records, so a record and the staging buffer
+	// it lands in stay a few KiB past flushBytes (growStaging).
+	maxMulticast = 1000
 	// maxLogicalSize is the largest logical size the field holds.
 	maxLogicalSize = math.MaxUint32
 )

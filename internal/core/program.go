@@ -14,6 +14,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"slices"
 
 	"pregelnet/internal/graph"
@@ -74,6 +75,11 @@ type Context[M any] struct {
 	out    []staging // per destination worker
 	body   []byte    // one message's encoding, copied behind each remote header
 	places []place   // the send kernel's resolved destinations
+	// lists[d] is the send kernel's receiver-local indices for worker d, in
+	// send order, for the workers dests names (in first-send order); every
+	// other list is empty.
+	lists [][]int32
+	dests []int32
 	// Next-superstep output, staged without locks (deliver.go). With a
 	// combiner: one combine stage per destination worker, this one included,
 	// keyed by the destination's local index. Without one: the local sends,
@@ -126,6 +132,12 @@ func (c *Context[M]) VoteToHalt() { c.halted = true }
 // Send delivers m to vertex `to` at the beginning of the next superstep.
 func (c *Context[M]) Send(to graph.VertexID, m M) { c.send([]graph.VertexID{to}, m) }
 
+// SendToAll delivers m to every vertex of dsts, duplicates included: exactly
+// what one Send per element would deliver, in the same order. Without a
+// combiner, m is encoded once and travels to each other worker owning any
+// of dsts as multicast records listing its vertices.
+func (c *Context[M]) SendToAll(dsts []graph.VertexID, m M) { c.send(dsts, m) }
+
 // SendToNeighbors delivers m to every out-neighbor of the current vertex.
 func (c *Context[M]) SendToNeighbors(m M) {
 	if c.w.lay.mirrors == nil {
@@ -139,9 +151,10 @@ func (c *Context[M]) SendToNeighbors(m M) {
 // phases. Resolve reads dsts in order and loads each destination's place
 // into the slot's scratch: loads from the placement table that do not
 // depend on each other. Stage then walks those places: with a combiner
-// through the job's fold kernel (kernel.go), without one into the local
-// run or, encoded once at the first remote destination, behind each remote
-// record header.
+// through the job's fold kernel (kernel.go); without one into the local
+// run, or onto the list of the remote worker owning the place. Each list
+// then goes out behind m, encoded once: a plain record for a lone vertex,
+// multicast records otherwise.
 func (c *Context[M]) send(dsts []graph.VertexID, m M) {
 	w := c.w
 	table, pk, self := w.lay.place, w.lay.packing, int32(w.id)
@@ -162,18 +175,41 @@ func (c *Context[M]) send(dsts []graph.VertexID, m M) {
 		return
 	}
 	size := int64(w.codec.Size(m)) + msgWireOverhead
-	var body []byte
-	for i, p := range places {
-		dest := pk.owner(p)
+	lists, dests := c.lists, c.dests[:0]
+	for _, p := range places {
+		dest, li := pk.owner(p), pk.index(p)
 		if dest == self {
-			c.localRun.add(pk.index(p), m, size)
+			c.localRun.add(li, m, size)
 			continue
 		}
-		if body == nil {
-			c.body = w.codec.Append(c.body[:0], m)
-			body = c.body
+		if len(lists[dest]) == 0 {
+			dests = append(dests, dest)
 		}
-		c.appendRecord(int(dest), dsts[i], body)
+		lists[dest] = append(lists[dest], li)
+	}
+	c.dests = dests
+	if len(dests) == 0 {
+		return
+	}
+	c.body = w.codec.Append(c.body[:0], m)
+	for _, dest := range dests {
+		c.multicast(int(dest), lists[dest], c.body)
+		lists[dest] = lists[dest][:0]
+	}
+}
+
+// multicast stages body for every vertex of lis, which destWorker owns, in
+// order: as multicast records of at most maxMulticast indices each, and a
+// lone vertex as a plain record.
+func (c *Context[M]) multicast(destWorker int, lis []int32, body []byte) {
+	for len(lis) > 0 {
+		k := min(len(lis), maxMulticast)
+		if k == 1 {
+			c.appendRecord(destWorker, c.w.lay.owned[destWorker][lis[0]], body)
+		} else {
+			c.stageRecord(destWorker, uint32(k), uint32(len(body))|multicastFlag, int64(k), body, lis[:k])
+		}
+		lis = lis[k:]
 	}
 }
 
@@ -278,22 +314,23 @@ func (s *staging) bill(k, rec, flush int64) {
 // appendRecord appends one wire record — to's header, then the encoded
 // message body — to the slot's staging payload for destWorker.
 func (c *Context[M]) appendRecord(destWorker int, to graph.VertexID, body []byte) {
-	c.stageRecord(destWorker, uint32(to), uint32(len(body)), 1, body)
+	c.stageRecord(destWorker, uint32(to), uint32(len(body)), 1, body, nil)
 }
 
 // appendBroadcast appends one broadcast record — the sending vertex's
 // header, flagged, then the encoded message body — standing for one message
 // to every vertex of span, which destWorker owns.
 func (c *Context[M]) appendBroadcast(destWorker int, span []int32, body []byte) {
-	c.stageRecord(destWorker, uint32(c.vertex), uint32(len(body))|broadcastFlag, int64(len(span)), body)
+	c.stageRecord(destWorker, uint32(c.vertex), uint32(len(body))|broadcastFlag, int64(len(span)), body, nil)
 }
 
 // stageRecord stages one record carrying k messages on the payload for
-// destWorker: its header fields and body, behind the logical size field
-// when the payload is new. A record that could take the payload's logical
-// size past maxLogicalSize flushes the payload first; one that takes its
-// records to flushBytes flushes it after.
-func (c *Context[M]) stageRecord(destWorker int, vertex, size uint32, k int64, body []byte) {
+// destWorker: its header fields, body and the indices of lis (a multicast
+// record's list), behind the logical size field when the payload is new. A
+// record that could take the payload's logical size past maxLogicalSize
+// flushes the payload first; one that takes its records to flushBytes
+// flushes it after.
+func (c *Context[M]) stageRecord(destWorker int, vertex, size uint32, k int64, body []byte, lis []int32) {
 	rec := int64(msgWireOverhead + len(body))
 	st := &c.out[destWorker]
 	if st.logical+k*(rec+transport.BatchHeaderSize) > maxLogicalSize {
@@ -303,17 +340,20 @@ func (c *Context[M]) stageRecord(destWorker int, vertex, size uint32, k int64, b
 	st.count += int32(k)
 	st.bill(k, rec, int64(c.w.flushBytes))
 	buf, at := st.buf, len(st.buf)
-	n := int(rec)
+	n := int(rec) + listIndexLen*len(lis)
 	if at == 0 {
 		at = logicalSizeLen // filled in at flush
-		n += at
 	}
-	if cap(buf)-len(buf) < n {
-		buf = c.w.growStaging(buf, n)
+	if cap(buf) < at+n {
+		buf = c.w.growStaging(buf, at+n-len(buf))
 	}
-	buf = buf[:at+int(rec)]
+	buf = buf[:at+n]
 	putMsgHeader(buf[at:], vertex, size)
 	copy(buf[at+msgWireOverhead:], body)
+	idx := buf[at+int(rec):]
+	for i, li := range lis {
+		binary.LittleEndian.PutUint32(idx[listIndexLen*i:], uint32(li))
+	}
 	st.buf = buf
 	// Flush oversized buffers mid-step to bound outgoing memory ("bulk"
 	// transfers in the paper are sized by a buffer threshold).
@@ -326,15 +366,27 @@ func (c *Context[M]) stageRecord(destWorker int, vertex, size uint32, k int64, b
 // more. Staging buffers become batch payloads on flush and return to the
 // shared pool once the receiver decodes them, so a slot's first buffer for a
 // destination is a pooled one. One that outgrows it jumps straight to the
-// most a batch can hold — it is flushed once it reaches flushBytes — rather
-// than doubling its way there. The outgrown buffer is left to the garbage
-// collector: pooled again, it would be the next Get's answer and be
-// outgrown again, so the pool keeps the sizes batches actually reach.
+// most a batch can hold — flushBytes, past which it is flushed, plus the
+// record that takes it there — rather than doubling its way there. Without
+// a combiner that record may be a multicast record of up to a few KiB, so
+// the size is fixed at flushBytes plus stagingSlack: sized by the record
+// that asked, a pooled buffer would be too small for a later, larger
+// record, and GetPayload would drop it and allocate another. A combined
+// job stages plain records only, and sizes by the record. The outgrown
+// buffer is left to the garbage collector: pooled again, it would be the
+// next Get's answer and be outgrown again, so the pool keeps the sizes
+// batches actually reach.
 func (w *worker[M]) growStaging(buf []byte, n int) []byte {
 	if buf == nil {
 		if buf = transport.GetPayload(0); cap(buf) >= n {
 			return buf
 		}
 	}
-	return append(transport.GetPayload(max(w.flushBytes, len(buf)) + n)[:0], buf...)
+	size := max(w.flushBytes, len(buf)) + n
+	if w.combiner == nil {
+		size = max(w.flushBytes+stagingSlack, len(buf)+n)
+	}
+	return append(transport.GetPayload(size)[:0], buf...)
 }
+
+const stagingSlack = 4 << 10

@@ -504,11 +504,12 @@ func fitLayout(a partition.Assignment, workers int) error {
 
 // specLayout is the layout of a spec's current segment: mirror spans are
 // built for a job without a combiner, over graphs whose arcs an int32
-// offset can index. A job past that sends each SendToNeighbors message per
-// edge, as Send does.
+// offset can index and whose vertices leave math.MinInt32 free for a run's
+// list entries (listEntry). A job past that sends each SendToNeighbors
+// message as Send does.
 func specLayout[M any](s *JobSpec[M]) *layout {
 	var g *graph.Graph
-	if s.Combiner == nil && s.Graph.NumEdges() <= math.MaxInt32 {
+	if s.Combiner == nil && s.Graph.NumEdges() <= math.MaxInt32 && s.Graph.NumVertices() <= math.MaxInt32 {
 		g = s.Graph
 	}
 	return newLayout(s.Assignment, s.NumWorkers, g)

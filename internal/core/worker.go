@@ -918,6 +918,8 @@ func (w *worker[M]) slotContext(slot int) *Context[M] {
 		}
 		if w.combiner != nil {
 			ctx.stages = make([]stage[M], w.numWorkers)
+		} else {
+			ctx.lists = make([][]int32, w.numWorkers)
 		}
 		if w.lay.mirrors != nil {
 			ctx.localRun.mirror = &w.lay.mirrors[w.id][w.id]
