@@ -120,6 +120,15 @@ func (r *run[M]) list(at int) ([]int32, int) {
 	return r.lists[at+1 : at+1+k], at + 1 + k
 }
 
+// expand returns the vertices span or list entry li stands for, given the
+// offset at of the run's next list, and the offset of the list after.
+func (r *run[M]) expand(li int32, at int) ([]int32, int) {
+	if li == listEntry {
+		return r.list(at)
+	}
+	return r.mirror.span(^li), at
+}
+
 func (r *run[M]) put(li int32, m M) {
 	c, i := r.n/runChunkLen, r.n%runChunkLen
 	if c == len(r.chunks) {
@@ -169,11 +178,7 @@ func (r *run[M]) countInto(counts []int64) {
 				continue
 			}
 			var xs []int32
-			if li == listEntry {
-				xs, at = r.list(at)
-			} else {
-				xs = r.mirror.span(^li)
-			}
+			xs, at = r.expand(li, at)
 			for _, x := range xs {
 				counts[x]++
 			}
@@ -620,11 +625,7 @@ func (w *worker[M]) install(stages []*stage[M], runs []*run[M]) {
 						continue
 					}
 					var xs []int32
-					if li == listEntry {
-						xs, at = r.list(at)
-					} else {
-						xs = r.mirror.span(^li)
-					}
+					xs, at = r.expand(li, at)
 					for _, x := range xs {
 						in.count(x)
 					}
@@ -644,11 +645,7 @@ func (w *worker[M]) install(stages []*stage[M], runs []*run[M]) {
 						continue
 					}
 					var xs []int32
-					if li == listEntry {
-						xs, at = r.list(at)
-					} else {
-						xs = r.mirror.span(^li)
-					}
+					xs, at = r.expand(li, at)
 					m := msgs[i]
 					for _, x := range xs {
 						in.pages[in.pg[x]][in.hi[x]] = m
