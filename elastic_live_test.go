@@ -286,7 +286,7 @@ func TestLiveResizeRepartitioners(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := algorithms.WCCSubgraphLabels(res, g.NumVertices())
+			got := algorithms.WCCLabels(res, g.NumVertices())
 			for v := range want {
 				if got[v] != want[v] {
 					t.Fatalf("vertex %d: label %d under subgraph/%s resize, want %d",

@@ -51,7 +51,7 @@ func TestSparseFrontierTransitions(t *testing.T) {
 			return spec
 		}, algorithms.SSSPDistances, true},
 		{"subgraph", func(g *graph.Graph) core.JobSpec[uint32] { return algorithms.SSSPSubgraph(g, 3, 0) },
-			algorithms.SSSPSubgraphDistances, false},
+			algorithms.SSSPDistances, false},
 	}
 	transports := []struct {
 		name    string

@@ -1,11 +1,12 @@
-// Package algorithms provides the vertex programs evaluated in the paper —
-// PageRank (the uniform-message baseline), betweenness-centrality (the
-// message-intensive stress case, Brandes' algorithm), and all-pairs shortest
-// paths — plus single-source shortest path, weakly connected components, and
-// label-propagation community detection (the "CD" class the paper names).
+// Package algorithms provides the programs evaluated in the paper —
+// PageRank (the uniform-message baseline), betweenness centrality (the
+// message-intensive stress case, Brandes' algorithm) and all-pairs shortest
+// paths — plus label propagation (the "CD" class the paper names) and one
+// min-relaxation program (relax.go) behind SSSP, WCC and weighted SSSP.
 //
-// Each algorithm exposes a Spec builder returning a core.JobSpec and a
-// result extractor that merges per-worker program state into global arrays.
+// Each algorithm exposes a builder returning a core.JobSpec and a result
+// extractor that gathers per-worker program state into global arrays; the
+// relaxation extractors read a job run under either programming model.
 package algorithms
 
 import (
@@ -13,26 +14,14 @@ import (
 	"pregelnet/internal/graph"
 )
 
-// mergeFloat64 gathers a per-local-vertex float64 column from every worker
-// program into one global array.
-func mergeFloat64[M any](res *core.JobResult[M], n int, column func(prog core.VertexProgram[M]) []float64) []float64 {
-	out := make([]float64, n)
+// gather collects a per-local-vertex column from every worker's program
+// into one global array, converting each value to V as it goes.
+func gather[V, T int32 | uint32 | float64, P any, M any](res *core.JobResult[M], n int, column func(P) []T) []V {
+	out := make([]V, n)
 	for w, prog := range res.Programs {
-		col := column(prog)
+		col := column(prog.(P))
 		for li, v := range res.Owned[w] {
-			out[v] = col[li]
-		}
-	}
-	return out
-}
-
-// mergeInt32 gathers a per-local-vertex int32 column from every worker.
-func mergeInt32[M any](res *core.JobResult[M], n int, column func(prog core.VertexProgram[M]) []int32) []int32 {
-	out := make([]int32, n)
-	for w, prog := range res.Programs {
-		col := column(prog)
-		for li, v := range res.Owned[w] {
-			out[v] = col[li]
+			out[v] = V(col[li])
 		}
 	}
 	return out

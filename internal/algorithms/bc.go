@@ -258,9 +258,7 @@ func (p *bcProgram) StateBytes() int64 {
 
 // BCScores extracts the accumulated centrality scores.
 func BCScores(res *core.JobResult[BCMsg], n int) []float64 {
-	return mergeFloat64(res, n, func(prog core.VertexProgram[BCMsg]) []float64 {
-		return prog.(*bcProgram).scores
-	})
+	return gather[float64](res, n, func(p *bcProgram) []float64 { return p.scores })
 }
 
 // BCSequential is the reference Brandes implementation (unweighted), scoring

@@ -108,9 +108,7 @@ func TestBCRootStates(t *testing.T) {
 	if reused == 0 {
 		t.Fatal("no traversal reused a completed traversal's state")
 	}
-	got := mergeFloat64(res, g.NumVertices(), func(prog core.VertexProgram[BCMsg]) []float64 {
-		return prog.(*checkedBC).scores
-	})
+	got := gather[float64](res, g.NumVertices(), func(p *checkedBC) []float64 { return p.scores })
 	want := BCSequential(g, roots)
 	for v := range want {
 		if math.Abs(got[v]-want[v]) > 1e-6*(1+math.Abs(want[v])) {

@@ -410,7 +410,5 @@ func (p *bcSubgraph) StateBytes() int64 {
 
 // BCSubgraphScores extracts the accumulated centrality scores.
 func BCSubgraphScores(res *core.JobResult[BCMsg], n int) []float64 {
-	return mergeSubFloat64(res, n, func(prog core.PartitionProgram[BCMsg]) []float64 {
-		return prog.(*bcSubgraph).scores
-	})
+	return gather[float64](res, n, func(p *bcSubgraph) []float64 { return p.scores })
 }

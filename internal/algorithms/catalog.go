@@ -166,13 +166,13 @@ func Execute(g *graph.Graph, workers int, r Request, env Env) (*Outcome, error) 
 			o.Summary = fmt.Sprintf("computed distances from %d roots", r.Roots)
 		})
 	case "sssp":
-		spec, distances := SSSP(g, workers, 0), SSSPDistances
+		spec := SSSP(g, workers, 0)
 		if sub {
-			spec, distances = SSSPSubgraph(g, workers, 0), SSSPSubgraphDistances
+			spec = SSSPSubgraph(g, workers, 0)
 		}
 		return execute(spec, false, model, env, func(res *core.JobResult[uint32], o *Outcome) {
 			reach, ecc := 0, int32(0)
-			for _, d := range distances(res, n) {
+			for _, d := range SSSPDistances(res, n) {
 				if d >= 0 {
 					reach, ecc = reach+1, max(ecc, d)
 				}
@@ -181,13 +181,13 @@ func Execute(g *graph.Graph, workers int, r Request, env Env) (*Outcome, error) 
 		})
 	case "wsssp":
 		wg := graph.RandomWeights(g, 1, 10, 99)
-		spec, distances := WeightedSSSP(wg, workers, 0), WeightedDistances
+		spec := WeightedSSSP(wg, workers, 0)
 		if sub {
-			spec, distances = WeightedSSSPSubgraph(wg, workers, 0), WeightedSubgraphDistances
+			spec = WeightedSSSPSubgraph(wg, workers, 0)
 		}
 		return execute(spec, false, model, env, func(res *core.JobResult[float64], o *Outcome) {
 			reach, ecc := 0, 0.0
-			for _, d := range distances(res, n) {
+			for _, d := range WeightedDistances(res, n) {
 				if !math.IsInf(d, 1) {
 					reach, ecc = reach+1, max(ecc, d)
 				}
@@ -195,12 +195,12 @@ func Execute(g *graph.Graph, workers int, r Request, env Env) (*Outcome, error) 
 			o.Summary = fmt.Sprintf("reached %d/%d vertices, weighted eccentricity %.2f", reach, n, ecc)
 		})
 	case "wcc":
-		spec, labels := WCC(g, workers), WCCLabels
+		spec := WCC(g, workers)
 		if sub {
-			spec, labels = WCCSubgraph(g, workers), WCCSubgraphLabels
+			spec = WCCSubgraph(g, workers)
 		}
 		return execute(spec, false, model, env, func(res *core.JobResult[uint32], o *Outcome) {
-			o.Summary = fmt.Sprintf("%d connected components", distinct(labels(res, n)))
+			o.Summary = fmt.Sprintf("%d connected components", distinct(WCCLabels(res, n)))
 		})
 	case "lpa":
 		return execute(LPA(g, workers, r.Iterations), sub, model, env, func(res *core.JobResult[uint32], o *Outcome) {

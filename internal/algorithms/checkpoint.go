@@ -99,18 +99,11 @@ func sortedRoots[V any](buf []uint32, m map[uint32]V) []uint32 {
 	return buf
 }
 
-// readI32 and readF64 are the whole ReadVertex of the single-field programs.
-func readI32(dst *int32, src []byte) (int, error) {
+// readField is the whole ReadVertex of a single-field program: it reads one
+// field with field and stores it in *dst only when the record is well formed.
+func readField[T any](dst *T, src []byte, field func(*stateReader) T) (int, error) {
 	r := stateReader{src: src}
-	if v := r.i32(); r.err == nil {
-		*dst = v
-	}
-	return r.n, r.err
-}
-
-func readF64(dst *float64, src []byte) (int, error) {
-	r := stateReader{src: src}
-	if v := r.f64(); r.err == nil {
+	if v := field(&r); r.err == nil {
 		*dst = v
 	}
 	return r.n, r.err
@@ -123,34 +116,16 @@ func (p *pageRankProgram) AppendVertex(dst []byte, li int32) []byte {
 
 // ReadVertex implements core.StateCodec.
 func (p *pageRankProgram) ReadVertex(li int32, src []byte) (int, error) {
-	return readF64(&p.ranks[li], src)
+	return readField(&p.ranks[li], src, (*stateReader).f64)
 }
-
-// AppendVertex implements core.StateCodec.
-func (p *wssspProgram) AppendVertex(dst []byte, li int32) []byte { return appendF64(dst, p.dist[li]) }
-
-// ReadVertex implements core.StateCodec.
-func (p *wssspProgram) ReadVertex(li int32, src []byte) (int, error) {
-	return readF64(&p.dist[li], src)
-}
-
-// AppendVertex implements core.StateCodec.
-func (p *ssspProgram) AppendVertex(dst []byte, li int32) []byte { return appendI32(dst, p.dist[li]) }
-
-// ReadVertex implements core.StateCodec.
-func (p *ssspProgram) ReadVertex(li int32, src []byte) (int, error) { return readI32(&p.dist[li], src) }
-
-// AppendVertex implements core.StateCodec.
-func (p *wccProgram) AppendVertex(dst []byte, li int32) []byte { return appendI32(dst, p.label[li]) }
-
-// ReadVertex implements core.StateCodec.
-func (p *wccProgram) ReadVertex(li int32, src []byte) (int, error) { return readI32(&p.label[li], src) }
 
 // AppendVertex implements core.StateCodec.
 func (p *lpaProgram) AppendVertex(dst []byte, li int32) []byte { return appendI32(dst, p.label[li]) }
 
 // ReadVertex implements core.StateCodec.
-func (p *lpaProgram) ReadVertex(li int32, src []byte) (int, error) { return readI32(&p.label[li], src) }
+func (p *lpaProgram) ReadVertex(li int32, src []byte) (int, error) {
+	return readField(&p.label[li], src, (*stateReader).i32)
+}
 
 // AppendVertex implements core.StateCodec: a root count, then (root,
 // distance) pairs.
@@ -248,9 +223,10 @@ func (p *bcProgram) ReadVertex(li int32, src []byte) (int, error) {
 // Compile-time checks that every program can be checkpointed and migrated.
 var (
 	_ core.StateCodec = (*pageRankProgram)(nil)
-	_ core.StateCodec = (*ssspProgram)(nil)
-	_ core.StateCodec = (*wccProgram)(nil)
+	_ core.StateCodec = (*relaxProgram[uint32])(nil)
+	_ core.StateCodec = (*relaxProgram[float64])(nil)
 	_ core.StateCodec = (*lpaProgram)(nil)
 	_ core.StateCodec = (*apspProgram)(nil)
 	_ core.StateCodec = (*bcProgram)(nil)
+	_ core.StateCodec = (*bcSubgraph)(nil)
 )

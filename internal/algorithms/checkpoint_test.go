@@ -164,9 +164,6 @@ func stateProgramFor[M any](name string, spec core.JobSpec[M]) stateProgram {
 			if err != nil {
 				return nil, err
 			}
-			if res.PartitionPrograms[0] != nil {
-				return res.PartitionPrograms[0].(core.StateCodec), nil
-			}
 			return res.Programs[0].(core.StateCodec), nil
 		},
 	}

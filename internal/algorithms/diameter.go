@@ -26,7 +26,7 @@ func EstimateDiameter(g *graph.Graph, workers, samples int) (*DiameterEstimate, 
 	}
 	roots := Sources(g, samples)
 	// Swathed execution keeps the message peak bounded for large samples.
-	sched := core.NewSwathRunner(roots, core.StaticSizer(maxInt(1, samples/4)), core.DynamicPeakInitiator{})
+	sched := core.NewSwathRunner(roots, core.StaticSizer(max(1, samples/4)), core.DynamicPeakInitiator{})
 	res, err := core.Run(APSP(g, workers, sched))
 	if err != nil {
 		return nil, err
@@ -67,11 +67,4 @@ func EstimateDiameter(g *graph.Graph, workers, samples int) (*DiameterEstimate, 
 		}
 	}
 	return est, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -129,14 +129,7 @@ func (p *kcoreProgram) StateBytes() int64 { return p.stateBytes.Load() }
 
 // Coreness extracts each vertex's core number.
 func Coreness(res *core.JobResult[KCoreMsg], n int) []uint32 {
-	out := make([]uint32, n)
-	for w, prog := range res.Programs {
-		p := prog.(*kcoreProgram)
-		for li, v := range res.Owned[w] {
-			out[v] = p.est[li]
-		}
-	}
-	return out
+	return gather[uint32](res, n, func(p *kcoreProgram) []uint32 { return p.est })
 }
 
 // CorenessSequential is the reference peeling implementation.

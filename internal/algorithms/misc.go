@@ -5,116 +5,8 @@ import (
 	"pregelnet/internal/graph"
 )
 
-// Single-source shortest path, weakly connected components, and
-// label-propagation community detection: the lighter vertex programs
-// rounding out the framework's application suite (the paper names community
-// detection alongside BC and APSP as the high-complexity class; SSSP and
-// WCC are the standard Pregel warm-ups).
-
-type ssspProgram struct {
-	dist []int32
-}
-
-// SSSP builds a single-source shortest-path job from src (unweighted,
-// hop-count distances) using a min combiner.
-func SSSP(g *graph.Graph, workers int, src graph.VertexID) core.JobSpec[uint32] {
-	return core.JobSpec[uint32]{
-		Graph:      g,
-		NumWorkers: workers,
-		Codec:      core.Uint32Codec{},
-		Combiner:   core.MinUint32Combiner{},
-		Scheduler:  core.NewAllAtOnce([]graph.VertexID{src}),
-		NewProgram: func(_ int, _ *graph.Graph, owned []graph.VertexID) core.VertexProgram[uint32] {
-			p := &ssspProgram{dist: make([]int32, len(owned))}
-			for i := range p.dist {
-				p.dist[i] = -1
-			}
-			return p
-		},
-	}
-}
-
-// Compute implements core.VertexProgram.
-func (p *ssspProgram) Compute(ctx *core.Context[uint32], msgs []uint32) {
-	best := int32(-1)
-	if ctx.IsInjected() {
-		best = 0
-	}
-	for _, m := range msgs {
-		if best < 0 || int32(m) < best {
-			best = int32(m)
-		}
-	}
-	li := ctx.LocalIndex()
-	if best >= 0 && (p.dist[li] < 0 || best < p.dist[li]) {
-		p.dist[li] = best
-		ctx.SendToNeighbors(uint32(best + 1))
-	}
-	ctx.VoteToHalt()
-}
-
-// StateBytes implements core.StateReporter.
-func (p *ssspProgram) StateBytes() int64 { return int64(4 * len(p.dist)) }
-
-// SSSPDistances extracts hop distances (-1 = unreachable).
-func SSSPDistances(res *core.JobResult[uint32], n int) []int32 {
-	return mergeInt32(res, n, func(prog core.VertexProgram[uint32]) []int32 {
-		return prog.(*ssspProgram).dist
-	})
-}
-
-type wccProgram struct {
-	label []int32
-}
-
-// WCC builds a weakly-connected-components job: every vertex floods the
-// minimum vertex id it has seen; at convergence each component is labeled by
-// its smallest member.
-func WCC(g *graph.Graph, workers int) core.JobSpec[uint32] {
-	return core.JobSpec[uint32]{
-		Graph:       g,
-		NumWorkers:  workers,
-		Codec:       core.Uint32Codec{},
-		Combiner:    core.MinUint32Combiner{},
-		ActivateAll: true,
-		NewProgram: func(_ int, _ *graph.Graph, owned []graph.VertexID) core.VertexProgram[uint32] {
-			p := &wccProgram{label: make([]int32, len(owned))}
-			for i := range p.label {
-				p.label[i] = -1
-			}
-			return p
-		},
-	}
-}
-
-// Compute implements core.VertexProgram.
-func (p *wccProgram) Compute(ctx *core.Context[uint32], msgs []uint32) {
-	li := ctx.LocalIndex()
-	best := p.label[li]
-	if ctx.Superstep() == 0 {
-		best = int32(ctx.Vertex())
-	}
-	for _, m := range msgs {
-		if int32(m) < best {
-			best = int32(m)
-		}
-	}
-	if best != p.label[li] {
-		p.label[li] = best
-		ctx.SendToNeighbors(uint32(best))
-	}
-	ctx.VoteToHalt()
-}
-
-// StateBytes implements core.StateReporter.
-func (p *wccProgram) StateBytes() int64 { return int64(4 * len(p.label)) }
-
-// WCCLabels extracts component labels (the minimum vertex id per component).
-func WCCLabels(res *core.JobResult[uint32], n int) []int32 {
-	return mergeInt32(res, n, func(prog core.VertexProgram[uint32]) []int32 {
-		return prog.(*wccProgram).label
-	})
-}
+// Label-propagation community detection: the paper names community
+// detection alongside BC and APSP as the high-complexity class.
 
 type lpaProgram struct {
 	rounds int
@@ -167,7 +59,5 @@ func (p *lpaProgram) StateBytes() int64 { return int64(4 * len(p.label)) }
 
 // LPALabels extracts community labels.
 func LPALabels(res *core.JobResult[uint32], n int) []int32 {
-	return mergeInt32(res, n, func(prog core.VertexProgram[uint32]) []int32 {
-		return prog.(*lpaProgram).label
-	})
+	return gather[int32](res, n, func(p *lpaProgram) []int32 { return p.label })
 }

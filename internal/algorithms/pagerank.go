@@ -67,9 +67,7 @@ func (p *pageRankProgram) StateBytes() int64 { return int64(8 * len(p.ranks)) }
 
 // Ranks extracts the final global rank vector.
 func Ranks(res *core.JobResult[float64], n int) []float64 {
-	return mergeFloat64(res, n, func(prog core.VertexProgram[float64]) []float64 {
-		return prog.(*pageRankProgram).ranks
-	})
+	return gather[float64](res, n, func(p *pageRankProgram) []float64 { return p.ranks })
 }
 
 // PageRankSequential is the single-machine reference implementation used to

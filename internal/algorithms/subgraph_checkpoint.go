@@ -1,39 +1,10 @@
 package algorithms
 
-import (
-	"pregelnet/internal/core"
-)
-
-// Per-vertex state codecs for the subgraph-centric programs, in the same
-// field encoding as the vertex programs (checkpoint.go). Roots serialize
-// in ascending order and contribution lists in their id-sorted order, so a
-// restore is bit-identical — the property confined recovery and elastic
-// migration rely on when they replay supersteps against restored
-// partition-local state.
-
-// AppendVertex implements core.StateCodec.
-func (p *ssspSubgraph) AppendVertex(dst []byte, li int32) []byte { return appendI32(dst, p.dist[li]) }
-
-// ReadVertex implements core.StateCodec.
-func (p *ssspSubgraph) ReadVertex(li int32, src []byte) (int, error) {
-	return readI32(&p.dist[li], src)
-}
-
-// AppendVertex implements core.StateCodec.
-func (p *wccSubgraph) AppendVertex(dst []byte, li int32) []byte { return appendI32(dst, p.label[li]) }
-
-// ReadVertex implements core.StateCodec.
-func (p *wccSubgraph) ReadVertex(li int32, src []byte) (int, error) {
-	return readI32(&p.label[li], src)
-}
-
-// AppendVertex implements core.StateCodec.
-func (p *wssspSubgraph) AppendVertex(dst []byte, li int32) []byte { return appendF64(dst, p.dist[li]) }
-
-// ReadVertex implements core.StateCodec.
-func (p *wssspSubgraph) ReadVertex(li int32, src []byte) (int, error) {
-	return readF64(&p.dist[li], src)
-}
+// Per-vertex state codec of subgraph BC, in the same field encoding as the
+// vertex programs (checkpoint.go). Roots serialize in ascending order and
+// contribution lists in their id-sorted order, so a restore is
+// bit-identical — the property confined recovery and elastic migration rely
+// on when they replay supersteps against restored partition-local state.
 
 func appendContribs(dst []byte, list []bcsContrib) []byte {
 	dst = appendU64(dst, uint64(len(list)))
@@ -105,12 +76,3 @@ func (p *bcSubgraph) ReadVertex(li int32, src []byte) (int, error) {
 func bcsStateBytes(st *bcsState) int64 {
 	return bcsStateBaseBytes + int64(16*(len(st.fwd)+len(st.back)))
 }
-
-// Compile-time checks that every subgraph program can be checkpointed and
-// migrated.
-var (
-	_ core.StateCodec = (*ssspSubgraph)(nil)
-	_ core.StateCodec = (*wccSubgraph)(nil)
-	_ core.StateCodec = (*wssspSubgraph)(nil)
-	_ core.StateCodec = (*bcSubgraph)(nil)
-)

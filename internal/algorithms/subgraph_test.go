@@ -51,7 +51,7 @@ func TestSubgraphSSSPBitIdentical(t *testing.T) {
 	want := graph.BFS(g, 3)
 	eachTransportAndPartitioner(t, func(t *testing.T, tr string, p partition.Partitioner) {
 		res := subgraphHarness(t, SSSPSubgraph(g, 4, 3), tr, p, 4)
-		got := SSSPSubgraphDistances(res, g.NumVertices())
+		got := SSSPDistances(res, g.NumVertices())
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("vertex %d: dist %d, want %d", v, got[v], want[v])
@@ -69,7 +69,7 @@ func TestSubgraphWCCBitIdentical(t *testing.T) {
 	want := WCCLabels(vres, g.NumVertices())
 	eachTransportAndPartitioner(t, func(t *testing.T, tr string, p partition.Partitioner) {
 		res := subgraphHarness(t, WCCSubgraph(g, 4), tr, p, 4)
-		got := WCCSubgraphLabels(res, g.NumVertices())
+		got := WCCLabels(res, g.NumVertices())
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("vertex %d: label %d, want %d", v, got[v], want[v])
@@ -88,7 +88,7 @@ func TestSubgraphWeightedSSSPBitIdentical(t *testing.T) {
 	want := WeightedDistances(vres, g.NumVertices())
 	eachTransportAndPartitioner(t, func(t *testing.T, tr string, p partition.Partitioner) {
 		res := subgraphHarness(t, WeightedSSSPSubgraph(wg, 4, 0), tr, p, 4)
-		got := WeightedSubgraphDistances(res, g.NumVertices())
+		got := WeightedDistances(res, g.NumVertices())
 		for v := range want {
 			// Bit-identical: exact min over per-path left-associated sums.
 			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
@@ -196,7 +196,7 @@ func TestSubgraphSuperstepAndMessageReduction(t *testing.T) {
 	}
 	sres := subgraphHarness(t, SSSPSubgraph(g, 4, 0), "channel", ml, 4)
 
-	got := SSSPSubgraphDistances(sres, g.NumVertices())
+	got := SSSPDistances(sres, g.NumVertices())
 	want := graph.BFS(g, 0)
 	for v := range want {
 		if got[v] != want[v] {

@@ -406,15 +406,11 @@ func (s *StepStats) Utilization() float64 {
 
 // JobResult is the outcome of a completed job.
 type JobResult[M any] struct {
-	// Programs are the per-worker vertex-centric program instances, for
-	// result extraction. Under the subgraph model it is populated only when
-	// the job ran an adapted vertex program (AdaptVertexProgram), in which
-	// case it holds the unwrapped inner programs so vertex-centric result
-	// extractors keep working unchanged.
-	Programs []VertexProgram[M]
-	// PartitionPrograms are the per-worker subgraph-centric program
-	// instances, aligned with Owned; nil entries under the vertex model.
-	PartitionPrograms []PartitionProgram[M]
+	// Programs are the per-worker program instances, for result
+	// extraction: the VertexProgram or the PartitionProgram each worker ran,
+	// an adapted vertex program (AdaptVertexProgram) unwrapped, so one
+	// extractor reads a job under either model.
+	Programs []any
 	// Owned lists each worker's vertices, aligned with Programs.
 	Owned [][]graph.VertexID
 	// Steps are the per-superstep statistics in order.

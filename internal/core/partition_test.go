@@ -51,9 +51,9 @@ func TestVertexAdapterMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for w := range res.PartitionPrograms {
-		if _, ok := res.PartitionPrograms[w].(*vertexAdapter[uint32]); !ok {
-			t.Fatalf("PartitionPrograms[%d] = %T, want *vertexAdapter", w, res.PartitionPrograms[w])
+	for w := range res.Programs {
+		if _, ok := res.Programs[w].(*bfsProgram); !ok {
+			t.Fatalf("Programs[%d] = %T, want the unwrapped *bfsProgram", w, res.Programs[w])
 		}
 	}
 	got := bfsDistances(res, g.NumVertices()) // relies on Programs holding the inner *bfsProgram

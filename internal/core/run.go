@@ -236,8 +236,7 @@ func Run[M any](spec JobSpec[M]) (*JobResult[M], error) {
 	}
 
 	result := &JobResult[M]{
-		Programs:          make([]VertexProgram[M], len(workers)),
-		PartitionPrograms: make([]PartitionProgram[M], len(workers)),
+		Programs:          make([]any, len(workers)),
 		Owned:             make([][]graph.VertexID, len(workers)),
 		Steps:             js.steps,
 		WallSeconds:       priorWall + time.Since(start).Seconds(),
@@ -261,13 +260,7 @@ func Run[M any](spec JobSpec[M]) (*JobResult[M], error) {
 		result.Suspended = suspended
 	}
 	for w := range workers {
-		result.Programs[w] = workers[w].program
-		result.PartitionPrograms[w] = workers[w].partProg
-		if ad, ok := workers[w].partProg.(*vertexAdapter[M]); ok {
-			// Adapted vertex programs surface through Programs so the vertex
-			// model's result extractors work unchanged under -model subgraph.
-			result.Programs[w] = ad.inner
-		}
+		result.Programs[w] = workers[w].programAny()
 		result.Owned[w] = workers[w].owned
 	}
 	for i := range js.steps {

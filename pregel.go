@@ -487,7 +487,7 @@ func ShortestPathsSubgraph(g *Graph, workers int, src VertexID) ([]int32, error)
 	if err != nil {
 		return nil, err
 	}
-	return algorithms.SSSPSubgraphDistances(res, g.NumVertices()), nil
+	return algorithms.SSSPDistances(res, g.NumVertices()), nil
 }
 
 // UseSubgraphModel rewrites a vertex-centric spec in place to run under the
@@ -514,7 +514,7 @@ func ConnectedComponentsSubgraph(g *Graph, workers int) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return algorithms.WCCSubgraphLabels(res, g.NumVertices()), nil
+	return algorithms.WCCLabels(res, g.NumVertices()), nil
 }
 
 // Communities runs label-propagation community detection for `rounds`
