@@ -76,13 +76,16 @@ bench-smoke:
 # iterations, one live elastic run (which must resize) and one checkpointed
 # run under global recovery. Any failing run stops the target; the numbers
 # are not a measurement. Requests that cannot run (no workers, negative
-# roots) must exit with status 1 and a message, not panic (status 2). The binary and its output go to CLI_DIR, outside
-# the repository. About a second of runs after the build.
+# roots, and cmd/partitioner asked for fewer than one partition) must exit
+# with status 1 and a message, not panic (status 2). The binaries and their
+# output go to CLI_DIR, outside the repository. About a second of runs after
+# the builds.
 CLI_DIR ?= $(or $(TMPDIR),/tmp)/pregelnet-cli
 CLI_ALGOS := pagerank bc apsp sssp wsssp wcc lpa
 cli-smoke:
 	@mkdir -p $(CLI_DIR)
 	$(GO) build -o $(CLI_DIR)/pregel ./cmd/pregel
+	$(GO) build -o $(CLI_DIR)/partitioner ./cmd/partitioner
 	@for algo in $(CLI_ALGOS); do for model in vertex subgraph; do \
 		echo "pregel -algo $$algo -model $$model -graph sd -workers 2"; \
 		$(CLI_DIR)/pregel -algo $$algo -model $$model -graph sd -workers 2 \
@@ -93,10 +96,10 @@ cli-smoke:
 	@grep 'resize(s)' $(CLI_DIR)/run.out || { echo "cli-smoke: -elastic-high 3 did not resize"; exit 1; }
 	$(CLI_DIR)/pregel -algo pagerank -graph sd -workers 2 -iterations 6 -top 0 \
 		-checkpoint-every 2 -recovery global
-	@for args in "-workers 0" "-algo bc -roots -3"; do \
-		echo "pregel -graph sd $$args (must be refused)"; \
-		$(CLI_DIR)/pregel -graph sd $$args >$(CLI_DIR)/run.out 2>&1; status=$$?; \
-		if [ $$status -ne 1 ] || ! grep -q '^pregel: ' $(CLI_DIR)/run.out; then \
+	@for req in "pregel -graph sd -workers 0" "pregel -graph sd -algo bc -roots -3" "partitioner -graph sd -k 0"; do \
+		echo "$$req (must be refused)"; \
+		$(CLI_DIR)/$$req >$(CLI_DIR)/run.out 2>&1; status=$$?; \
+		if [ $$status -ne 1 ] || ! grep -q "^$${req%% *}: " $(CLI_DIR)/run.out; then \
 			cat $(CLI_DIR)/run.out; echo "cli-smoke: want exit status 1 and a message, got $$status"; exit 1; \
 		fi; \
 	done

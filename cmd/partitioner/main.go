@@ -1,6 +1,8 @@
 // Command partitioner partitions a graph with every strategy and prints the
 // quality comparison (edge-cut fraction and balance) — the paper's in-text
-// partition-quality table for arbitrary inputs.
+// partition-quality table for arbitrary inputs — beside each strategy's cost:
+// the wall time of its Partition call and the MB that call allocated
+// (runtime.MemStats.TotalAlloc before and after).
 //
 // Usage:
 //
@@ -12,6 +14,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"time"
 
 	"pregelnet/internal/graph"
 	"pregelnet/internal/metrics"
@@ -26,6 +30,9 @@ func main() {
 		assignOut = flag.String("assign", "", "write the best (lowest-cut) assignment to this file")
 	)
 	flag.Parse()
+	if *k < 1 {
+		fatal(fmt.Errorf("-k must be at least 1, got %d", *k))
+	}
 
 	var g *graph.Graph
 	if *file != "" {
@@ -60,12 +67,17 @@ func main() {
 
 	t := &metrics.Table{
 		Title:   "Partition quality (smaller cut is better; balance 1.0 is perfect)",
-		Headers: []string{"strategy", "edge cut", "% remote edges", "balance", "sizes"},
+		Headers: []string{"strategy", "edge cut", "% remote edges", "balance", "time (ms)", "alloc (MB)", "sizes"},
 	}
 	var best partition.Assignment
 	bestCut := 2.0
+	var before, after runtime.MemStats
 	for i, p := range partitioners {
+		runtime.ReadMemStats(&before)
+		start := time.Now()
 		a := p.Partition(g, *k)
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
 		q, err := partition.Evaluate(g, a, *k, p.Name())
 		if err != nil {
 			fatal(err)
@@ -74,6 +86,8 @@ func main() {
 			fmt.Sprintf("%d", q.EdgeCut),
 			fmt.Sprintf("%.1f%%", 100*q.CutFraction),
 			fmt.Sprintf("%.3f", q.Balance),
+			fmt.Sprintf("%.1f", elapsed.Seconds()*1000),
+			fmt.Sprintf("%.2f", float64(after.TotalAlloc-before.TotalAlloc)/1e6),
 			fmt.Sprintf("%v", q.Sizes))
 		if q.CutFraction < bestCut {
 			bestCut, best = q.CutFraction, a

@@ -1,7 +1,10 @@
 package partition
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"pregelnet/internal/graph"
@@ -14,6 +17,11 @@ import (
 // Kernighan–Lin/FM refinement at each step. It produces the low edge-cut,
 // locally-clustered partitions whose BSP load-imbalance behaviour Section
 // VII of the paper analyzes.
+//
+// Edge weights are int32. A coarse edge weight counts the level-0 arcs it
+// stands for, so no weight or weight sum exceeds the graph's arc count:
+// Partition panics, naming the count, on a graph with more than
+// math.MaxInt32 arcs.
 type Multilevel struct {
 	// Seed drives the matching and region-growing orders. Fixed by default
 	// so partitions are reproducible.
@@ -38,17 +46,17 @@ func (m *Multilevel) Name() string { return "metis" }
 
 // wgraph is a weighted graph used during coarsening. Vertex weights count
 // how many original vertices a coarse vertex represents; edge weights count
-// collapsed parallel edges.
+// collapsed parallel edges, at most the level-0 arc count (checkArcCount).
 type wgraph struct {
 	vwgt    []int64
 	offsets []int64
 	adj     []graph.VertexID
-	ewgt    []int64
+	ewgt    []int32
 }
 
 func (w *wgraph) n() int { return len(w.vwgt) }
 
-func (w *wgraph) neighbors(v graph.VertexID) ([]graph.VertexID, []int64) {
+func (w *wgraph) neighbors(v graph.VertexID) ([]graph.VertexID, []int32) {
 	return w.adj[w.offsets[v]:w.offsets[v+1]], w.ewgt[w.offsets[v]:w.offsets[v+1]]
 }
 
@@ -73,7 +81,7 @@ func (w *wgraph) sortRows() {
 // weightedRow sorts a row's neighbours and their edge weights together.
 type weightedRow struct {
 	adj  []graph.VertexID
-	ewgt []int64
+	ewgt []int32
 }
 
 func (r *weightedRow) Len() int           { return len(r.adj) }
@@ -91,7 +99,7 @@ func fromGraph(g *graph.Graph) *wgraph {
 		vwgt:    make([]int64, n),
 		offsets: make([]int64, n+1),
 		adj:     make([]graph.VertexID, g.NumEdges()),
-		ewgt:    make([]int64, g.NumEdges()),
+		ewgt:    make([]int32, g.NumEdges()),
 	}
 	for v := 0; v < n; v++ {
 		w.vwgt[v] = 1
@@ -119,10 +127,12 @@ func (m *Multilevel) Partition(g *graph.Graph, k int) Assignment {
 	if k <= 1 || n == 0 {
 		return make(Assignment, n)
 	}
+	checkArcCount(g.NumEdges())
 	rng := rand.New(rand.NewSource(m.Seed))
 
 	// Coarsening phase: build a hierarchy of graphs and vertex maps.
 	levels := []*wgraph{fromGraph(g)}
+	var scratch coarsenScratch
 	var maps [][]graph.VertexID // maps[i][v] = coarse vertex of v at level i+1
 	target := m.CoarsenTo * k
 	if target < 64 {
@@ -137,7 +147,7 @@ func (m *Multilevel) Partition(g *graph.Graph, k int) Assignment {
 		if maxVWgt < 1 {
 			maxVWgt = 1
 		}
-		coarse, vmap := coarsen(cur, rng, maxVWgt)
+		coarse, vmap := coarsen(cur, rng, maxVWgt, &scratch)
 		if coarse.n() >= cur.n()*95/100 {
 			break // matching stalled (e.g. star graphs); stop coarsening
 		}
@@ -166,6 +176,24 @@ func (m *Multilevel) Partition(g *graph.Graph, k int) Assignment {
 	return assign
 }
 
+// checkArcCount panics when a graph has more arcs than an int32 edge weight
+// can count. Every coarse edge weight, and every accumulator sum, counts
+// level-0 arcs, so arcs <= math.MaxInt32 keeps them all in range.
+func checkArcCount(arcs int) {
+	if arcs > math.MaxInt32 {
+		panic(fmt.Sprintf("partition: Multilevel cannot partition %d arcs: int32 edge weights count at most %d", arcs, math.MaxInt32))
+	}
+}
+
+// coarsenScratch holds the buffers one coarsen level needs only while it
+// runs: the matching order, the member pairs and the weight accumulator.
+// Partition carries one through every level; levels shrink, so the first
+// level's arrays serve them all.
+type coarsenScratch struct {
+	order, members []graph.VertexID
+	acc            []int32
+}
+
 // coarsen performs one level of heavy-edge matching and contracts matched
 // pairs into coarse vertices. Matches that would create a coarse vertex
 // heavier than maxVWgt are skipped — without this cap, hub vertices in
@@ -177,19 +205,25 @@ func (m *Multilevel) Partition(g *graph.Graph, k int) Assignment {
 // level costs O(m). A coarse row keeps the accumulator's insertion order:
 // the matching's tie rule, refine and rebalance do not depend on row order,
 // and Partition sorts the coarsest graph's rows for growRegions.
-func coarsen(w *wgraph, rng *rand.Rand, maxVWgt int64) (*wgraph, []graph.VertexID) {
+func coarsen(w *wgraph, rng *rand.Rand, maxVWgt int64, s *coarsenScratch) (*wgraph, []graph.VertexID) {
 	const unmatched = ^graph.VertexID(0)
 	n := w.n()
 	vmap := make([]graph.VertexID, n)
 	for i := range vmap {
 		vmap[i] = unmatched
 	}
-	order := rng.Perm(n)
+	// The order is rng.Perm(n), drawn as Perm draws it so the generator
+	// advances exactly as it would, into the reused array.
+	order := slices.Grow(s.order[:0], n)[:n]
+	for i := range order {
+		j := rng.Intn(i + 1)
+		order[i] = order[j]
+		order[j] = graph.VertexID(i)
+	}
 	// members[2c] and members[2c+1] are coarse vertex c's fine vertices; a
 	// vertex left unmatched is its own partner.
-	members := make([]graph.VertexID, 0, 2*n)
-	for _, vi := range order {
-		v := graph.VertexID(vi)
+	members := slices.Grow(s.members[:0], 2*n)
+	for _, v := range order {
 		if vmap[v] != unmatched {
 			continue
 		}
@@ -197,7 +231,7 @@ func coarsen(w *wgraph, rng *rand.Rand, maxVWgt int64) (*wgraph, []graph.VertexI
 		// whose combined weight stays under the cap; of equally heavy ones,
 		// the smallest id, so the choice does not depend on row order.
 		partner := v
-		var bestW int64 = -1
+		var bestW int32 = -1
 		nbrs, wts := w.neighbors(v)
 		for j, u := range nbrs {
 			if vmap[u] == unmatched && u != v && (wts[j] > bestW || wts[j] == bestW && u < partner) && w.vwgt[v]+w.vwgt[u] <= maxVWgt {
@@ -214,12 +248,14 @@ func coarsen(w *wgraph, rng *rand.Rand, maxVWgt int64) (*wgraph, []graph.VertexI
 		vwgt:    make([]int64, coarseCount),
 		offsets: make([]int64, coarseCount+1),
 		adj:     make([]graph.VertexID, len(w.adj)),
-		ewgt:    make([]int64, len(w.adj)),
+		ewgt:    make([]int32, len(w.adj)),
 	}
-	// Edge weights are >= 1, so a zero accumulator entry means untouched.
-	// A coarse vertex has at most as many arcs as its members, so its row
-	// is collected in place at the end of the arcs written so far.
-	acc := make([]int64, coarseCount)
+	// Edge weights are >= 1, so a zero accumulator entry means untouched;
+	// every row leaves the entries it touched zero again, so a reused
+	// accumulator starts the level clean. A coarse vertex has at most as
+	// many arcs as its members, so its row is collected in place at the end
+	// of the arcs written so far.
+	acc := slices.Grow(s.acc[:0], coarseCount)[:coarseCount]
 	idx := 0
 	for c := 0; c < coarseCount; c++ {
 		cv := graph.VertexID(c)
@@ -251,6 +287,7 @@ func coarsen(w *wgraph, rng *rand.Rand, maxVWgt int64) (*wgraph, []graph.VertexI
 	}
 	coarse.adj = coarse.adj[:idx]
 	coarse.ewgt = coarse.ewgt[:idx]
+	s.order, s.members, s.acc = order, members, acc
 	return coarse, vmap
 }
 
@@ -337,7 +374,7 @@ func rebalance(w *wgraph, assign Assignment, k int, weights []int64, maxWeight i
 			conn[i] = 0
 		}
 		for j, u := range nbrs {
-			conn[assign[u]] += wts[j]
+			conn[assign[u]] += int64(wts[j])
 		}
 		// Pick the connected (or any) partition with the most room.
 		bestP := int32(-1)
@@ -400,7 +437,7 @@ func refine(w *wgraph, assign Assignment, k int, tolerance float64, passes int) 
 			}
 			boundary := false
 			for j, u := range nbrs {
-				conn[assign[u]] += wts[j]
+				conn[assign[u]] += int64(wts[j])
 				if assign[u] != home {
 					boundary = true
 				}

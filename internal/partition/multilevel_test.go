@@ -2,10 +2,13 @@ package partition
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"pregelnet/internal/graph"
@@ -31,7 +34,7 @@ func coarsenSorted(w *wgraph, rng *rand.Rand, maxVWgt int64) (*wgraph, []graph.V
 			continue
 		}
 		bestU := int32(-1)
-		var bestW int64 = -1
+		var bestW int32 = -1
 		nbrs, wts := w.neighbors(v)
 		for j, u := range nbrs {
 			if match[u] < 0 && u != v && (wts[j] > bestW || wts[j] == bestW && int32(u) < bestU) && w.vwgt[v]+w.vwgt[u] <= maxVWgt {
@@ -59,7 +62,7 @@ func coarsenSorted(w *wgraph, rng *rand.Rand, maxVWgt int64) (*wgraph, []graph.V
 	}
 	type cedge struct {
 		u, v graph.VertexID
-		w    int64
+		w    int32
 	}
 	edges := make([]cedge, 0, len(w.adj))
 	for v := 0; v < n; v++ {
@@ -80,7 +83,7 @@ func coarsenSorted(w *wgraph, rng *rand.Rand, maxVWgt int64) (*wgraph, []graph.V
 	})
 	for i := 0; i < len(edges); {
 		j := i
-		var sum int64
+		var sum int32
 		for j < len(edges) && edges[j].u == edges[i].u && edges[j].v == edges[i].v {
 			sum += edges[j].w
 			j++
@@ -118,7 +121,7 @@ func coarsenRowSorted(w *wgraph, rng *rand.Rand, maxVWgt int64) (*wgraph, []grap
 			continue
 		}
 		partner := v
-		var bestW int64 = -1
+		var bestW int32 = -1
 		nbrs, wts := w.neighbors(v)
 		for j, u := range nbrs {
 			if vmap[u] == unmatched && u != v && wts[j] > bestW && w.vwgt[v]+w.vwgt[u] <= maxVWgt {
@@ -135,9 +138,9 @@ func coarsenRowSorted(w *wgraph, rng *rand.Rand, maxVWgt int64) (*wgraph, []grap
 		vwgt:    make([]int64, coarseCount),
 		offsets: make([]int64, coarseCount+1),
 		adj:     make([]graph.VertexID, len(w.adj)),
-		ewgt:    make([]int64, len(w.adj)),
+		ewgt:    make([]int32, len(w.adj)),
 	}
-	acc := make([]int64, coarseCount)
+	acc := make([]int32, coarseCount)
 	idx := 0
 	for c := 0; c < coarseCount; c++ {
 		cv := graph.VertexID(c)
@@ -220,7 +223,7 @@ func arcWGraph(n int, arcs [][2]graph.VertexID) *wgraph {
 		vwgt:    make([]int64, n),
 		offsets: make([]int64, n+1),
 		adj:     make([]graph.VertexID, len(arcs)),
-		ewgt:    make([]int64, len(arcs)),
+		ewgt:    make([]int32, len(arcs)),
 	}
 	for v := range w.vwgt {
 		w.vwgt[v] = 1
@@ -260,7 +263,13 @@ func referenceGraphs() map[string]*graph.Graph {
 	disconnected := graph.NewBuilder(400)
 	graph.Grid(10, 15).ForEachEdge(func(u, v graph.VertexID) { disconnected.Add(u, v) })
 	graph.Community(200, 4, 3, 0.9, 7).ForEachEdge(func(u, v graph.VertexID) { disconnected.Add(u+180, v+180) })
+	looped := graph.NewBuilder(2000)
+	graph.Community(2000, 8, 4, 0.9, 5).ForEachEdge(looped.Add)
+	for v := graph.VertexID(0); v < 2000; v += 3 {
+		looped.Add(v, v) // level 0 drops these
+	}
 	return map[string]*graph.Graph{
+		"self-loops":   looped.Build(),
 		"community":    graph.Community(3000, 12, 4, 0.9, 3),
 		"rmat":         graph.RMAT(11, 8, 0.57, 0.19, 0.19, 0.05, 4),
 		"grid":         graph.Grid(40, 50),
@@ -273,16 +282,18 @@ func referenceGraphs() map[string]*graph.Graph {
 // The accumulator contraction builds the coarse graphs and vertex maps the
 // sort-based one does, at every level Partition would coarsen to: the same
 // vertex map and vertex weights, and each coarse row the same set of
-// (neighbour, weight) pairs, in whatever order the accumulator left it.
+// (neighbour, weight) pairs, in whatever order the accumulator left it. One
+// scratch serves every level, as in Partition.
 func TestCoarsenMatchesSortReference(t *testing.T) {
 	const k = 4
 	for name, g := range referenceGraphs() {
 		for variant, w := range map[string]*wgraph{"simple": fromGraph(g), "salted": salted(g, 11)} {
 			t.Run(name+"/"+variant, func(t *testing.T) {
 				rng, refRng := rand.New(rand.NewSource(1)), rand.New(rand.NewSource(1))
+				var scratch coarsenScratch
 				for level := 0; w.n() > 30*k; level++ {
 					maxVWgt := max(w.totalVWgt()/int64(4*k), 1)
-					coarse, vmap := coarsen(w, rng, maxVWgt)
+					coarse, vmap := coarsen(w, rng, maxVWgt, &scratch)
 					ref, refMap := coarsenSorted(w, refRng, maxVWgt)
 					if !reflect.DeepEqual(vmap, refMap) {
 						t.Fatalf("level %d: vertex map differs from the sort reference", level)
@@ -329,6 +340,44 @@ func TestMultilevelMatchesRowSortedReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// bytesPerArc is the most one Partition at k=2 may allocate per arc of the
+// community graph in TestMultilevelAllocationBound. With int64 edge weights
+// and fresh per-level buffers it allocated 85.0 bytes per arc; with
+// int32 weights and one scratch carried through the levels, 56.8.
+const bytesPerArc = 64
+
+// Partition allocates a bounded number of bytes per arc: the level graphs,
+// vertex maps and assignments, and one set of coarsening buffers.
+func TestMultilevelAllocationBound(t *testing.T) {
+	g := graph.Community(20000, 100, 4, 0.85, 2)
+	m := NewMultilevel()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.Partition(g, 2)
+	runtime.ReadMemStats(&after)
+	perArc := float64(after.TotalAlloc-before.TotalAlloc) / float64(g.NumEdges())
+	t.Logf("%.1f bytes per arc over %d arcs", perArc, g.NumEdges())
+	if perArc > bytesPerArc {
+		t.Errorf("Partition allocated %.1f bytes per arc, want at most %d", perArc, bytesPerArc)
+	}
+}
+
+// Edge weights are int32 and count level-0 arcs, so a graph may have at most
+// math.MaxInt32 of them; one more is refused with the count named.
+func TestMultilevelArcCountLimit(t *testing.T) {
+	checkArcCount(0)
+	checkArcCount(math.MaxInt32)
+	over := int64(math.MaxInt32) + 1
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "2147483648 arcs") {
+			t.Fatalf("panic %q does not name the arc count", msg)
+		}
+	}()
+	checkArcCount(int(over))
+	t.Fatal("no panic above math.MaxInt32 arcs")
 }
 
 // BenchmarkMultilevelPartition partitions the wcc-sub-frontend benchmark
