@@ -76,8 +76,9 @@ bench-smoke:
 # iterations, one live elastic run (which must resize) and one checkpointed
 # run under global recovery. Any failing run stops the target; the numbers
 # are not a measurement. Requests that cannot run (no workers, negative
-# roots, and cmd/partitioner asked for fewer than one partition) must exit
-# with status 1 and a message, not panic (status 2). The binaries and their
+# roots, a misspelt -swath on an algorithm that does not read it, and
+# cmd/partitioner asked for fewer than one partition) must exit with status
+# 1 and a message, not panic (status 2) or run. The binaries and their
 # output go to CLI_DIR, outside the repository. About a second of runs after
 # the builds.
 CLI_DIR ?= $(or $(TMPDIR),/tmp)/pregelnet-cli
@@ -96,7 +97,8 @@ cli-smoke:
 	@grep 'resize(s)' $(CLI_DIR)/run.out || { echo "cli-smoke: -elastic-high 3 did not resize"; exit 1; }
 	$(CLI_DIR)/pregel -algo pagerank -graph sd -workers 2 -iterations 6 -top 0 \
 		-checkpoint-every 2 -recovery global
-	@for req in "pregel -graph sd -workers 0" "pregel -graph sd -algo bc -roots -3" "partitioner -graph sd -k 0"; do \
+	@for req in "pregel -graph sd -workers 0" "pregel -graph sd -algo bc -roots -3" \
+		"pregel -graph sd -algo sssp -swath bogus" "partitioner -graph sd -k 0"; do \
 		echo "$$req (must be refused)"; \
 		$(CLI_DIR)/$$req >$(CLI_DIR)/run.out 2>&1; status=$$?; \
 		if [ $$status -ne 1 ] || ! grep -q "^$${req%% *}: " $(CLI_DIR)/run.out; then \

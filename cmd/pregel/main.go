@@ -8,11 +8,12 @@
 //	       [-model vertex|subgraph] \
 //	       [-roots N] [-swath adaptive|sampling|none] [-initiate seq|dynamic|staticN]
 //
-// -model subgraph runs the partition-centric ports of the traversals (sssp,
-// wsssp, wcc, bc): each partition converges locally between barriers and
-// only boundary edges generate messages, so supersteps track the
-// partition-hop diameter. Algorithms without a native port (pagerank, apsp,
-// lpa) run their vertex programs under the engine's adapter.
+// -model subgraph runs the partition-centric ports of the relaxation
+// traversals (sssp, wsssp, wcc): each partition converges locally between
+// barriers and only boundary edges generate messages, so supersteps track
+// the partition-hop diameter. Algorithms without a native port (pagerank,
+// bc, apsp, lpa) run their vertex programs under the engine's adapter, with
+// the same -swath and -initiate scheduling as under -model vertex.
 //
 // The command parses flags, loads and partitions the graph, and hands the
 // job to the algorithm catalog (algorithms.Execute), which the job service

@@ -24,21 +24,23 @@ type Request struct {
 	// Algorithm is one of Names.
 	Algorithm string
 	// Model is vertex or subgraph. Under subgraph, algorithms with a native
-	// partition-centric port (sssp, wsssp, wcc, bc) run it: local
-	// convergence between barriers, boundary-only messages. The others run
-	// their vertex programs under core.UseVertexAdapter.
+	// partition-centric port (sssp, wsssp, wcc) run it: local convergence
+	// between barriers, boundary-only messages. The others run their vertex
+	// programs under core.UseVertexAdapter.
 	Model string
 	// Roots is the number of bc/apsp traversal sources (the lowest ids).
 	Roots int
 	// Iterations is the number of pagerank/lpa rounds.
 	Iterations int
 	// Swath (none|adaptive|sampling) and Initiate (seq|dynamic|static<N>)
-	// schedule the roots of vertex bc and apsp (core.ParseSwathScheduler).
+	// schedule the roots of bc and apsp under either model
+	// (core.ParseSwathScheduler). Every algorithm checks their spelling.
 	Swath, Initiate string
 }
 
 // Validate checks what can be checked before a graph is loaded: a known
-// algorithm and model, at least one worker and at least one root.
+// algorithm and model, at least one worker and at least one root, and
+// spellings of the swath options.
 func (r Request) Validate(workers int) error {
 	if !slices.Contains(Names, r.Algorithm) {
 		return fmt.Errorf("unknown algorithm %q (want %s)", r.Algorithm, strings.Join(Names, "|"))
@@ -52,7 +54,8 @@ func (r Request) Validate(workers int) error {
 	if r.Roots < 1 {
 		return fmt.Errorf("roots %d: need at least 1", r.Roots)
 	}
-	return nil
+	_, err := core.ParseSwathOptions(r.Swath, r.Initiate)
+	return err
 }
 
 // Env is the caller's wiring a job runs under. The zero value runs a job
@@ -141,20 +144,11 @@ func Execute(g *graph.Graph, workers int, r Request, env Env) (*Outcome, error) 
 			o.ScoreName, o.Scores = "rank", Ranks(res, n)
 		})
 	case "bc":
-		if sub {
-			// The subgraph port keeps per-root state in partition-local
-			// maps and batches all roots in one sweep; swath scheduling
-			// does not apply.
-			spec := BCSubgraph(g, workers, core.FirstNSources(g, r.Roots))
-			return execute(spec, false, model, env, func(res *core.JobResult[BCMsg], o *Outcome) {
-				o.ScoreName, o.Scores = "betweenness", BCSubgraphScores(res, n)
-			})
-		}
 		sched, err := core.ParseSwathScheduler(g, r.Roots, r.Swath, r.Initiate, model.Spec.MemoryBytes)
 		if err != nil {
 			return nil, err
 		}
-		return execute(BC(g, workers, sched), false, model, env, func(res *core.JobResult[BCMsg], o *Outcome) {
+		return execute(BC(g, workers, sched), sub, model, env, func(res *core.JobResult[BCMsg], o *Outcome) {
 			o.ScoreName, o.Scores = "betweenness", BCScores(res, n)
 		})
 	case "apsp":

@@ -85,6 +85,8 @@ func TestCatalogRejectsBeforeRunning(t *testing.T) {
 		{"zero roots", func(r *Request) { r.Roots = 0 }, 2, "roots 0"},
 		{"unknown algorithm", func(r *Request) { r.Algorithm = "kcore" }, 2, "unknown algorithm"},
 		{"unknown model", func(r *Request) { r.Model = "edge" }, 2, "unknown model"},
+		{"unknown swath", func(r *Request) { r.Algorithm, r.Swath = "sssp", "bogus" }, 2, "unknown swath mode"},
+		{"bad initiate", func(r *Request) { r.Algorithm, r.Initiate = "sssp", "static0" }, 2, "bad initiation"},
 	} {
 		req := ok
 		tc.edit(&req)

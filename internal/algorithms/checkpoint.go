@@ -228,5 +228,4 @@ var (
 	_ core.StateCodec = (*lpaProgram)(nil)
 	_ core.StateCodec = (*apspProgram)(nil)
 	_ core.StateCodec = (*bcProgram)(nil)
-	_ core.StateCodec = (*bcSubgraph)(nil)
 )

@@ -5,9 +5,9 @@ package algorithms
 // GoFFish/Giraph++ model — so supersteps scale with the partition-hop
 // diameter of the graph instead of its vertex-hop diameter, and only
 // boundary edges generate network messages. The relaxation family
-// (relax.go) gives the same bits as its vertex programs; BC (bcsubgraph.go)
-// is deterministic but only ULP-equal to vertex BC, whose per-superstep sums
-// follow the engine's delivery order.
+// (relax.go) is the only native port and gives the same bits as its vertex
+// programs; every other algorithm, BC included, runs its vertex program
+// under core.UseVertexAdapter.
 
 // sparseMark is a dedup set over local vertex indices: O(1) mark with a
 // reusable membership slice plus an iteration list in mark order.

@@ -11,10 +11,10 @@ import (
 // the worker's whole partition view once per superstep and runs a sequential
 // algorithm over it to a local fixpoint before the barrier — the
 // GoFFish/Giraph++ model. Only messages addressed to vertices on *other*
-// workers cross the data plane, so traversal algorithms (BFS, SSSP, WCC, the
-// BC sweeps) converge in roughly the partition-hop diameter of the graph
-// instead of its vertex-hop diameter: order-of-magnitude superstep and
-// message reductions on well-clustered (multilevel) partitions.
+// workers cross the data plane, so traversal algorithms (BFS, SSSP, WCC)
+// converge in roughly the partition-hop diameter of the graph instead of its
+// vertex-hop diameter: order-of-magnitude superstep and message reductions
+// on well-clustered (multilevel) partitions.
 //
 // Both models run behind the same engine: the data plane, combiners,
 // aggregators, halt detection, checkpointing, confined recovery, elastic

@@ -331,43 +331,49 @@ func FirstNSources(g *graph.Graph, n int) []graph.VertexID {
 }
 
 // ParseSwathScheduler builds the scheduler for the first roots vertices of g
-// from the two options the CLI and the job service spell the same way:
-// swath sizing none|adaptive|sampling (none injects every root at once) and
-// initiation seq|dynamic|static<N>. The sizers aim at 6/7 of memoryBytes.
-// Fewer than one root is an error.
+// from the two options the CLI and the job service spell the same way
+// (ParseSwathOptions): swath sizing none|adaptive|sampling (none injects
+// every root at once) and initiation seq|dynamic|static<N>. The sizers aim
+// at 6/7 of memoryBytes. Fewer than one root is an error.
 func ParseSwathScheduler(g *graph.Graph, roots int, swath, initiate string, memoryBytes int64) (SwathScheduler, error) {
 	if roots < 1 {
 		return nil, fmt.Errorf("roots %d: need at least 1", roots)
 	}
-	var sizer SwathSizer
+	init, err := ParseSwathOptions(swath, initiate)
+	if err != nil {
+		return nil, err
+	}
+	sources := FirstNSources(g, roots)
 	target := memoryBytes * 6 / 7
 	switch swath {
-	case "none":
 	case "adaptive":
-		sizer = &AdaptiveSizer{Initial: max(2, roots/4), TargetMemoryBytes: target}
+		return NewSwathRunner(sources, &AdaptiveSizer{Initial: max(2, roots/4), TargetMemoryBytes: target}, init), nil
 	case "sampling":
-		sizer = &SamplingSizer{SampleSize: max(2, roots/4), Samples: 2, TargetMemoryBytes: target}
+		return NewSwathRunner(sources, &SamplingSizer{SampleSize: max(2, roots/4), Samples: 2, TargetMemoryBytes: target}, init), nil
+	}
+	return NewAllAtOnce(sources), nil
+}
+
+// ParseSwathOptions checks the spelling of the swath sizing
+// (none|adaptive|sampling) and initiation (seq|dynamic|static<N>) options
+// without a graph, and returns the initiator the second one names.
+func ParseSwathOptions(swath, initiate string) (SwathInitiator, error) {
+	switch swath {
+	case "none", "adaptive", "sampling":
 	default:
 		return nil, fmt.Errorf("unknown swath mode %q (want none|adaptive|sampling)", swath)
 	}
-	var init SwathInitiator
 	switch {
 	case initiate == "seq":
-		init = SequentialInitiator{}
+		return SequentialInitiator{}, nil
 	case initiate == "dynamic":
-		init = DynamicPeakInitiator{}
+		return DynamicPeakInitiator{}, nil
 	case strings.HasPrefix(initiate, "static"):
 		n, err := strconv.Atoi(strings.TrimPrefix(initiate, "static"))
 		if err != nil || n < 1 {
 			return nil, fmt.Errorf("bad initiation %q (want static<N>, N >= 1)", initiate)
 		}
-		init = StaticNInitiator(n)
-	default:
-		return nil, fmt.Errorf("unknown initiation %q (want seq|dynamic|static<N>)", initiate)
+		return StaticNInitiator(n), nil
 	}
-	sources := FirstNSources(g, roots)
-	if sizer == nil {
-		return NewAllAtOnce(sources), nil
-	}
-	return NewSwathRunner(sources, sizer, init), nil
+	return nil, fmt.Errorf("unknown initiation %q (want seq|dynamic|static<N>)", initiate)
 }

@@ -25,10 +25,11 @@ type JobRequest struct {
 	// Iterations for pagerank/lpa (default 30/10).
 	Iterations int `json:"iterations,omitempty"`
 	// Model selects the programming model: vertex | subgraph (default
-	// vertex). Under subgraph, traversal algorithms (sssp, wsssp, wcc, bc) run
-	// their partition-centric ports — local convergence between barriers,
-	// boundary-only messages — and the rest run their vertex programs under
-	// the engine's adapter, so results match the vertex model either way.
+	// vertex). Under subgraph, the relaxation traversals (sssp, wsssp, wcc)
+	// run their partition-centric ports — local convergence between
+	// barriers, boundary-only messages — and the rest run their vertex
+	// programs under the engine's adapter, so results match the vertex model
+	// either way.
 	Model string `json:"model,omitempty"`
 	// Swath: none | adaptive | sampling (bc/apsp; default adaptive).
 	Swath string `json:"swath,omitempty"`
@@ -135,12 +136,8 @@ func validate(req *JobRequest) error {
 	if err := req.job().Validate(req.Workers); err != nil {
 		return err
 	}
-	g := graph.Dataset(req.Graph)
-	if g == nil {
+	if graph.Dataset(req.Graph) == nil {
 		return fmt.Errorf("unknown graph %q (want sd|wg|cp|lj)", req.Graph)
-	}
-	if _, err := core.ParseSwathScheduler(g, req.Roots, req.Swath, req.Initiate, 0); err != nil {
-		return err
 	}
 	if req.ElasticHigh != 0 {
 		if req.ElasticHigh <= req.Workers || req.ElasticHigh > 64 {
