@@ -169,7 +169,19 @@ func stateProgramFor[M any](name string, spec core.JobSpec[M]) stateProgram {
 	}
 }
 
-// statePrograms lists all ten built-in programs with per-vertex state.
+// adaptedStateProgram is stateProgramFor for a vertex program run under the
+// subgraph model: its seeds come from a run through core.UseVertexAdapter,
+// and the records are read back by the vertex program's own codec, as a
+// restore under -model subgraph reads them.
+func adaptedStateProgram[M any](name string, spec core.JobSpec[M]) stateProgram {
+	p := stateProgramFor(name, spec)
+	core.UseVertexAdapter(&spec)
+	p.seed = stateProgramFor(name, spec).seed
+	return p
+}
+
+// statePrograms lists the ten built-in programs with per-vertex state, and
+// BC as -model subgraph runs it, through the vertex adapter.
 func statePrograms() []stateProgram {
 	g := graph.ErdosRenyi(16, 40, 3)
 	roots := Sources(g, 3)
@@ -183,6 +195,7 @@ func statePrograms() []stateProgram {
 		stateProgramFor("sssp-subgraph", SSSPSubgraph(g, 1, 0)),
 		stateProgramFor("wcc-subgraph", WCCSubgraph(g, 1)),
 		stateProgramFor("wsssp-subgraph", WeightedSSSPSubgraph(graph.RandomWeights(g, 1, 4, 5), 1, 0)),
+		adaptedStateProgram("bc-subgraph", BC(g, 1, core.NewAllAtOnce(roots))),
 		stateProgramFor("wsssp", WeightedSSSP(graph.RandomWeights(g, 1, 4, 5), 1, 0)),
 	}
 }
